@@ -56,8 +56,16 @@ GRADCHECK_U_TOL = 1e-5
 GRADCHECK_W_TOL = 1e-3
 
 
+class UsageError(Exception):
+    """Bad command line or environment; main reports it and exits 2."""
+
+
 def _env_seed() -> int:
-    return int(os.environ.get("PRECOG_SEED", "0"))
+    raw = os.environ.get("PRECOG_SEED", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise UsageError(f"PRECOG_SEED must be an integer, got {raw!r}") from None
 
 
 def _fmt(x) -> str:
@@ -223,7 +231,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
             status = "ok"
             cond_method = None
             iters = None
-            wall_ms = None
             t0 = time.perf_counter()
             try:
                 if method == "precog":
@@ -276,24 +283,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 1 if rows and n_failed == len(rows) else 0
 
 
-def _fd_grad_cost_E_wrt_U(R, U, eps1, eps2, h=1e-6):
-    G = np.zeros_like(U)
-    for i in range(U.shape[0]):
-        for j in range(U.shape[1]):
-            Up = U.copy(); Up[i, j] += h
-            Um = U.copy(); Um[i, j] -= h
-            G[i, j] = (cost_E(R, Up, eps1, eps2) - cost_E(R, Um, eps1, eps2)) / (2 * h)
-    return G
-
-
-def _fd_grad_cost_EN_wrt_w(topo, R, w, hp, h=1e-6):
-    g = np.zeros_like(w)
-    for e in range(w.shape[0]):
-        wp = w.copy(); wp[e] += h
-        wm = w.copy(); wm[e] -= h
-        g[e] = (cost_EN(WeightedGraph(topo, wp), R, hp)
-                - cost_EN(WeightedGraph(topo, wm), R, hp)) / (2 * h)
-    return g
+def _central_diff(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
+    """Central differences of the scalar f over every entry of x."""
+    out = np.zeros_like(x)
+    for idx in np.ndindex(x.shape):
+        xp = x.copy(); xp[idx] += h
+        xm = x.copy(); xm[idx] -= h
+        out[idx] = (f(xp) - f(xm)) / (2 * h)
+    return out
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
@@ -321,10 +318,10 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     for _ in range(5):
         Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
         Ga = grad_E_wrt_U(R, Q, hp.eps1, hp.eps2, formula="canonical")
-        Gf = _fd_grad_cost_E_wrt_U(R, Q, hp.eps1, hp.eps2)
+        Gf = _central_diff(lambda V: cost_E(R, V, hp.eps1, hp.eps2), Q)
         worst_u = max(worst_u, float(np.linalg.norm(Ga - Gf) / np.linalg.norm(Gf)))
 
-    fd_w = _fd_grad_cost_EN_wrt_w(topo, R, w, hp)
+    fd_w = _central_diff(lambda v: cost_EN(WeightedGraph(topo, v), R, hp), w)
     an_w = grad_EN_wrt_w(g, R, HyperParams(seed=seed, gradient_mode="perturbation"))
     err_w = float(np.linalg.norm(an_w - fd_w) / np.linalg.norm(fd_w))
 
@@ -487,6 +484,8 @@ def _inject_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str
     """Expand --config into flags placed before explicit ones (flags win)."""
     if "--config" not in argv or not argv:
         return argv
+    if argv[-1] == "--config":
+        raise UsageError("--config needs a file path")
     pairs = _load_config(argv[argv.index("--config") + 1])
     command = argv[0]
     # find the matching subparser to learn which options are boolean flags
@@ -511,15 +510,13 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
     try:
-        argv = _inject_config(argv, parser)
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_inject_config(argv, parser))
+        return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.func(args)
-    except PrecogError as exc:
+    except (PrecogError, UsageError, OSError) as exc:  # OSError: a named file is unusable
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 1 if isinstance(exc, PrecogError) else 2
 
 
 def entry() -> None:

@@ -47,7 +47,7 @@ class DisconnectedVertexError(PrecogError, ArithmeticError):
 
 
 class DivergenceError(PrecogError, ArithmeticError):
-    """The optimization loop produced a non-finite cost or gradient."""
+    """An optimizer or adaptive filter produced non-finite values."""
 
 
 class IluBreakdownError(PrecogError, ArithmeticError):

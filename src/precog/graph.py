@@ -11,6 +11,7 @@ bit-deterministic; the Laplacian is invariant to that choice.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -31,17 +32,25 @@ class Topology:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise InvalidDimensionError(f"need at least 2 vertices, got n={self.n}")
-        seen: set[tuple[int, int]] = set()
-        for i, j in self.edges:
-            if not (0 <= i < j < self.n):
-                raise InvalidDimensionError(f"edge ({i}, {j}) invalid for n={self.n}")
-            if (i, j) in seen:
-                raise InvalidDimensionError(f"duplicate edge ({i}, {j})")
-            seen.add((i, j))
+        P, Q = self.endpoints.T
+        bad = np.flatnonzero((P < 0) | (P >= Q) | (Q >= self.n))
+        if bad.size:
+            raise InvalidDimensionError(f"edge {self.edges[bad[0]]} invalid for n={self.n}")
+        first = np.unique(P * self.n + Q, return_index=True)[1]
+        if first.size < self.n_edges:  # report the earliest repeat, in edge order
+            e = np.setdiff1d(np.arange(self.n_edges), first)[0]
+            raise InvalidDimensionError(f"duplicate edge {self.edges[e]}")
 
     @property
     def n_edges(self) -> int:
         return len(self.edges)
+
+    @cached_property
+    def endpoints(self) -> np.ndarray:
+        """Read-only (n_edges, 2) index array; ``P, Q = t.endpoints.T``."""
+        ends = np.array(self.edges, dtype=np.intp).reshape(len(self.edges), 2)
+        ends.flags.writeable = False
+        return ends
 
 
 @dataclass
@@ -68,8 +77,6 @@ def banded_topology(n: int, band: int) -> Topology:
     With band=2 this is the fixed regular topology used for tap-delayed
     signals: it preserves temporal order and has 2n - 3 edges for n >= 3.
     """
-    if n < 2:
-        raise InvalidDimensionError(f"need at least 2 vertices, got n={n}")
     if band < 1:
         raise InvalidDimensionError(f"band must be positive, got {band}")
     edges = tuple(
@@ -80,34 +87,27 @@ def banded_topology(n: int, band: int) -> Topology:
 
 def full_topology(n: int) -> Topology:
     """Fully connected topology: n(n-1)/2 edges in lexicographic order."""
-    if n < 2:
-        raise InvalidDimensionError(f"need at least 2 vertices, got n={n}")
     return Topology(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)))
 
 
 def incidence_matrix(t: Topology) -> np.ndarray:
     """n x |edges| incidence matrix: column e has +1 at row i, -1 at row j."""
+    P, Q = t.endpoints.T
     B = np.zeros((t.n, t.n_edges))
-    for e, (i, j) in enumerate(t.edges):
-        B[i, e] = 1.0
-        B[j, e] = -1.0
+    B[P, np.arange(t.n_edges)] = 1.0
+    B[Q, np.arange(t.n_edges)] = -1.0
     return B
 
 
 def laplacian(g: WeightedGraph) -> np.ndarray:
     """Weighted graph Laplacian B diag(w) B^T.
 
-    Accumulated edge by edge so the result is bitwise equal to the sum
-    of w_i * theta_i over all edges.
+    The diagonal is an ordered bincount that adds each vertex's weights in
+    edge order, so the result is bitwise equal to the sum of w_i * theta_i.
     """
-    n = g.topology.n
-    L = np.zeros((n, n))
-    for e, (i, j) in enumerate(g.topology.edges):
-        we = g.w[e]
-        L[i, i] += we
-        L[j, j] += we
-        L[i, j] -= we
-        L[j, i] -= we
+    P, Q = g.topology.endpoints.T
+    L = np.diag(signed_degree_vector(g))
+    L[P, Q] = L[Q, P] = 0.0 - g.w  # not -w: a zero weight stays +0.0
     return L
 
 
@@ -128,23 +128,20 @@ def theta(g: WeightedGraph, edge_index: int) -> np.ndarray:
     return T
 
 
+def _vertex_sums(t: Topology, x: np.ndarray) -> np.ndarray:
+    # interleaved (p0, q0, p1, q1, ...): each vertex accumulates in edge order
+    return np.bincount(t.endpoints.ravel(), weights=np.repeat(x, 2), minlength=t.n)
+
+
 def degree_vector(g: WeightedGraph) -> np.ndarray:
     """Per-vertex sum of |w| over incident edges.
 
     Absolute values keep the entries positive for log-degree penalties even
     when weights are signed.  See signed_degree_vector for the plain sum.
     """
-    d = np.zeros(g.topology.n)
-    for e, (i, j) in enumerate(g.topology.edges):
-        d[i] += abs(g.w[e])
-        d[j] += abs(g.w[e])
-    return d
+    return _vertex_sums(g.topology, np.abs(g.w))
 
 
 def signed_degree_vector(g: WeightedGraph) -> np.ndarray:
-    """Per-vertex sum of signed weights over incident edges (diagnostic)."""
-    d = np.zeros(g.topology.n)
-    for e, (i, j) in enumerate(g.topology.edges):
-        d[i] += g.w[e]
-        d[j] += g.w[e]
-    return d
+    """Per-vertex sum of signed weights over incident edges (the Laplacian diagonal)."""
+    return _vertex_sums(g.topology, g.w)

@@ -6,14 +6,17 @@ and gradient descent on the two-sided diagonal-band cost moves the edge
 weights.  Two routes to dU/dw_i exist and stay separately testable:
 
 * ``perturbation`` (default): first-order eigenvector perturbation theory,
-  certified against central finite differences.
+  certified against central finite differences.  Edge (p, q) gets v^T W v
+  with v = U[p] - U[q], read off S = U W U^T as S[p,p] + S[q,q] - S[p,q] -
+  S[q,p]: one n x n product and a gather, not a loop over edges.
 * ``paper-chain``: the pseudoinverse trace chain, kept verbatim for
   comparison studies.  Its disagreement with finite differences is
   measured and reported, never asserted away.
 
 cost_E deliberately accepts any square U, orthonormal or not: the ambient
 gradient is certified by finite differences over raw matrix entries, which
-steps off the orthonormal manifold.
+steps off the orthonormal manifold.  The score, cost_E and dE/dU all read
+G = U^T R U; optimize computes it once per iteration and shares it.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .errors import (
     InvalidInputError,
 )
 from .graph import Topology, WeightedGraph, degree_vector, laplacian
-from .spectral import SpectralPair, cond_spd, pinv, power_normalize, sym_eig
+from .spectral import SpectralPair, cond_spd, orthonormality_error, pinv, power_normalize, sym_eig
 
 GRADIENT_MODES = ("perturbation", "paper-chain")
 GRAD_U_FORMULAS = ("canonical", "paper-appendix")
@@ -123,7 +126,10 @@ def cost_E(R: np.ndarray, U: np.ndarray, eps1: float, eps2: float) -> float:
     U = np.asarray(U, dtype=float)
     if R.shape != U.shape or R.ndim != 2 or R.shape[0] != R.shape[1]:
         raise InvalidDimensionError(f"shape mismatch: R {R.shape}, U {U.shape}")
-    G = U.T @ R @ U
+    return _band_cost(U.T @ R @ U, eps1, eps2)
+
+
+def _band_cost(G: np.ndarray, eps1: float, eps2: float) -> float:
     d = np.diag(G)
     off = G - np.diag(d)
     off2 = float(np.sum(off * off))
@@ -189,16 +195,21 @@ def grad_E_wrt_U(
     if formula not in GRAD_U_FORMULAS:
         raise InvalidInputError(f"unknown formula {formula!r}")
     G = U.T @ R @ U
-    D = np.diag(np.diag(G))
     if formula == "canonical":
-        return 4.0 * R @ U @ (2.0 * G - (2.0 - eps1 * eps1 - eps2 * eps2) * D)
+        return _grad_E_canonical(R, U, G, eps1, eps2)
     n = R.shape[0]
+    D = np.diag(np.diag(G))
     bracket = (
         2.0 * R
         - 2.0 * (2.0 - eps2 - eps2) * np.eye(n)
         - ((1.0 + eps1) ** 2 + (1.0 - eps2) ** 2) * D
     )
     return 2.0 * bracket @ R @ U
+
+
+def _grad_E_canonical(R, U, G, eps1: float, eps2: float) -> np.ndarray:
+    D = np.diag(np.diag(G))
+    return 4.0 * R @ U @ (2.0 * G - (2.0 - eps1 * eps1 - eps2 * eps2) * D)
 
 
 def dL_du(sp: SpectralPair, k: int, l: int) -> np.ndarray:
@@ -272,33 +283,33 @@ def du_dw_perturbation(
 
 def _grad_core(
     g: WeightedGraph,
-    R: np.ndarray,
     sp: SpectralPair,
     hp: HyperParams,
+    GE: np.ndarray,
 ) -> np.ndarray:
-    """Per-edge trace term Tr((dE/dU)^T dU/dw_i) for the selected mode."""
-    GE = grad_E_wrt_U(R, sp.U, hp.eps1, hp.eps2, formula="canonical")
-    edges = g.topology.edges
-    grad = np.zeros(len(edges))
+    """Per-edge trace term Tr((dE/dU)^T dU/dw_i) for the selected mode; GE is dE/dU.
+
+    Perturbation mode: with W = (U^T GE) * _inverse_gaps, edge (p, q) gets
+    S[p,p] + S[q,q] - S[p,q] - S[q,p] for S = U W U^T.
+    """
+    n = sp.gamma.shape[0]
     if hp.gradient_mode == "perturbation":
-        n = sp.gamma.shape[0]
         if n > 1 and float(np.min(np.diff(sp.gamma))) < hp.degeneracy_gap:
             raise DegenerateSpectrumError(
                 f"minimum eigen-gap below {hp.degeneracy_gap:g}"
             )
         W = (sp.U.T @ GE) * _inverse_gaps(sp.gamma)
-        for e, (p, q) in enumerate(edges):
-            v = sp.U[p, :] - sp.U[q, :]
-            grad[e] = v @ W @ v
-        return grad
+        S = sp.U @ W @ sp.U.T
+        P, Q = g.topology.endpoints.T
+        return S[P, P] + S[Q, Q] - S[P, Q] - S[Q, P]
     # paper-chain: one pseudoinverse per (k, l), shared across all edges
-    n = sp.gamma.shape[0]
+    grad = np.zeros(g.topology.n_edges)
     for k in range(n):
         for l in range(n):
             if GE[k, l] == 0.0:
                 continue
             M = pinv(dL_du(sp, k, l)).T
-            for e, (p, q) in enumerate(edges):
+            for e, (p, q) in enumerate(g.topology.edges):
                 grad[e] += GE[k, l] * (M[p, p] + M[q, q] - M[p, q] - M[q, p])
     return grad
 
@@ -306,7 +317,8 @@ def _grad_core(
 def grad_EN_wrt_w(g: WeightedGraph, R: np.ndarray, hp: HyperParams) -> np.ndarray:
     """Gradient of cost_EN over the edge weights: trace term plus 2 beta w."""
     sp = sym_eig(laplacian(g))
-    return _grad_core(g, R, sp, hp) + 2.0 * hp.beta * g.w
+    GE = grad_E_wrt_U(R, sp.U, hp.eps1, hp.eps2, formula="canonical")
+    return _grad_core(g, sp, hp, GE) + 2.0 * hp.beta * g.w
 
 
 def optimize(R: np.ndarray, t: Topology, hp: HyperParams) -> PrecogResult:
@@ -331,7 +343,6 @@ def optimize(R: np.ndarray, t: Topology, hp: HyperParams) -> PrecogResult:
     max_unitarity = 0.0
     converged = False
     reason = "max_iter"
-    eye = np.eye(t.n)
 
     for it in range(hp.max_iter):
         g = WeightedGraph(t, w)
@@ -348,12 +359,12 @@ def optimize(R: np.ndarray, t: Topology, hp: HyperParams) -> PrecogResult:
         consecutive_jitters = 0
 
         U = sp.U
-        max_unitarity = max(max_unitarity, float(np.linalg.norm(U.T @ U - eye)))
-        S = power_normalize(U.T @ R @ U).S
-        s_ev = np.linalg.eigvalsh(S)
+        max_unitarity = max(max_unitarity, orthonormality_error(U))
+        G = U.T @ R @ U  # shared by the score, the cost and the gradient
+        s_ev = np.linalg.eigvalsh(power_normalize(G).S)
         split_cond = float(s_ev[-1] / s_ev[0])
-        cost = cost_E(R, U, hp.eps1, hp.eps2) + hp.beta * (float(w @ w) - 1.0)
-        grad_core = _grad_core(g, R, sp, hp)
+        cost = _band_cost(G, hp.eps1, hp.eps2) + hp.beta * (float(w @ w) - 1.0)
+        grad_core = _grad_core(g, sp, hp, _grad_E_canonical(R, U, G, hp.eps1, hp.eps2))
         grad_full = grad_core + 2.0 * hp.beta * w
         if not np.isfinite(cost) or not np.all(np.isfinite(grad_core)):
             raise DivergenceError(f"non-finite cost or gradient at iteration {it}")

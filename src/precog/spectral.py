@@ -60,26 +60,18 @@ def _check_symmetric(M: np.ndarray, what: str = "matrix") -> np.ndarray:
 
 def canonical_sign(U: np.ndarray) -> np.ndarray:
     """Flip column signs so each column's largest-magnitude entry is positive."""
-    U = U.copy()
-    for c in range(U.shape[1]):
-        k = int(np.argmax(np.abs(U[:, c])))
-        if U[k, c] < 0:
-            U[:, c] = -U[:, c]
-    return U
+    k = np.argmax(np.abs(U), axis=0)  # first index on ties
+    return U * np.where(U[k, np.arange(U.shape[1])] < 0, -1.0, 1.0)
 
 
 def sym_eig(M: np.ndarray) -> SpectralPair:
     """Eigendecomposition of a symmetric matrix under the canonical convention."""
     M = _check_symmetric(M)
     gamma, U = np.linalg.eigh(M)
-    U = canonical_sign(U)
-    n = M.shape[0]
-    if n > 1:
-        radius = float(np.max(np.abs(gamma)))
-        degenerate = bool(np.min(np.diff(gamma)) <= RELATIVE_DEGENERACY_GAP * radius)
-    else:
-        degenerate = False
-    return SpectralPair(U=U, gamma=gamma, degenerate=degenerate)
+    radius = float(np.max(np.abs(gamma), initial=0.0))
+    min_gap = np.min(np.diff(gamma), initial=np.inf)  # inf for n = 1: never degenerate
+    return SpectralPair(U=canonical_sign(U), gamma=gamma,
+                        degenerate=bool(min_gap <= RELATIVE_DEGENERACY_GAP * radius))
 
 
 def cond_spd(M: np.ndarray) -> float:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidDimensionError, InvalidInputError
+from .errors import DivergenceError, InvalidDimensionError, InvalidInputError
 from .matgen import SignalSpec
 from .spectral import ORTHONORMALITY_TOL, orthonormality_error
 
@@ -132,7 +132,7 @@ def system_id_experiment(
     The excitation comes from the seeded signal generators; the desired
     signal is the plant output plus white measurement noise scaled so the
     signal-to-noise ratio is noise_db.  Misalignment is measured against
-    the true plant in the tap domain.
+    the true plant in the tap domain.  A run that overflows raises DivergenceError.
     """
     plant = np.asarray(plant, dtype=float)
     if plant.shape != (cfg.taps,):
@@ -156,13 +156,16 @@ def system_id_experiment(
     e2 = np.empty(run_len)
     mis = np.empty(run_len)
     plant_energy = float(plant @ plant)
-    for k in range(run_len):
-        x_vec = windows[k]
-        if cfg.transform is None:
-            state, e = lms_step(state, x_vec, d[k])
-        else:
-            state, e = tdlms_step(state, x_vec, d[k], cfg)
-        e2[k] = e * e
-        diff = state.time_domain_weights() - plant
-        mis[k] = float(diff @ diff) / plant_energy
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(run_len):
+            x_vec = windows[k]
+            if cfg.transform is None:
+                state, e = lms_step(state, x_vec, d[k])
+            else:
+                state, e = tdlms_step(state, x_vec, d[k], cfg)
+            e2[k] = e * e
+            diff = state.time_domain_weights() - plant
+            mis[k] = float(diff @ diff) / plant_energy
+    if not (np.all(np.isfinite(e2)) and np.all(np.isfinite(mis))):
+        raise DivergenceError(f"filter diverged (non-finite error) with step {cfg.step:g}")
     return MseTrace(e2=e2, misalignment=mis)

@@ -14,6 +14,12 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_usage_error(code, err, needle):
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert needle in err
+
+
 class TestGen:
     def test_ar1_file_and_cond(self, tmp_path, capsys):
         out = tmp_path / "m.txt"
@@ -170,6 +176,24 @@ class TestBench:
         assert code == 0
         assert out.read_text().splitlines()[1].split(",")[11] == "17"
 
+    def test_non_integer_env_seed_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                 matrix_file):
+        monkeypatch.setenv("PRECOG_SEED", "abc")
+        code, _, err = run(capsys, "bench", "--matrix", str(matrix_file),
+                           "--methods", "none", "--out", str(tmp_path / "x.csv"))
+        assert_usage_error(code, err, "PRECOG_SEED")
+
+    def test_missing_matrix_file_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code, _, err = run(capsys, "bench", "--matrix", str(tmp_path / "absent.txt"),
+                           "--methods", "none", "--out", str(out))
+        assert_usage_error(code, err, "absent.txt")
+        assert not out.exists()
+
+    def test_config_without_path_is_usage_error(self, tmp_path, capsys):
+        code, _, err = run(capsys, "bench", "--family", "ar1", "--config")
+        assert_usage_error(code, err, "--config")
+
 
 class TestGradcheck:
     def test_default_run_passes(self, capsys):
@@ -215,6 +239,13 @@ class TestPrecondition:
         assert code == 1
         assert "eigenvalue" in err
 
+    def test_missing_matrix_file_is_usage_error(self, tmp_path, capsys):
+        out_u = tmp_path / "u.txt"
+        code, _, err = run(capsys, "precondition", "--matrix",
+                           str(tmp_path / "absent.txt"), "--out-u", str(out_u))
+        assert_usage_error(code, err, "absent.txt")
+        assert not out_u.exists()
+
 
 class TestLms:
     def test_trace_csv(self, tmp_path, capsys):
@@ -236,3 +267,13 @@ class TestLms:
             "--seed", "2", "--out", str(out),
         )
         assert code == 0
+
+    def test_divergent_step_exits_1_without_trace(self, tmp_path, capsys):
+        out = tmp_path / "trace.csv"
+        code, _, err = run(
+            capsys, "lms", "--taps", "8", "--step", "5", "--signal", "white",
+            "--run-len", "400", "--seed", "2", "--out", str(out),
+        )
+        assert code == 1
+        assert err.count("\n") == 1 and "diverged" in err
+        assert not out.exists()

@@ -23,6 +23,48 @@ def graph_from(n, edges, w):
     return WeightedGraph(Topology(n, tuple(edges)), np.asarray(w, dtype=float))
 
 
+def laplacian_loop(g):
+    """Oracle: the Laplacian accumulated edge by edge."""
+    n = g.topology.n
+    L = np.zeros((n, n))
+    for e, (i, j) in enumerate(g.topology.edges):
+        we = g.w[e]
+        L[i, i] += we
+        L[j, j] += we
+        L[i, j] -= we
+        L[j, i] -= we
+    return L
+
+
+def incidence_loop(t):
+    B = np.zeros((t.n, t.n_edges))
+    for e, (i, j) in enumerate(t.edges):
+        B[i, e] = 1.0
+        B[j, e] = -1.0
+    return B
+
+
+def degree_loop(g, f):
+    d = np.zeros(g.topology.n)
+    for e, (i, j) in enumerate(g.topology.edges):
+        d[i] += f(g.w[e])
+        d[j] += f(g.w[e])
+    return d
+
+
+@st.composite
+def large_weighted_graphs(draw):
+    """Full or banded topologies up to n=128 with signed weights, zeros and -0.0."""
+    n = draw(st.integers(min_value=2, max_value=128))
+    band = draw(st.one_of(st.none(), st.integers(min_value=1, max_value=6)))
+    t = full_topology(n) if band is None else banded_topology(n, band)
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    w = rng.standard_normal(t.n_edges) * 10.0 ** rng.integers(-8, 9, t.n_edges)
+    w[rng.random(t.n_edges) < 0.05] = 0.0
+    w[rng.random(t.n_edges) < 0.05] = -0.0
+    return WeightedGraph(t, w)
+
+
 @st.composite
 def weighted_graphs(draw, max_n=7, nonnegative=False):
     n = draw(st.integers(min_value=2, max_value=max_n))
@@ -92,6 +134,11 @@ class TestIncidence:
         assert np.array_equal(B[:, 0], [1.0, -1.0, 0.0])
         assert np.array_equal(B[:, 1], [0.0, 1.0, -1.0])
 
+    @given(large_weighted_graphs())
+    @settings(max_examples=20, deadline=None)
+    def test_matches_edge_loop(self, g):
+        assert np.array_equal(incidence_matrix(g.topology), incidence_loop(g.topology))
+
     @given(weighted_graphs())
     def test_columns_sum_to_zero(self, g):
         B = incidence_matrix(g.topology)
@@ -137,6 +184,11 @@ class TestLaplacian:
     @settings(max_examples=50)
     def test_psd_for_nonnegative_weights(self, g):
         assert np.linalg.eigvalsh(laplacian(g))[0] >= -1e-10
+
+    @given(large_weighted_graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_bitwise_equal_to_edge_loop(self, g):
+        assert laplacian(g).tobytes() == laplacian_loop(g).tobytes()
 
     @given(weighted_graphs())
     def test_sum_of_thetas_is_laplacian_exactly(self, g):
@@ -205,8 +257,17 @@ class TestDegrees:
 
     @given(weighted_graphs())
     def test_oracle_direct_summation(self, g):
-        expected = np.zeros(g.topology.n)
-        for e, (i, j) in enumerate(g.topology.edges):
-            expected[i] += abs(g.w[e])
-            expected[j] += abs(g.w[e])
-        assert np.allclose(degree_vector(g), expected, atol=0)
+        assert np.allclose(degree_vector(g), degree_loop(g, abs), atol=0)
+
+    @given(large_weighted_graphs())
+    @settings(max_examples=30, deadline=None)
+    def test_bitwise_equal_to_edge_loop(self, g):
+        assert degree_vector(g).tobytes() == degree_loop(g, abs).tobytes()
+        assert signed_degree_vector(g).tobytes() == degree_loop(g, float).tobytes()
+
+    def test_endpoints_cached_and_read_only(self):
+        t = banded_topology(5, 2)
+        assert t.endpoints is t.endpoints
+        assert np.array_equal(t.endpoints, np.array(t.edges))
+        with pytest.raises(ValueError):
+            t.endpoints[0, 0] = 3

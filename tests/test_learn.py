@@ -15,11 +15,13 @@ from precog.graph import (
     Topology,
     WeightedGraph,
     banded_topology,
+    full_topology,
     laplacian,
     theta,
 )
 from precog.learn import (
     HyperParams,
+    _grad_core,
     cost_E,
     cost_EN,
     cost_sparse,
@@ -63,6 +65,19 @@ def fd_grad_w(topo, R, w, hp, h=FD_STEP):
             - cost_EN(WeightedGraph(topo, wm), R, hp)
         ) / (2 * h)
     return out
+
+
+def grad_core_loop(g, R, sp, hp):
+    """Oracle: the perturbation trace term as a per-edge v @ W @ v loop."""
+    GE = grad_E_wrt_U(R, sp.U, hp.eps1, hp.eps2)
+    gaps = sp.gamma[None, :] - sp.gamma[:, None]
+    np.fill_diagonal(gaps, np.inf)
+    W = (sp.U.T @ GE) / gaps
+    grad = np.zeros(g.topology.n_edges)
+    for e, (p, q) in enumerate(g.topology.edges):
+        v = sp.U[p, :] - sp.U[q, :]
+        grad[e] = v @ W @ v
+    return grad
 
 
 def nondegenerate_weights(topo, rng, gap=1e-6):
@@ -324,6 +339,19 @@ class TestGradW:
         an = grad_EN_wrt_w(WeightedGraph(topo, w), R, hp)
         fd = fd_grad_w(topo, R, w, hp)
         assert np.linalg.norm(an - fd) <= 1e-4 * np.linalg.norm(fd)
+
+    @pytest.mark.parametrize("n", [5, 12, 64])
+    @pytest.mark.parametrize("make", [full_topology, lambda n: banded_topology(n, 2)],
+                             ids=["full", "banded2"])
+    def test_closed_form_matches_edge_loop(self, rng, n, make):
+        topo = make(n)
+        R = rand_spd(n, rng)
+        g = WeightedGraph(topo, nondegenerate_weights(topo, rng))
+        sp = sym_eig(laplacian(g))
+        hp = HyperParams(eps1=0.2, eps2=0.1)
+        fast = _grad_core(g, sp, hp, grad_E_wrt_U(R, sp.U, hp.eps1, hp.eps2))
+        slow = grad_core_loop(g, R, sp, hp)
+        assert np.linalg.norm(fast - slow) <= 1e-12 * np.linalg.norm(slow)
 
     def test_paper_chain_discrepancy_measured(self, rng):
         topo = banded_topology(5, 2)

@@ -14,6 +14,7 @@ from precog.errors import (
 from precog.learn import dL_du
 from precog.matgen import ar1_autocorr
 from precog.spectral import (
+    canonical_sign,
     cond_general,
     cond_spd,
     orthonormality_error,
@@ -35,6 +36,39 @@ def charpoly_roots(M):
         coeffs[k] = -np.trace(Mk) / k
         Mk = Mk + coeffs[k] * np.eye(n)
     return np.sort(np.roots(coeffs).real)
+
+
+def canonical_sign_loop(U):
+    """Oracle: the per-column sign fixup."""
+    U = U.copy()
+    for c in range(U.shape[1]):
+        k = int(np.argmax(np.abs(U[:, c])))
+        if U[k, c] < 0:
+            U[:, c] = -U[:, c]
+    return U
+
+
+class TestCanonicalSign:
+    def test_tie_flips_on_first_index(self):
+        a = 0.6
+        U = np.array([[-a, a, 0.8], [a, a, 0.0], [0.0, 0.0, -0.6]])
+        V = canonical_sign(U)
+        assert np.array_equal(V[:, 0], [a, -a, 0.0])  # [-a, a]: first index wins, flipped
+        assert np.array_equal(V[:, 1], U[:, 1])
+        assert np.array_equal(V[:, 2], U[:, 2])
+
+    def test_returns_copy(self):
+        U = -np.eye(3)
+        canonical_sign(U)
+        assert np.array_equal(U, -np.eye(3))
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(1, 40))
+    @settings(max_examples=50)
+    def test_bitwise_equal_to_column_loop(self, seed, n):
+        rng = np.random.default_rng(seed)
+        # small integers make exact magnitude ties and zero columns common
+        U = rng.integers(-2, 3, size=(n, n)).astype(float) * rng.choice([1.0, 0.3], size=n)
+        assert canonical_sign(U).tobytes() == canonical_sign_loop(U).tobytes()
 
 
 class TestSymEig:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from precog.baselines import dct_matrix
-from precog.errors import InvalidDimensionError, InvalidInputError
+from precog.errors import DivergenceError, InvalidDimensionError, InvalidInputError
 from precog.matgen import SignalSpec
 from precog.tdlms import (
     FilterConfig,
@@ -181,4 +181,11 @@ class TestSystemId:
         with pytest.raises(InvalidDimensionError):
             system_id_experiment(
                 np.ones(3), SignalSpec("white"), 30.0, plain_cfg(taps=4), 100, seed=0
+            )
+
+    def test_divergence_raises(self):
+        plant = np.ones(4) / 2.0
+        with pytest.raises(DivergenceError):
+            system_id_experiment(
+                plant, SignalSpec("white"), 30.0, plain_cfg(taps=4, step=5.0), 2000, seed=0
             )
