@@ -10,20 +10,13 @@ from pathlib import Path
 
 import numpy as np
 
-from precog.baselines import (
-    condition_ratio,
-    dct_matrix,
-    dft_split_cond,
-    gauss_seidel_precond,
-    jacobi_precond,
-    none_cond,
-    sor_precond,
-    ssor_precond,
-)
+from precog.baselines import baseline_cond, condition_ratio
 from precog.graph import banded_topology
 from precog.learn import HyperParams, optimize
 from precog.matgen import ar1_autocorr
 from precog.spectral import split_preconditioned_cond
+
+METHODS = ("none", "dct", "dft", "jacobi", "gauss-seidel", "sor", "ssor")
 
 
 def main() -> None:
@@ -44,16 +37,7 @@ def main() -> None:
         hp = HyperParams(max_iter=args.max_iter, seed=args.seed)
         learned = optimize(R, banded_topology(n, 2), hp)
         cond_learned = split_preconditioned_cond(R, learned.U)
-        conds = {
-            "precog": cond_learned,
-            "none": none_cond(R),
-            "dct": split_preconditioned_cond(R, dct_matrix(n).T),
-            "dft": dft_split_cond(R),
-            "jacobi": jacobi_precond(R).preconditioned_cond(R),
-            "gauss-seidel": gauss_seidel_precond(R).preconditioned_cond(R),
-            "sor": sor_precond(R).preconditioned_cond(R),
-            "ssor": ssor_precond(R).preconditioned_cond(R),
-        }
+        conds = {"precog": cond_learned} | {m: baseline_cond(m, R) for m in METHODS}
         for method, cond in sorted(conds.items()):
             ratio = condition_ratio(cond, cond_learned)
             lines.append(

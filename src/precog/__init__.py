@@ -11,9 +11,9 @@ __version__ = "0.1.0"
 from .baselines import (
     METHOD_NAMES,
     Preconditioner,
+    baseline_cond,
     condition_ratio,
     dct_matrix,
-    dct_split_precond,
     dft_matrix,
     dft_split_cond,
     gauss_seidel_precond,
@@ -27,7 +27,6 @@ from .graph import (
     Topology,
     WeightedGraph,
     banded_topology,
-    degree_vector,
     full_topology,
     incidence_matrix,
     laplacian,
@@ -40,13 +39,10 @@ from .learn import (
     PrecogResult,
     cost_E,
     cost_EN,
-    cost_sparse,
     dL_du,
-    du_dw_paper,
-    du_dw_perturbation,
     grad_E_wrt_U,
     grad_EN_wrt_w,
-    l0_count,
+    is_degenerate,
     optimize,
 )
 from .matgen import (
@@ -70,7 +66,6 @@ from .spectral import (
     cond_general,
     cond_spd,
     orthonormality_error,
-    pinv,
     power_normalize,
     split_preconditioned_cond,
     sym_eig,

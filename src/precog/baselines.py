@@ -1,8 +1,9 @@
-"""Classical preconditioners and the condition-ratio metric.
+"""Classical preconditioners, the baseline registry and the condition-ratio metric.
 
-Two families share one scoring rule: unitary split preconditioners are
-scored by the condition number of the power-normalized congruence
-U^T A U, left preconditioners by the general condition number of M^{-1} A.
+Unitary split transforms (DCT, DFT) are scored by the condition number of
+the power-normalized congruence U^T A U, left preconditioners by the
+general condition number of M^{-1} A.  baseline_cond is the one dispatch
+from a method name to its score.
 """
 
 from __future__ import annotations
@@ -16,56 +17,28 @@ from .errors import (
     InvalidInputError,
     NumericallySingularError,
 )
-from .spectral import (
-    ORTHONORMALITY_TOL,
-    cond_general,
-    cond_spd,
-    orthonormality_error,
-    power_normalize,
-    split_preconditioned_cond,
-)
+from .spectral import cond_general, cond_spd, power_normalize, split_preconditioned_cond
 
 DEFAULT_OMEGA = 1.5
-
-METHOD_NAMES = (
-    "precog",
-    "dct",
-    "dft",
-    "jacobi",
-    "gauss-seidel",
-    "sor",
-    "ssor",
-    "ilu0",
-    "none",
-)
 
 
 @dataclass(frozen=True)
 class Preconditioner:
-    """Tagged preconditioner: unitary-split (orthonormal U) or left (invertible M).
+    """Left preconditioner: an invertible M, applied as M^{-1} A.
 
-    Left preconditioners may carry (L, U) factors so that applying M^{-1}
-    goes through two triangular solves instead of a dense inverse.
+    It may carry (L, U) factors so that applying M^{-1} goes through two
+    triangular solves instead of a dense inverse.
     """
 
-    kind: str  # "unitary-split" | "left"
     payload: np.ndarray
     label: str
     factors: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("unitary-split", "left"):
-            raise InvalidInputError(f"unknown preconditioner kind {self.kind!r}")
-        if self.kind == "unitary-split":
-            if orthonormality_error(self.payload) > ORTHONORMALITY_TOL:
-                raise InvalidInputError(f"{self.label}: payload is not orthonormal")
-        else:
-            cond_general(self.payload)  # raises NumericallySingularError if singular
+        cond_general(self.payload)  # raises NumericallySingularError if singular
 
     def apply_inverse(self, A: np.ndarray) -> np.ndarray:
-        """M^{-1} A for a left preconditioner."""
-        if self.kind != "left":
-            raise InvalidInputError("apply_inverse is defined for left preconditioners")
+        """M^{-1} A."""
         if self.factors is not None:
             Lf, Uf = self.factors
             return _backward_solve(Uf, _forward_solve(Lf, A))
@@ -75,8 +48,6 @@ class Preconditioner:
 
     def preconditioned_cond(self, A: np.ndarray) -> float:
         """Condition number of A after applying this preconditioner."""
-        if self.kind == "unitary-split":
-            return split_preconditioned_cond(A, self.payload)
         return cond_general(self.apply_inverse(A))
 
 
@@ -121,11 +92,6 @@ def dct_matrix(n: int) -> np.ndarray:
     return C
 
 
-def dct_split_precond(n: int) -> Preconditioner:
-    """DCT-II as a unitary split preconditioner (basis vectors as columns)."""
-    return Preconditioner(kind="unitary-split", payload=dct_matrix(n).T, label="dct")
-
-
 def dft_matrix(n: int) -> np.ndarray:
     """Unitary DFT matrix with entries exp(-2 pi i jk / n) / sqrt(n)."""
     if n < 1:
@@ -166,13 +132,13 @@ def _check_diag(A: np.ndarray, label: str) -> np.ndarray:
 def jacobi_precond(A: np.ndarray) -> Preconditioner:
     """Diagonal (Jacobi) preconditioner M = diag(A)."""
     A = _check_diag(A, "jacobi")
-    return Preconditioner(kind="left", payload=np.diag(np.diag(A)), label="jacobi")
+    return Preconditioner(payload=np.diag(np.diag(A)), label="jacobi")
 
 
 def gauss_seidel_precond(A: np.ndarray) -> Preconditioner:
     """Gauss-Seidel preconditioner M = D + L (diagonal plus strict lower part)."""
     A = _check_diag(A, "gauss-seidel")
-    return Preconditioner(kind="left", payload=np.tril(A), label="gauss-seidel")
+    return Preconditioner(payload=np.tril(A), label="gauss-seidel")
 
 
 def sor_precond(A: np.ndarray, omega: float = DEFAULT_OMEGA) -> Preconditioner:
@@ -181,7 +147,7 @@ def sor_precond(A: np.ndarray, omega: float = DEFAULT_OMEGA) -> Preconditioner:
         raise InvalidInputError(f"omega must be in (0, 2), got {omega}")
     A = _check_diag(A, "sor")
     M = np.tril(A, -1) + np.diag(np.diag(A)) / omega
-    return Preconditioner(kind="left", payload=M, label="sor")
+    return Preconditioner(payload=M, label="sor")
 
 
 def ssor_precond(A: np.ndarray, omega: float = DEFAULT_OMEGA) -> Preconditioner:
@@ -192,7 +158,7 @@ def ssor_precond(A: np.ndarray, omega: float = DEFAULT_OMEGA) -> Preconditioner:
     D = np.diag(A)
     K = np.tril(A, -1) + np.diag(D) / omega
     M = (omega / (2.0 - omega)) * K @ np.diag(1.0 / D) @ K.T
-    return Preconditioner(kind="left", payload=M, label="ssor")
+    return Preconditioner(payload=M, label="ssor")
 
 
 def ilu0_precond(A: np.ndarray) -> Preconditioner:
@@ -219,12 +185,33 @@ def ilu0_precond(A: np.ndarray) -> Preconditioner:
             raise IluBreakdownError(f"zero pivot at index {i}")
     Lf = np.tril(LU, -1) + np.eye(n)
     Uf = np.triu(LU)
-    return Preconditioner(kind="left", payload=Lf @ Uf, label="ilu0", factors=(Lf, Uf))
+    return Preconditioner(payload=Lf @ Uf, label="ilu0", factors=(Lf, Uf))
 
 
 def none_cond(R: np.ndarray) -> float:
     """Condition number of the power-normalized matrix itself (no transform)."""
     return cond_spd(power_normalize(R).S)
+
+
+# method name -> cond of R under that baseline; omega is read by sor and ssor only
+BASELINES = {
+    "dct": lambda R, omega: split_preconditioned_cond(R, dct_matrix(R.shape[0]).T),
+    "dft": lambda R, omega: dft_split_cond(R),
+    "jacobi": lambda R, omega: jacobi_precond(R).preconditioned_cond(R),
+    "gauss-seidel": lambda R, omega: gauss_seidel_precond(R).preconditioned_cond(R),
+    "sor": lambda R, omega: sor_precond(R, omega).preconditioned_cond(R),
+    "ssor": lambda R, omega: ssor_precond(R, omega).preconditioned_cond(R),
+    "ilu0": lambda R, omega: ilu0_precond(R).preconditioned_cond(R),
+    "none": lambda R, omega: none_cond(R),
+}
+METHOD_NAMES = ("precog", *BASELINES)
+
+
+def baseline_cond(method: str, R: np.ndarray, omega: float = DEFAULT_OMEGA) -> float:
+    """Condition number of R under the named baseline (any METHOD_NAMES but precog)."""
+    if method not in BASELINES:
+        raise InvalidInputError(f"unknown baseline {method!r}")
+    return BASELINES[method](R, omega)
 
 
 def condition_ratio(cond_method: float, cond_precog: float, log10: bool = False) -> float:

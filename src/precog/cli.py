@@ -20,21 +20,18 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .baselines import (
-    DEFAULT_OMEGA,
-    METHOD_NAMES,
-    dct_matrix,
-    dft_split_cond,
-    gauss_seidel_precond,
-    ilu0_precond,
-    jacobi_precond,
-    none_cond,
-    sor_precond,
-    ssor_precond,
-)
+from .baselines import DEFAULT_OMEGA, METHOD_NAMES, baseline_cond, dct_matrix, none_cond
 from .errors import PrecogError
 from .graph import WeightedGraph, banded_topology, full_topology, laplacian
-from .learn import HyperParams, cost_E, cost_EN, grad_E_wrt_U, grad_EN_wrt_w, optimize
+from .learn import (
+    HyperParams,
+    cost_E,
+    cost_EN,
+    grad_E_wrt_U,
+    grad_EN_wrt_w,
+    is_degenerate,
+    optimize,
+)
 from .matgen import (
     DEFAULT_SHIFT_MARGIN,
     MatrixSpec,
@@ -101,8 +98,6 @@ def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eps2", type=float, default=hp.eps2, help="lower band half-width")
     p.add_argument("--max-iter", type=int, default=hp.max_iter, help="iteration budget")
     p.add_argument("--tol", type=float, default=hp.tol, help="cost-change stop threshold")
-    p.add_argument("--gradient-mode", choices=["perturbation", "paper-chain"],
-                   default=hp.gradient_mode)
     p.add_argument("--band-exit", action="store_true",
                    help="stop once all normalized eigenvalues enter the band")
     p.add_argument("--topology", choices=["banded", "full"], default="full")
@@ -127,8 +122,17 @@ def _matrix_spec_from_args(args: argparse.Namespace, seed: int) -> MatrixSpec:
     return MatrixSpec(family=fam, n=args.n, params=params, seed=seed)
 
 
+def _from_flags(make, *a, **kw):
+    """make(*a, **kw), with an out-of-range flag value reported as a usage error."""
+    try:
+        return make(*a, **kw)
+    except PrecogError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _hyperparams_from_args(args: argparse.Namespace, seed: int) -> HyperParams:
-    return HyperParams(
+    return _from_flags(
+        HyperParams,
         mu=args.mu,
         beta=args.beta,
         eps1=args.eps1,
@@ -136,15 +140,14 @@ def _hyperparams_from_args(args: argparse.Namespace, seed: int) -> HyperParams:
         max_iter=args.max_iter,
         tol=args.tol,
         seed=seed,
-        gradient_mode=args.gradient_mode,
         band_exit=args.band_exit,
     )
 
 
 def _topology_from_args(args: argparse.Namespace, n: int):
     if args.topology == "banded":
-        return banded_topology(n, args.band)
-    return full_topology(n)
+        return _from_flags(banded_topology, n, args.band)
+    return _from_flags(full_topology, n)
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -158,30 +161,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
     extra = f" density={density(M)!r}" if args.family == "sparse-pd" else ""
     print(f"{spec.label()} n={M.shape[0]} cond={cond!r}{extra} -> {args.out}")
     return 0
-
-
-def _method_cond(method: str, R: np.ndarray, args: argparse.Namespace,
-                 precog_cond: float | None, precog_iters: int | None):
-    """Return (cond_method, iterations) for one benchmark cell."""
-    if method == "precog":
-        return precog_cond, precog_iters
-    if method == "none":
-        return none_cond(R), None
-    if method == "dct":
-        return split_preconditioned_cond(R, dct_matrix(R.shape[0]).T), None
-    if method == "dft":
-        return dft_split_cond(R), None
-    if method == "jacobi":
-        return jacobi_precond(R).preconditioned_cond(R), None
-    if method == "gauss-seidel":
-        return gauss_seidel_precond(R).preconditioned_cond(R), None
-    if method == "sor":
-        return sor_precond(R, args.omega).preconditioned_cond(R), None
-    if method == "ssor":
-        return ssor_precond(R, args.omega).preconditioned_cond(R), None
-    if method == "ilu0":
-        return ilu0_precond(R).preconditioned_cond(R), None
-    raise PrecogError(f"unknown method {method!r}")
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -211,38 +190,36 @@ def cmd_bench(args: argparse.Namespace) -> int:
         n = R.shape[0]
         matrix_id = spec.label() if len(seeds) == 1 else f"{spec.label()}#s{seed}"
         params_str = ";".join(f"{k}={v:g}" for k, v in sorted(spec.params.items()))
-        cond_raw = cond_spd(R)
         hp = _hyperparams_from_args(args, seed)
         topo = _topology_from_args(args, n)
 
-        precog_cond = None
-        precog_iters = None
+        cond_raw = precog_cond = precog_iters = None
         precog_status = "ok"
-        t0 = time.perf_counter()
         try:
-            result = optimize(R, topo, hp)
-            precog_cond = split_preconditioned_cond(R, result.U)
-            precog_iters = len(result.history)
-        except PrecogError as exc:
+            cond_raw = cond_spd(R)
+        except PrecogError as exc:  # e.g. not SPD: every row of this matrix gets the status
             precog_status = type(exc).__name__
+        t0 = time.perf_counter()
+        if cond_raw is not None:
+            try:
+                result = optimize(R, topo, hp)
+                precog_cond = split_preconditioned_cond(R, result.U)
+                precog_iters = len(result.history)
+            except PrecogError as exc:
+                precog_status = type(exc).__name__
         precog_ms = 1000.0 * (time.perf_counter() - t0)
 
         for method in sorted(methods):
-            status = "ok"
-            cond_method = None
-            iters = None
             t0 = time.perf_counter()
-            try:
-                if method == "precog":
-                    if precog_status != "ok":
-                        raise PrecogError(precog_status)
-                    cond_method, iters = precog_cond, precog_iters
-                else:
-                    cond_method, iters = _method_cond(method, R, args,
-                                                      precog_cond, precog_iters)
-            except PrecogError as exc:
-                status = precog_status if method == "precog" else type(exc).__name__
-                n_failed += 1
+            if method == "precog" or cond_raw is None:
+                status, cond_method, iters = precog_status, precog_cond, precog_iters
+            else:
+                status, cond_method, iters = "ok", None, None
+                try:
+                    cond_method = baseline_cond(method, R, args.omega)
+                except PrecogError as exc:
+                    status = type(exc).__name__
+            n_failed += status != "ok"
             wall_ms = precog_ms if method == "precog" else 1000.0 * (time.perf_counter() - t0)
             ratio = None
             log_ratio = None
@@ -262,7 +239,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 "iterations": iters,
                 "wall_ms": wall_ms if args.timing else None,
                 "seed": seed,
-                "gradient_mode": args.gradient_mode,
+                "gradient_mode": hp.gradient_mode,
                 "status": status,
             })
 
@@ -299,14 +276,13 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(seed)
     R = random_pd(n, seed, 0.1)
     topo = _topology_from_args(args, n)
-    hp = HyperParams(seed=seed, gradient_mode=args.mode)
+    hp = _from_flags(HyperParams, seed=seed)
 
     # sample a weight vector with a resolvable spectrum
     w = None
     for _ in range(10):
         cand = rng.standard_normal(topo.n_edges)
-        gamma = sym_eig(laplacian(WeightedGraph(topo, cand))).gamma
-        if float(np.min(np.diff(gamma))) >= hp.degeneracy_gap:
+        if not is_degenerate(sym_eig(laplacian(WeightedGraph(topo, cand))).gamma):
             w = cand
             break
     if w is None:
@@ -317,21 +293,17 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     worst_u = 0.0
     for _ in range(5):
         Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        Ga = grad_E_wrt_U(R, Q, hp.eps1, hp.eps2, formula="canonical")
+        Ga = grad_E_wrt_U(R, Q, hp.eps1, hp.eps2)
         Gf = _central_diff(lambda V: cost_E(R, V, hp.eps1, hp.eps2), Q)
         worst_u = max(worst_u, float(np.linalg.norm(Ga - Gf) / np.linalg.norm(Gf)))
 
     fd_w = _central_diff(lambda v: cost_EN(WeightedGraph(topo, v), R, hp), w)
-    an_w = grad_EN_wrt_w(g, R, HyperParams(seed=seed, gradient_mode="perturbation"))
+    an_w = grad_EN_wrt_w(g, R, hp)
     err_w = float(np.linalg.norm(an_w - fd_w) / np.linalg.norm(fd_w))
 
-    chain = grad_EN_wrt_w(g, R, HyperParams(seed=seed, gradient_mode="paper-chain"))
-    chain_disc = float(np.linalg.norm(chain - fd_w) / np.linalg.norm(fd_w))
-
-    print(f"gradcheck n={n} topology={args.topology} seed={seed} mode={args.mode}")
+    print(f"gradcheck n={n} topology={args.topology} seed={seed}")
     print(f"canonical dE/dU vs finite differences: rel err = {worst_u:.3e}")
     print(f"perturbation dEN/dw vs finite differences: rel err = {err_w:.3e}")
-    print(f"paper-chain dEN/dw discrepancy vs finite differences: {chain_disc:.3e} (reported only)")
     ok = worst_u <= GRADCHECK_U_TOL and err_w <= GRADCHECK_W_TOL
     print("PASS" if ok else "FAIL")
     return 0 if ok else 1
@@ -434,8 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_grad.add_argument("--topology", choices=["banded", "full"], default="banded")
     p_grad.add_argument("--band", type=int, default=2)
     p_grad.add_argument("--seed", type=int, default=None)
-    p_grad.add_argument("--mode", choices=["perturbation", "paper-chain"],
-                        default="perturbation")
     p_grad.add_argument("--config", default=None, help="flat key=value config file")
     p_grad.set_defaults(func=cmd_gradcheck)
 

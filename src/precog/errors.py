@@ -42,10 +42,6 @@ class DegenerateParametersError(PrecogError, ValueError):
     """Process parameters collapse a generator formula (e.g. equal poles)."""
 
 
-class DisconnectedVertexError(PrecogError, ArithmeticError):
-    """A vertex has zero absolute degree, so log-degree terms are undefined."""
-
-
 class DivergenceError(PrecogError, ArithmeticError):
     """An optimizer or adaptive filter produced non-finite values."""
 

@@ -128,20 +128,8 @@ def theta(g: WeightedGraph, edge_index: int) -> np.ndarray:
     return T
 
 
-def _vertex_sums(t: Topology, x: np.ndarray) -> np.ndarray:
-    # interleaved (p0, q0, p1, q1, ...): each vertex accumulates in edge order
-    return np.bincount(t.endpoints.ravel(), weights=np.repeat(x, 2), minlength=t.n)
-
-
-def degree_vector(g: WeightedGraph) -> np.ndarray:
-    """Per-vertex sum of |w| over incident edges.
-
-    Absolute values keep the entries positive for log-degree penalties even
-    when weights are signed.  See signed_degree_vector for the plain sum.
-    """
-    return _vertex_sums(g.topology, np.abs(g.w))
-
-
 def signed_degree_vector(g: WeightedGraph) -> np.ndarray:
     """Per-vertex sum of signed weights over incident edges (the Laplacian diagonal)."""
-    return _vertex_sums(g.topology, g.w)
+    t = g.topology
+    # interleaved (p0, q0, p1, q1, ...): each vertex accumulates in edge order
+    return np.bincount(t.endpoints.ravel(), weights=np.repeat(g.w, 2), minlength=t.n)

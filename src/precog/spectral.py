@@ -23,20 +23,14 @@ from .errors import (
 
 SYMMETRY_TOL = 1e-10
 ORTHONORMALITY_TOL = 1e-8
-RELATIVE_DEGENERACY_GAP = 1e-9
 
 
 @dataclass(frozen=True)
 class SpectralPair:
-    """Orthonormal eigenvectors (columns of U) and ascending eigenvalues.
-
-    ``degenerate`` flags any eigen-gap at or below 1e-9 times the spectral
-    radius; perturbation formulas downstream consult it.
-    """
+    """Orthonormal eigenvectors (columns of U) and ascending eigenvalues."""
 
     U: np.ndarray
     gamma: np.ndarray
-    degenerate: bool
 
 
 @dataclass(frozen=True)
@@ -68,10 +62,7 @@ def sym_eig(M: np.ndarray) -> SpectralPair:
     """Eigendecomposition of a symmetric matrix under the canonical convention."""
     M = _check_symmetric(M)
     gamma, U = np.linalg.eigh(M)
-    radius = float(np.max(np.abs(gamma), initial=0.0))
-    min_gap = np.min(np.diff(gamma), initial=np.inf)  # inf for n = 1: never degenerate
-    return SpectralPair(U=canonical_sign(U), gamma=gamma,
-                        degenerate=bool(min_gap <= RELATIVE_DEGENERACY_GAP * radius))
+    return SpectralPair(U=canonical_sign(U), gamma=gamma)
 
 
 def cond_spd(M: np.ndarray) -> float:
@@ -130,11 +121,3 @@ def split_preconditioned_cond(R: np.ndarray, U: np.ndarray) -> float:
     if orthonormality_error(U) > ORTHONORMALITY_TOL:
         raise InvalidInputError("U is not orthonormal to 1e-8")
     return cond_spd(power_normalize(U.T @ np.asarray(R, dtype=float) @ U).S)
-
-
-def pinv(M: np.ndarray) -> np.ndarray:
-    """Moore-Penrose pseudoinverse (SVD-based), defined for any matrix."""
-    M = np.asarray(M, dtype=float)
-    if not np.all(np.isfinite(M)):
-        raise InvalidInputError("matrix has non-finite entries")
-    return np.linalg.pinv(M)

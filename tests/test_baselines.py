@@ -3,11 +3,12 @@ import pytest
 
 from conftest import rand_spd
 from precog.baselines import (
+    BASELINES,
     METHOD_NAMES,
     Preconditioner,
+    baseline_cond,
     condition_ratio,
     dct_matrix,
-    dct_split_precond,
     dft_matrix,
     dft_split_cond,
     gauss_seidel_precond,
@@ -22,7 +23,7 @@ from precog.errors import (
     InvalidInputError,
     NumericallySingularError,
 )
-from precog.matgen import ar1_autocorr
+from precog.matgen import ar1_autocorr, hilbert, random_sparse_pd
 from precog.spectral import orthonormality_error, split_preconditioned_cond
 
 LEFT_FACTORIES = [
@@ -49,11 +50,9 @@ class TestDct:
         assert cond <= 3.0
 
     def test_precond_wrapper(self):
-        p = dct_split_precond(8)
-        assert p.kind == "unitary-split"
         R = ar1_autocorr(8, 0.5)
         assert np.isclose(
-            p.preconditioned_cond(R), split_preconditioned_cond(R, dct_matrix(8).T)
+            baseline_cond("dct", R), split_preconditioned_cond(R, dct_matrix(8).T)
         )
 
 
@@ -202,17 +201,9 @@ class TestPreconditionerType:
         for make in LEFT_FACTORIES:
             assert np.isfinite(make(A).preconditioned_cond(A))
 
-    def test_invalid_kind(self):
-        with pytest.raises(InvalidInputError):
-            Preconditioner(kind="right", payload=np.eye(2), label="x")
-
-    def test_unitary_payload_checked(self):
-        with pytest.raises(InvalidInputError):
-            Preconditioner(kind="unitary-split", payload=2 * np.eye(3), label="x")
-
     def test_singular_left_payload_rejected(self):
         with pytest.raises(NumericallySingularError):
-            Preconditioner(kind="left", payload=np.zeros((3, 3)), label="x")
+            Preconditioner(payload=np.zeros((3, 3)), label="x")
 
     def test_none_cond(self, rng):
         A = rand_spd(6, rng)
@@ -226,3 +217,36 @@ class TestPreconditionerType:
             "precog", "dct", "dft", "jacobi", "gauss-seidel",
             "sor", "ssor", "ilu0", "none",
         }
+        assert set(METHOD_NAMES) == {"precog"} | set(BASELINES)
+
+
+# each baseline as the bench and the sweep scripts computed it before the registry
+DIRECT_CALLS = {
+    "none": none_cond,
+    "dct": lambda R: split_preconditioned_cond(R, dct_matrix(R.shape[0]).T),
+    "dft": dft_split_cond,
+    "jacobi": lambda R: jacobi_precond(R).preconditioned_cond(R),
+    "gauss-seidel": lambda R: gauss_seidel_precond(R).preconditioned_cond(R),
+    "sor": lambda R: sor_precond(R).preconditioned_cond(R),
+    "ssor": lambda R: ssor_precond(R).preconditioned_cond(R),
+    "ilu0": lambda R: ilu0_precond(R).preconditioned_cond(R),
+}
+
+
+class TestBaselineRegistry:
+    @pytest.mark.parametrize("R", [
+        ar1_autocorr(16, 0.9), hilbert(10, 1e-4), random_sparse_pd(12, 0.5, 0),
+    ], ids=["ar1", "hilbert", "sparse-pd"])
+    def test_matches_direct_calls_bitwise(self, R):
+        assert set(BASELINES) == set(DIRECT_CALLS)
+        for method, direct in DIRECT_CALLS.items():
+            assert baseline_cond(method, R) == direct(R), method
+
+    def test_omega_reaches_sor_and_ssor(self):
+        R = ar1_autocorr(8, 0.5)
+        assert baseline_cond("sor", R, 1.2) == sor_precond(R, 1.2).preconditioned_cond(R)
+        assert baseline_cond("ssor", R, 1.2) == ssor_precond(R, 1.2).preconditioned_cond(R)
+
+    def test_unknown_method(self):
+        with pytest.raises(InvalidInputError):
+            baseline_cond("precog", np.eye(3))

@@ -10,7 +10,6 @@ from precog.graph import (
     Topology,
     WeightedGraph,
     banded_topology,
-    degree_vector,
     full_topology,
     incidence_matrix,
     laplacian,
@@ -44,11 +43,12 @@ def incidence_loop(t):
     return B
 
 
-def degree_loop(g, f):
+def degree_loop(g):
+    """Oracle: the signed degree accumulated edge by edge."""
     d = np.zeros(g.topology.n)
     for e, (i, j) in enumerate(g.topology.edges):
-        d[i] += f(g.w[e])
-        d[j] += f(g.w[e])
+        d[i] += g.w[e]
+        d[j] += g.w[e]
     return d
 
 
@@ -243,27 +243,24 @@ class TestTheta:
 class TestDegrees:
     def test_single_edge(self):
         g = graph_from(2, [(0, 1)], [3.0])
-        assert np.array_equal(degree_vector(g), [3.0, 3.0])
+        assert np.array_equal(signed_degree_vector(g), [3.0, 3.0])
 
     def test_path(self):
         g = graph_from(3, [(0, 1), (1, 2)], [1.0, 2.0])
-        assert np.array_equal(degree_vector(g), [1.0, 3.0, 2.0])
         assert np.array_equal(signed_degree_vector(g), [1.0, 3.0, 2.0])
 
     def test_negative_weight_absolute_convention(self):
         g = graph_from(2, [(0, 1)], [-1.0])
-        assert np.array_equal(degree_vector(g), [1.0, 1.0])
         assert np.array_equal(signed_degree_vector(g), [-1.0, -1.0])
 
     @given(weighted_graphs())
     def test_oracle_direct_summation(self, g):
-        assert np.allclose(degree_vector(g), degree_loop(g, abs), atol=0)
+        assert np.allclose(signed_degree_vector(g), degree_loop(g), atol=0)
 
     @given(large_weighted_graphs())
     @settings(max_examples=30, deadline=None)
     def test_bitwise_equal_to_edge_loop(self, g):
-        assert degree_vector(g).tobytes() == degree_loop(g, abs).tobytes()
-        assert signed_degree_vector(g).tobytes() == degree_loop(g, float).tobytes()
+        assert signed_degree_vector(g).tobytes() == degree_loop(g).tobytes()
 
     def test_endpoints_cached_and_read_only(self):
         t = banded_topology(5, 2)
