@@ -141,10 +141,15 @@ def gauss_seidel_precond(A: np.ndarray) -> Preconditioner:
     return Preconditioner(payload=np.tril(A), label="gauss-seidel")
 
 
-def sor_precond(A: np.ndarray, omega: float = DEFAULT_OMEGA) -> Preconditioner:
-    """Successive over-relaxation preconditioner M = D/omega + L."""
+def check_omega(omega: float) -> None:
+    """Reject a relaxation factor outside (0, 2), where SOR and SSOR are defined."""
     if not 0.0 < omega < 2.0:
         raise InvalidInputError(f"omega must be in (0, 2), got {omega}")
+
+
+def sor_precond(A: np.ndarray, omega: float = DEFAULT_OMEGA) -> Preconditioner:
+    """Successive over-relaxation preconditioner M = D/omega + L."""
+    check_omega(omega)
     A = _check_diag(A, "sor")
     M = np.tril(A, -1) + np.diag(np.diag(A)) / omega
     return Preconditioner(payload=M, label="sor")
@@ -152,8 +157,7 @@ def sor_precond(A: np.ndarray, omega: float = DEFAULT_OMEGA) -> Preconditioner:
 
 def ssor_precond(A: np.ndarray, omega: float = DEFAULT_OMEGA) -> Preconditioner:
     """Symmetric SOR: M = omega/(2-omega) (D/omega + L) D^{-1} (D/omega + L^T)."""
-    if not 0.0 < omega < 2.0:
-        raise InvalidInputError(f"omega must be in (0, 2), got {omega}")
+    check_omega(omega)
     A = _check_diag(A, "ssor")
     D = np.diag(A)
     K = np.tril(A, -1) + np.diag(D) / omega

@@ -20,7 +20,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .baselines import DEFAULT_OMEGA, METHOD_NAMES, baseline_cond, dct_matrix, none_cond
+from .baselines import (
+    DEFAULT_OMEGA,
+    METHOD_NAMES,
+    baseline_cond,
+    check_omega,
+    dct_matrix,
+    none_cond,
+)
 from .errors import PrecogError
 from .graph import WeightedGraph, banded_topology, full_topology, laplacian
 from .learn import (
@@ -164,9 +171,16 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else None
-    if seeds is None:
+    if args.seeds:
+        try:
+            seeds = [int(s) for s in args.seeds.split(",")]
+        except ValueError:
+            raise UsageError(
+                f"--seeds must be comma-separated integers, got {args.seeds!r}"
+            ) from None
+    else:
         seeds = [args.seed if args.seed is not None else _env_seed()]
+    _from_flags(check_omega, args.omega)
     methods = sorted({m.strip() for m in args.methods.split(",") if m.strip()})
     for m in methods:
         if m not in METHOD_NAMES:

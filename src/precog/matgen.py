@@ -154,13 +154,13 @@ def ar1_signal(length: int, rho: float, seed: int) -> np.ndarray:
     if not 0.0 <= rho < 1.0:
         raise InvalidInputError(f"rho must be in [0, 1), got {rho}")
     rng = np.random.default_rng(seed)
-    nu = rng.standard_normal(length)
-    x = np.empty(length)
-    x[0] = nu[0]
-    c = np.sqrt(1.0 - rho * rho)
+    # the recursion runs on Python floats: same IEEE operations, no numpy scalars
+    x = rng.standard_normal(length).tolist()
+    rho = float(rho)
+    c = float(np.sqrt(1.0 - rho * rho))
     for k in range(1, length):
-        x[k] = rho * x[k - 1] + c * nu[k]
-    return x
+        x[k] = rho * x[k - 1] + c * x[k]
+    return np.array(x)
 
 
 def ar2_signal(length: int, rho1: float, rho2: float, seed: int) -> np.ndarray:
@@ -183,13 +183,12 @@ def ar2_signal(length: int, rho1: float, rho2: float, seed: int) -> np.ndarray:
     burn = int(np.ceil(10.0 / (1.0 - rho_max)))
     rng = np.random.default_rng(seed)
     total = length + burn
-    nu = sigma * rng.standard_normal(total)
-    x = np.empty(total)
-    x[0] = nu[0]
-    x[1] = a1 * x[0] + nu[1]
+    x = (sigma * rng.standard_normal(total)).tolist()
+    a1, a2 = float(a1), float(a2)
+    x[1] = a1 * x[0] + x[1]
     for k in range(2, total):
-        x[k] = a1 * x[k - 1] + a2 * x[k - 2] + nu[k]
-    return x[burn:]
+        x[k] = a1 * x[k - 1] + a2 * x[k - 2] + x[k]
+    return np.array(x[burn:])
 
 
 @dataclass(frozen=True)

@@ -215,18 +215,33 @@ class TestBench:
         assert_usage_error(code, err, "absent.txt")
         assert not out.exists()
 
+    def test_non_integer_seed_list_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        code, _, err = run(capsys, "bench", "--family", "ar1", "--n", "6",
+                           "--seeds", "1,x", "--out", str(out))
+        assert_usage_error(code, err, "--seeds")
+        assert not out.exists()
+
     def test_config_without_path_is_usage_error(self, tmp_path, capsys):
         code, _, err = run(capsys, "bench", "--family", "ar1", "--config")
         assert_usage_error(code, err, "--config")
 
 
-@pytest.mark.parametrize("flags, needle", [
-    (["--mu", "2"], "mu"),
-    (["--eps2", "1"], "eps2"),
-    (["--max-iter", "0"], "max_iter"),
-    (["--topology", "banded", "--band", "0"], "band"),
-], ids=["mu", "eps2", "max-iter", "band"])
-@pytest.mark.parametrize("command", ["bench", "precondition"])
+LEARNING_FLAG_CASES = {
+    "mu": (["--mu", "2"], "mu"),
+    "eps2": (["--eps2", "1"], "eps2"),
+    "max-iter": (["--max-iter", "0"], "max_iter"),
+    "band": (["--topology", "banded", "--band", "0"], "band"),
+}
+
+
+@pytest.mark.parametrize("command, flags, needle", [
+    *(pytest.param(command, flags, needle, id=f"{command}-{name}")
+      for command in ("bench", "precondition")
+      for name, (flags, needle) in LEARNING_FLAG_CASES.items()),
+    # only bench has --omega (the sor/ssor relaxation factor)
+    pytest.param("bench", ["--omega", "3"], "omega", id="bench-omega"),
+])
 def test_bad_hyperparameter_flag_is_usage_error(tmp_path, capsys, command, flags, needle):
     out = tmp_path / "out.txt"
     out_flag = "--out" if command == "bench" else "--out-u"

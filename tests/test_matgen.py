@@ -173,7 +173,44 @@ class TestRandomSparsePd:
             random_sparse_pd(6, 1.5, 0)
 
 
+def ar1_signal_loop(length, rho, seed):
+    """Reference: the recursion on numpy scalars, one indexed store per sample."""
+    nu = np.random.default_rng(seed).standard_normal(length)
+    x = np.empty(length)
+    x[0] = nu[0]
+    c = np.sqrt(1.0 - rho * rho)
+    for k in range(1, length):
+        x[k] = rho * x[k - 1] + c * nu[k]
+    return x
+
+
+def ar2_signal_loop(length, rho1, rho2, seed):
+    """Reference for ar2_signal, with the same burn-in and variance scaling."""
+    a1, a2 = rho1 + rho2, -rho1 * rho2
+    var = (1.0 - a2) / ((1.0 + a2) * ((1.0 - a2) ** 2 - a1 * a1))
+    burn = int(np.ceil(10.0 / (1.0 - max(abs(rho1), abs(rho2)))))
+    nu = np.sqrt(1.0 / var) * np.random.default_rng(seed).standard_normal(length + burn)
+    x = np.empty(length + burn)
+    x[0] = nu[0]
+    x[1] = a1 * x[0] + nu[1]
+    for k in range(2, length + burn):
+        x[k] = a1 * x[k - 1] + a2 * x[k - 2] + nu[k]
+    return x[burn:]
+
+
 class TestSignals:
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9, 0.95])
+    def test_ar1_matches_loop_bitwise(self, rho):
+        for seed, length in zip(range(5), (1, 2, 3000, 3001, 20016)):
+            expected = ar1_signal_loop(length, rho, seed)
+            assert ar1_signal(length, rho, seed).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("rho1, rho2", [(0.9, 0.5), (0.95, 0.1), (-0.5, 0.3)])
+    def test_ar2_matches_loop_bitwise(self, rho1, rho2):
+        for seed, length in zip(range(3), (1, 3000, 20016)):
+            expected = ar2_signal_loop(length, rho1, rho2, seed)
+            assert ar2_signal(length, rho1, rho2, seed).tobytes() == expected.tobytes()
+
     def test_deterministic(self):
         assert np.array_equal(ar1_signal(100, 0.7, 5), ar1_signal(100, 0.7, 5))
         assert np.array_equal(ar2_signal(100, 0.7, 0.2, 5), ar2_signal(100, 0.7, 0.2, 5))

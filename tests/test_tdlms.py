@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from precog import tdlms
 from precog.baselines import dct_matrix
 from precog.errors import DivergenceError, InvalidDimensionError, InvalidInputError
-from precog.matgen import SignalSpec
+from precog.graph import banded_topology
+from precog.learn import HyperParams, optimize
+from precog.matgen import SignalSpec, ar1_autocorr
 from precog.tdlms import (
     FilterConfig,
     FilterState,
@@ -20,6 +23,31 @@ def plain_cfg(taps=4, step=0.5):
 
 def dct_cfg(taps=4, step=0.5):
     return FilterConfig(taps=taps, step=step, transform=dct_matrix(taps).T)
+
+
+def sysid_loop(plant, input_spec, noise_db, cfg, run_len, seed):
+    """Reference: system_id_experiment as one lms_step / tdlms_step per sample."""
+    n = cfg.taps
+    sig_seed, noise_seed = np.random.SeedSequence(seed).spawn(2)
+    x = input_spec.generate(run_len + n, int(sig_seed.generate_state(1)[0]))
+    noise_rng = np.random.default_rng(int(noise_seed.generate_state(1)[0]))
+    windows = np.lib.stride_tricks.sliding_window_view(x, n)[:run_len, ::-1]
+    clean = windows @ plant
+    noise_var = float(np.var(clean)) * 10.0 ** (-noise_db / 10.0)
+    d = clean + np.sqrt(noise_var) * noise_rng.standard_normal(run_len)
+
+    state = FilterState(cfg)
+    e2 = np.empty(run_len)
+    mis = np.empty(run_len)
+    for k in range(run_len):
+        if cfg.transform is None:
+            state, e = lms_step(state, windows[k], d[k])
+        else:
+            state, e = tdlms_step(state, windows[k], d[k], cfg)
+        e2[k] = e * e
+        diff = state.time_domain_weights() - plant
+        mis[k] = float(diff @ diff) / float(plant @ plant)
+    return MseTrace(e2=e2, misalignment=mis)
 
 
 class TestConfig:
@@ -183,9 +211,47 @@ class TestSystemId:
                 np.ones(3), SignalSpec("white"), 30.0, plain_cfg(taps=4), 100, seed=0
             )
 
+    def test_zero_plant_rejected(self):
+        with pytest.raises(InvalidInputError):
+            system_id_experiment(
+                np.zeros(4), SignalSpec("white"), 30.0, plain_cfg(taps=4), 100, seed=0
+            )
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_raises(self):
         plant = np.ones(4) / 2.0
-        with pytest.raises(DivergenceError):
-            system_id_experiment(
-                plant, SignalSpec("white"), 30.0, plain_cfg(taps=4, step=5.0), 2000, seed=0
-            )
+        for cfg in (plain_cfg(taps=4, step=5.0), dct_cfg(taps=4, step=5.0)):
+            with pytest.raises(DivergenceError):
+                system_id_experiment(plant, SignalSpec("white"), 30.0, cfg, 2000, seed=0)
+
+
+@pytest.fixture(scope="module")
+def learned_transform():
+    """taps -> a transform learned by optimize on the AR(1) input's autocorrelation."""
+    return {
+        taps: optimize(ar1_autocorr(taps, 0.9), banded_topology(taps, 2),
+                       HyperParams(max_iter=100, seed=0)).U
+        for taps in (4, 16)
+    }
+
+
+@pytest.mark.parametrize("run_len", [
+    1, tdlms._BLOCK - 1, tdlms._BLOCK + 1, tdlms._CHUNK + 1, 2000,
+])
+@pytest.mark.parametrize("transform, taps", [
+    (transform, taps)
+    for transform in ("plain", "dct", "precog")
+    for taps in (1, 4, 16)
+    if not (transform == "precog" and taps == 1)  # no topology fits one vertex
+])
+def test_block_form_matches_step_recursion(learned_transform, transform, taps, run_len):
+    plant = np.random.default_rng(taps).standard_normal(taps)
+    plant /= np.linalg.norm(plant)
+    U = {"plain": None, "dct": dct_matrix(taps).T,
+         "precog": learned_transform.get(taps)}[transform]
+    cfg = FilterConfig(taps=taps, step=0.02, transform=U)
+    spec = SignalSpec("ar1", rho=0.9)
+    got = system_id_experiment(plant, spec, 30.0, cfg, run_len, seed=7)
+    want = sysid_loop(plant, spec, 30.0, cfg, run_len, seed=7)
+    np.testing.assert_allclose(got.e2, want.e2, rtol=1e-7, atol=0)
+    np.testing.assert_allclose(got.misalignment, want.misalignment, rtol=1e-7, atol=0)
