@@ -42,7 +42,7 @@ class Preconditioner:
         if self.factors is not None:
             Lf, Uf = self.factors
             return _backward_solve(Uf, _forward_solve(Lf, A))
-        if np.allclose(self.payload, np.tril(self.payload)):
+        if np.array_equal(self.payload, np.tril(self.payload)):
             return _forward_solve(self.payload, A)
         return np.linalg.solve(self.payload, A)
 
@@ -170,23 +170,29 @@ def ilu0_precond(A: np.ndarray) -> Preconditioner:
 
     The factors are restricted to positions where A itself is nonzero.
     For a dense A this reproduces the full LU factorization.
+
+    Right-looking (KIJ) form: at pivot k the in-pattern entries of column
+    k below the pivot are divided by it, then one rank-1 update, masked to
+    the pattern, is applied to the rows below that hold those entries and
+    to every column right of k.  Each entry receives the same IEEE
+    operations in the same k order as the row-wise IKJ loop (Saad,
+    Iterative Methods for Sparse Linear Systems, 2003, Alg. 10.4); masked
+    entries only see x - 0.0, which leaves x (and -0.0) unchanged.  So the
+    factors are bitwise equal to that loop's and the first zero pivot is
+    reported at the same index.
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
     pattern = A != 0.0
     LU = A.copy()
-    for i in range(n):
-        for k in range(i):
-            if not pattern[i, k]:
-                continue
-            if LU[k, k] == 0.0:
-                raise IluBreakdownError(f"zero pivot at index {k}")
-            LU[i, k] /= LU[k, k]
-            for j in range(k + 1, n):
-                if pattern[i, j]:
-                    LU[i, j] -= LU[i, k] * LU[k, j]
-        if LU[i, i] == 0.0:
-            raise IluBreakdownError(f"zero pivot at index {i}")
+    for k in range(n):
+        if LU[k, k] == 0.0:
+            raise IluBreakdownError(f"zero pivot at index {k}")
+        rows = k + 1 + np.flatnonzero(pattern[k + 1:, k])
+        LU[rows, k] /= LU[k, k]
+        LU[rows, k + 1:] -= np.where(
+            pattern[rows, k + 1:], np.multiply.outer(LU[rows, k], LU[k, k + 1:]), 0.0
+        )
     Lf = np.tril(LU, -1) + np.eye(n)
     Uf = np.triu(LU)
     return Preconditioner(payload=Lf @ Uf, label="ilu0", factors=(Lf, Uf))

@@ -137,6 +137,13 @@ def _from_flags(make, *a, **kw):
         raise UsageError(str(exc)) from None
 
 
+def _build_matrix(spec: MatrixSpec) -> np.ndarray:
+    """The spec's matrix; an out-of-range family flag is a usage error, a bad file is not."""
+    if spec.family == "file":
+        return spec.build()
+    return _from_flags(spec.build)
+
+
 def _hyperparams_from_args(args: argparse.Namespace, seed: int) -> HyperParams:
     return _from_flags(
         HyperParams,
@@ -162,7 +169,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     if args.family is None:
         raise PrecogError("gen needs --family")
     spec = _matrix_spec_from_args(args, seed)
-    M = spec.build()
+    M = _build_matrix(spec)
     save_matrix(M, args.out)
     cond = cond_spd(M)
     extra = f" density={density(M)!r}" if args.family == "sparse-pd" else ""
@@ -196,11 +203,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
             specs.append((_matrix_spec_from_args(args, seed), seed))
     if not specs:
         raise PrecogError("bench needs --matrix and/or --family")
+    # every matrix is built before any work, so a bad flag or file fails fast
+    matrices = [(spec, seed, _build_matrix(spec)) for spec, seed in specs]
 
     rows = []
     n_failed = 0
-    for spec, seed in specs:
-        R = spec.build()
+    for spec, seed, R in matrices:
         n = R.shape[0]
         matrix_id = spec.label() if len(seeds) == 1 else f"{spec.label()}#s{seed}"
         params_str = ";".join(f"{k}={v:g}" for k, v in sorted(spec.params.items()))
@@ -331,7 +339,7 @@ def cmd_precondition(args: argparse.Namespace) -> int:
         spec = _matrix_spec_from_args(args, seed)
     else:
         raise PrecogError("precondition needs --matrix or --family")
-    R = spec.build()
+    R = _build_matrix(spec)
     hp = _hyperparams_from_args(args, seed)
     topo = _topology_from_args(args, R.shape[0])
     result = optimize(R, topo, hp)

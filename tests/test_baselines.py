@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rand_spd
 from precog.baselines import (
@@ -22,6 +24,7 @@ from precog.errors import (
     IluBreakdownError,
     InvalidInputError,
     NumericallySingularError,
+    PrecogError,
 )
 from precog.matgen import ar1_autocorr, hilbert, random_sparse_pd
 from precog.spectral import orthonormality_error, split_preconditioned_cond
@@ -134,7 +137,81 @@ class TestSorSsor:
                 ssor_precond(np.eye(3), bad)
 
 
+def ilu0_ikj_loop(A):
+    """Oracle: ILU(0) as the row-wise IKJ triple loop (Saad 2003, Alg. 10.4)."""
+    A = np.asarray(A, dtype=float)
+    n = A.shape[0]
+    pattern = A != 0.0
+    LU = A.copy()
+    for i in range(n):
+        for k in range(i):
+            if not pattern[i, k]:
+                continue
+            if LU[k, k] == 0.0:
+                raise IluBreakdownError(f"zero pivot at index {k}")
+            LU[i, k] /= LU[k, k]
+            for j in range(k + 1, n):
+                if pattern[i, j]:
+                    LU[i, j] -= LU[i, k] * LU[k, j]
+        if LU[i, i] == 0.0:
+            raise IluBreakdownError(f"zero pivot at index {i}")
+    Lf = np.tril(LU, -1) + np.eye(n)
+    Uf = np.triu(LU)
+    return Preconditioner(payload=Lf @ Uf, label="ilu0", factors=(Lf, Uf))
+
+
+def ilu0_outcome(make, A):
+    """The factors make(A) returns, or the type and message of the error it raises."""
+    try:
+        return make(A).factors
+    except PrecogError as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_ilu0(A):
+    got, want = ilu0_outcome(ilu0_precond, A), ilu0_outcome(ilu0_ikj_loop, A)
+    if isinstance(want[0], type):
+        assert got == want
+        return
+    assert isinstance(got[0], np.ndarray), got
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+        assert np.array_equal(np.signbit(g), np.signbit(w))
+
+
+@st.composite
+def ilu0_inputs(draw):
+    """Random patterns, with and without diagonal dominance, with a planted -0.0.
+
+    Integer-valued entries cancel exactly, which yields zero pivots and
+    signed zeros in the factors.
+    """
+    n = draw(st.integers(min_value=1, max_value=40))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if draw(st.booleans()):
+        A = np.round(rng.standard_normal((n, n)) * 2.0)
+    else:
+        A = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-3, 4, (n, n))
+    if draw(st.booleans()):
+        A += np.diag(np.abs(A).sum(axis=1) + 1.0)
+    drop = rng.random((n, n)) < draw(st.floats(min_value=0.0, max_value=0.9))
+    if not draw(st.booleans()):
+        np.fill_diagonal(drop, False)
+    A[drop] = 0.0
+    A[rng.integers(n), rng.integers(n)] = -0.0
+    return A
+
+
 class TestIlu0:
+    @given(ilu0_inputs())
+    @settings(max_examples=150, deadline=None)
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # no division by a zero pivot
+    def test_bitwise_equal_to_ikj_loop(self, A):
+        assert_same_ilu0(A)
+
+    def test_dense_ar1_bitwise_equal_to_ikj_loop(self):
+        assert_same_ilu0(ar1_autocorr(128, 0.9))
+
     def test_dense_matches_full_lu(self, rng):
         A = rand_spd(6, rng) + 1.0 * np.eye(6)
         p = ilu0_precond(A)
@@ -200,6 +277,17 @@ class TestPreconditionerType:
         A = rand_spd(8, rng, reg=0.5)
         for make in LEFT_FACTORIES:
             assert np.isfinite(make(A).preconditioned_cond(A))
+
+    def test_tiny_upper_entries_are_not_dropped(self):
+        M = np.array([[1.0, 1e-9], [0.0, 1.0]])
+        inv = Preconditioner(payload=M, label="x").apply_inverse(np.eye(2))
+        assert np.allclose(inv, [[1.0, -1e-9], [0.0, 1.0]], rtol=1e-12, atol=0.0)
+
+    def test_ssor_with_tiny_couplings_solves_the_full_payload(self):
+        A = np.array([[1.0, 3e-9, 0.0], [3e-9, 2.0, 1e-9], [0.0, 1e-9, 3.0]])
+        p = ssor_precond(A)
+        assert np.allclose(p.apply_inverse(A), np.linalg.solve(p.payload, A),
+                           rtol=1e-12, atol=0.0)
 
     def test_singular_left_payload_rejected(self):
         with pytest.raises(NumericallySingularError):

@@ -251,6 +251,37 @@ def test_bad_hyperparameter_flag_is_usage_error(tmp_path, capsys, command, flags
     assert not out.exists()
 
 
+MATRIX_FLAG_CASES = {
+    "ar1-n": (["--family", "ar1", "--n", "0"], "n must be positive"),
+    "ar1-rho": (["--family", "ar1", "--rho", "1.5"], "rho"),
+    "sparse-pd-density": (["--family", "sparse-pd", "--density", "2"], "density"),
+    "hilbert-alpha": (["--family", "hilbert", "--alpha", "-5"], "alpha"),
+    "random-pd-reg": (["--family", "random-pd", "--reg", "-1"], "reg"),
+    "ar2-rho1": (["--family", "ar2", "--rho1", "1.0"], "poles"),
+}
+OUT_FLAG = {"gen": "--out", "bench": "--out", "precondition": "--out-u"}
+
+
+@pytest.mark.parametrize("command, flags, needle", [
+    pytest.param(command, flags, needle, id=f"{command}-{name}")
+    for command in OUT_FLAG
+    for name, (flags, needle) in MATRIX_FLAG_CASES.items()
+])
+def test_bad_matrix_family_flag_is_usage_error(tmp_path, capsys, command, flags, needle):
+    out = tmp_path / "out.txt"
+    code, _, err = run(capsys, command, *flags, OUT_FLAG[command], str(out))
+    assert_usage_error(code, err, needle)
+    assert not out.exists()
+
+
+def test_non_spd_family_is_still_numerical_failure(tmp_path, capsys):
+    # hilbert(14) builds, but its smallest eigenvalue is negative in floating point
+    code, _, err = run(capsys, "gen", "--family", "hilbert", "--n", "14",
+                       "--out", str(tmp_path / "h.txt"))
+    assert code == 1
+    assert err.startswith("error: ")
+
+
 class TestGradcheck:
     def test_default_run_passes(self, capsys):
         code, stdout, _ = run(capsys, "gradcheck", "--seed", "1")
