@@ -12,6 +12,7 @@ deterministic for a fixed config and seed; wall-clock timing is opt-in
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 import time
@@ -25,6 +26,7 @@ from .baselines import (
     METHOD_NAMES,
     baseline_cond,
     check_omega,
+    condition_ratio,
     dct_matrix,
     none_cond,
 )
@@ -59,6 +61,15 @@ GRADCHECK_MAX_N = 10
 GRADCHECK_U_TOL = 1e-5
 GRADCHECK_W_TOL = 1e-3
 
+# family -> its parameter flags, named by their argparse dests (= MatrixSpec.params keys)
+FAMILY_FLAGS = {
+    "hilbert": ("alpha",),
+    "random-pd": ("reg",),
+    "sparse-pd": ("density", "shift_margin"),
+    "ar1": ("rho",),
+    "ar2": ("rho1", "rho2"),
+}
+
 
 class UsageError(Exception):
     """Bad command line or environment; main reports it and exits 2."""
@@ -80,6 +91,14 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _float_list(text: str) -> list[float]:
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}") from None
+
+
 def _add_matrix_flags(p: argparse.ArgumentParser, with_files: bool = False) -> None:
     if with_files:
         p.add_argument("--matrix", action="append", default=[], metavar="PATH",
@@ -87,14 +106,15 @@ def _add_matrix_flags(p: argparse.ArgumentParser, with_files: bool = False) -> N
     p.add_argument("--family", choices=[f for f in MatrixSpec.FAMILIES if f != "file"],
                    help="generate a matrix family instead of reading files")
     p.add_argument("--n", type=int, default=8, help="matrix dimension")
-    p.add_argument("--alpha", type=float, default=0.0, help="hilbert regularizer")
-    p.add_argument("--reg", type=float, default=1e-3, help="random-pd regularizer")
-    p.add_argument("--density", type=float, default=0.5, help="sparse-pd density")
-    p.add_argument("--shift-margin", type=float, default=DEFAULT_SHIFT_MARGIN,
+    # family flags take comma lists; bench runs every combination, gen and precondition one
+    p.add_argument("--alpha", type=_float_list, default=[0.0], help="hilbert regularizer")
+    p.add_argument("--reg", type=_float_list, default=[1e-3], help="random-pd regularizer")
+    p.add_argument("--density", type=_float_list, default=[0.5], help="sparse-pd density")
+    p.add_argument("--shift-margin", type=_float_list, default=[DEFAULT_SHIFT_MARGIN],
                    help="sparse-pd diagonal margin")
-    p.add_argument("--rho", type=float, default=0.9, help="ar1 correlation factor")
-    p.add_argument("--rho1", type=float, default=0.9, help="ar2 first pole")
-    p.add_argument("--rho2", type=float, default=0.5, help="ar2 second pole")
+    p.add_argument("--rho", type=_float_list, default=[0.9], help="ar1 correlation factor")
+    p.add_argument("--rho1", type=_float_list, default=[0.9], help="ar2 first pole")
+    p.add_argument("--rho2", type=_float_list, default=[0.5], help="ar2 second pole")
 
 
 def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
@@ -111,22 +131,27 @@ def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--band", type=int, default=2, help="band width for banded topology")
 
 
-def _matrix_spec_from_args(args: argparse.Namespace, seed: int) -> MatrixSpec:
-    fam = args.family
-    params: dict = {}
-    if fam == "hilbert":
-        params["alpha"] = args.alpha
-    elif fam == "random-pd":
-        params["reg"] = args.reg
-    elif fam == "sparse-pd":
-        params["density"] = args.density
-        params["shift_margin"] = args.shift_margin
-    elif fam == "ar1":
-        params["rho"] = args.rho
-    elif fam == "ar2":
-        params["rho1"] = args.rho1
-        params["rho2"] = args.rho2
-    return MatrixSpec(family=fam, n=args.n, params=params, seed=seed)
+def _family_specs(args: argparse.Namespace, seed: int) -> list[MatrixSpec]:
+    """One spec per combination of the family's flag values."""
+    names = FAMILY_FLAGS[args.family]
+    return [
+        MatrixSpec(family=args.family, n=args.n, params=dict(zip(names, values)), seed=seed)
+        for values in itertools.product(*(getattr(args, k) for k in names))
+    ]
+
+
+def _one_matrix_spec(args: argparse.Namespace, seed: int) -> MatrixSpec:
+    """The single matrix of gen or precondition: --matrix, or one value per family flag."""
+    for name in itertools.chain(*FAMILY_FLAGS.values()):
+        if len(values := getattr(args, name)) > 1:
+            raise UsageError(f"{args.command} takes one value per family flag, "
+                             f"got {len(values)} for --{name.replace('_', '-')}")
+    if getattr(args, "matrix", None):
+        return MatrixSpec(family="file", path=args.matrix)
+    if args.family is None:
+        source = "--matrix or --family" if "matrix" in args else "--family"
+        raise UsageError(f"{args.command} needs {source}")
+    return _family_specs(args, seed)[0]
 
 
 def _from_flags(make, *a, **kw):
@@ -166,12 +191,10 @@ def _topology_from_args(args: argparse.Namespace, n: int):
 
 def cmd_gen(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else _env_seed()
-    if args.family is None:
-        raise PrecogError("gen needs --family")
-    spec = _matrix_spec_from_args(args, seed)
+    spec = _one_matrix_spec(args, seed)
     M = _build_matrix(spec)
+    cond = cond_spd(M)  # a matrix that is not SPD fails before anything is written
     save_matrix(M, args.out)
-    cond = cond_spd(M)
     extra = f" density={density(M)!r}" if args.family == "sparse-pd" else ""
     print(f"{spec.label()} n={M.shape[0]} cond={cond!r}{extra} -> {args.out}")
     return 0
@@ -200,9 +223,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         for path in args.matrix:
             specs.append((MatrixSpec(family="file", path=path), seed))
         if args.family is not None:
-            specs.append((_matrix_spec_from_args(args, seed), seed))
+            specs.extend((spec, seed) for spec in _family_specs(args, seed))
     if not specs:
-        raise PrecogError("bench needs --matrix and/or --family")
+        raise UsageError("bench needs --matrix and/or --family")
     # every matrix is built before any work, so a bad flag or file fails fast
     matrices = [(spec, seed, _build_matrix(spec)) for spec, seed in specs]
 
@@ -243,10 +266,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
                     status = type(exc).__name__
             n_failed += status != "ok"
             wall_ms = precog_ms if method == "precog" else 1000.0 * (time.perf_counter() - t0)
-            ratio = None
-            log_ratio = None
+            ratio = log_ratio = None
             if cond_method is not None and precog_cond is not None:
-                ratio = cond_method / precog_cond
+                ratio = condition_ratio(cond_method, precog_cond)
                 log_ratio = float(np.log10(ratio))
             rows.append({
                 "matrix_id": matrix_id,
@@ -333,12 +355,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
 def cmd_precondition(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else _env_seed()
-    if args.matrix:
-        spec = MatrixSpec(family="file", path=args.matrix)
-    elif args.family is not None:
-        spec = _matrix_spec_from_args(args, seed)
-    else:
-        raise PrecogError("precondition needs --matrix or --family")
+    spec = _one_matrix_spec(args, seed)
     R = _build_matrix(spec)
     hp = _hyperparams_from_args(args, seed)
     topo = _topology_from_args(args, R.shape[0])

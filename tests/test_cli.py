@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from precog.baselines import none_cond
+from precog.baselines import METHOD_NAMES, baseline_cond, none_cond
 from precog.cli import BENCH_HEADER, main
 from precog.errors import IluBreakdownError
+from precog.graph import banded_topology
+from precog.learn import HyperParams, optimize
 from precog.matgen import ar1_autocorr, hilbert, load_matrix
-from precog.spectral import cond_spd, orthonormality_error
+from precog.spectral import cond_spd, orthonormality_error, split_preconditioned_cond
 
 
 def run(capsys, *argv):
@@ -18,6 +20,11 @@ def assert_usage_error(code, err, needle):
     assert code == 2
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert needle in err
+
+
+def csv_rows(path):
+    header, *lines = path.read_text().splitlines()
+    return [dict(zip(header.split(","), line.split(","))) for line in lines]
 
 
 class TestGen:
@@ -226,6 +233,76 @@ class TestBench:
         code, _, err = run(capsys, "bench", "--family", "ar1", "--config")
         assert_usage_error(code, err, "--config")
 
+    def test_non_number_in_family_list_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        code, _, err = run(capsys, "bench", "--family", "ar1", "--rho", "0.5,abc",
+                           "--out", str(out))
+        assert code == 2
+        assert "argument --rho" in err
+        assert not out.exists()
+
+
+class TestBenchSweep:
+    """Comma-separated family flags: one matrix per combination of values."""
+
+    # the AR(1) sweep of the paper: banded-2 topology, the dense baselines
+    AR1 = ["--family", "ar1", "--n", "6", "--topology", "banded", "--band", "2",
+           "--seed", "7", "--max-iter", "10",
+           "--methods", "none,dct,dft,jacobi,gauss-seidel,sor,ssor"]
+
+    def test_sweep_equals_merged_single_runs(self, tmp_path, capsys):
+        sweep = tmp_path / "sweep.csv"
+        assert run(capsys, "bench", *self.AR1, "--rho", "0.5,0.9", "--out", str(sweep))[0] == 0
+        single = []
+        for rho in ("0.5", "0.9"):
+            out = tmp_path / f"rho{rho}.csv"
+            assert run(capsys, "bench", *self.AR1, "--rho", rho, "--out", str(out))[0] == 0
+            single += out.read_text().splitlines()[1:]
+        lines = sweep.read_text().splitlines()
+        assert lines[0] == BENCH_HEADER
+        assert lines[1:] == sorted(single)
+        assert len(lines) == 1 + 2 * 8
+
+    def test_sweep_rows_match_the_library(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert run(capsys, "bench", *self.AR1, "--rho", "0.5,0.9", "--out", str(out))[0] == 0
+        rows = csv_rows(out)
+        for rho in (0.5, 0.9):
+            R = ar1_autocorr(6, rho)
+            U = optimize(R, banded_topology(6, 2), HyperParams(max_iter=10, seed=7)).U
+            precog_cond = split_preconditioned_cond(R, U)
+            block = {r["method"]: r for r in rows if r["matrix_id"] == f"ar1-n6-rho{rho:g}"}
+            assert len(block) == 8
+            for method, r in block.items():
+                want = precog_cond if method == "precog" else baseline_cond(method, R)
+                assert float(r["cond_method"]) == want
+                assert float(r["condition_ratio"]) == want / precog_cond
+                assert float(r["log10_ratio"]) == float(np.log10(want / precog_cond))
+
+    def test_sparse_pd_densities_cover_every_method(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code, _, _ = run(capsys, "bench", "--family", "sparse-pd", "--n", "6",
+                         "--density", "0.5,0.2", "--max-iter", "10", "--seed", "0",
+                         "--out", str(out))
+        assert code == 0
+        rows = csv_rows(out)
+        ids = sorted({r["matrix_id"] for r in rows})
+        assert ids == ["sparse-pd-n6-density0.2-shift_margin0.05-s0",
+                       "sparse-pd-n6-density0.5-shift_margin0.05-s0"]
+        for matrix_id in ids:
+            methods = [r["method"] for r in rows if r["matrix_id"] == matrix_id]
+            assert sorted(methods) == sorted(METHOD_NAMES)  # ilu0 included
+        assert all(r["status"] == "ok" for r in rows)
+
+    def test_ar2_runs_the_product_of_both_poles(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code, _, _ = run(capsys, "bench", "--family", "ar2", "--n", "6",
+                         "--rho1", "0.9,0.8", "--rho2", "0.5,0.3", "--methods", "none",
+                         "--max-iter", "10", "--seed", "1", "--out", str(out))
+        assert code == 0
+        params = [r["params"] for r in csv_rows(out) if r["method"] == "none"]
+        assert params == [f"rho1={a};rho2={b}" for a in ("0.8", "0.9") for b in ("0.3", "0.5")]
+
 
 LEARNING_FLAG_CASES = {
     "mu": (["--mu", "2"], "mu"),
@@ -276,10 +353,30 @@ def test_bad_matrix_family_flag_is_usage_error(tmp_path, capsys, command, flags,
 
 def test_non_spd_family_is_still_numerical_failure(tmp_path, capsys):
     # hilbert(14) builds, but its smallest eigenvalue is negative in floating point
-    code, _, err = run(capsys, "gen", "--family", "hilbert", "--n", "14",
-                       "--out", str(tmp_path / "h.txt"))
+    out = tmp_path / "h.txt"
+    code, _, err = run(capsys, "gen", "--family", "hilbert", "--n", "14", "--out", str(out))
     assert code == 1
     assert err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags, needle", [
+    pytest.param("gen", [], "gen needs --family", id="gen"),
+    pytest.param("precondition", [], "precondition needs --matrix or --family",
+                 id="precondition"),
+    pytest.param("bench", [], "bench needs --matrix and/or --family", id="bench"),
+    # gen and precondition build one matrix, so a family flag takes one value
+    pytest.param("gen", ["--family", "ar1", "--rho", "0.5,0.9"], "--rho", id="gen-list"),
+    pytest.param("precondition", ["--family", "ar1", "--rho", "0.5,0.9"], "--rho",
+                 id="precondition-list"),
+    pytest.param("precondition", ["--family", "sparse-pd", "--shift-margin", "0.1,0.2"],
+                 "--shift-margin", id="precondition-other-family-list"),
+])
+def test_matrix_source_is_usage_error(tmp_path, capsys, command, flags, needle):
+    out = tmp_path / "out.txt"
+    code, _, err = run(capsys, command, *flags, OUT_FLAG[command], str(out))
+    assert_usage_error(code, err, needle)
+    assert not out.exists()
 
 
 class TestGradcheck:
