@@ -16,6 +16,7 @@ import itertools
 import os
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -117,6 +118,10 @@ def _add_matrix_flags(p: argparse.ArgumentParser, with_files: bool = False) -> N
     p.add_argument("--rho2", type=_float_list, default=[0.5], help="ar2 second pole")
 
 
+# the value-less flags; a config line sets one with 1/true/yes/on, else leaves it unset
+SWITCHES = ("band-exit", "timing")
+
+
 def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
     hp = HyperParams()
     p.add_argument("--mu", type=float, default=hp.mu, help="gradient step size")
@@ -201,20 +206,20 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    if args.seeds:
+    if args.seed is None:
+        seeds = [_env_seed()]
+    else:
         try:
-            seeds = [int(s) for s in args.seeds.split(",")]
+            seeds = [int(s) for s in args.seed.split(",")]
         except ValueError:
             raise UsageError(
-                f"--seeds must be comma-separated integers, got {args.seeds!r}"
+                f"--seed must be comma-separated integers, got {args.seed!r}"
             ) from None
-    else:
-        seeds = [args.seed if args.seed is not None else _env_seed()]
     _from_flags(check_omega, args.omega)
     methods = sorted({m.strip() for m in args.methods.split(",") if m.strip()})
     for m in methods:
         if m not in METHOD_NAMES:
-            raise PrecogError(f"unknown method {m!r}; choose from {METHOD_NAMES}")
+            raise UsageError(f"unknown method {m!r}; choose from {METHOD_NAMES}")
     if "precog" not in methods:
         methods = ["precog"] + methods
 
@@ -226,14 +231,18 @@ def cmd_bench(args: argparse.Namespace) -> int:
             specs.extend((spec, seed) for spec in _family_specs(args, seed))
     if not specs:
         raise UsageError("bench needs --matrix and/or --family")
+    ids = [spec.label() if len(seeds) == 1 else f"{spec.label()}#s{seed}"
+           for spec, seed in specs]
+    for matrix_id, count in Counter(ids).items():
+        if count > 1:
+            raise UsageError(f"{count} bench matrices share the matrix_id {matrix_id!r}")
     # every matrix is built before any work, so a bad flag or file fails fast
     matrices = [(spec, seed, _build_matrix(spec)) for spec, seed in specs]
 
     rows = []
     n_failed = 0
-    for spec, seed, R in matrices:
+    for matrix_id, (spec, seed, R) in zip(ids, matrices):
         n = R.shape[0]
-        matrix_id = spec.label() if len(seeds) == 1 else f"{spec.label()}#s{seed}"
         params_str = ";".join(f"{k}={v:g}" for k, v in sorted(spec.params.items()))
         hp = _hyperparams_from_args(args, seed)
         topo = _topology_from_args(args, n)
@@ -377,12 +386,7 @@ def cmd_precondition(args: argparse.Namespace) -> int:
 
 def cmd_lms(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else _env_seed()
-    if args.signal == "ar1":
-        spec = SignalSpec(family="ar1", rho=args.rho)
-    elif args.signal == "ar2":
-        spec = SignalSpec(family="ar2", rho1=args.rho1, rho2=args.rho2)
-    else:
-        spec = SignalSpec(family="white")
+    spec = SignalSpec(family=args.signal, rho=args.rho, rho1=args.rho1, rho2=args.rho2)
 
     transform = None
     if args.transform == "dct":
@@ -413,13 +417,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Learned unitary split preconditioners and classical baselines",
     )
     parser.add_argument("--version", action="version", version=__version__)
+    # read by _expand_config before this parser runs; declared here for --help
+    parser.add_argument("--config", metavar="FILE",
+                        help="flat key = value config file (repeatable; flags win)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="generate a test matrix file")
     _add_matrix_flags(p_gen)
     p_gen.add_argument("--seed", type=int, default=None)
     p_gen.add_argument("--out", required=True, help="output matrix file")
-    p_gen.add_argument("--config", default=None, help="flat key=value config file")
     p_gen.set_defaults(func=cmd_gen)
 
     p_bench = sub.add_parser("bench", help="benchmark preconditioners to CSV")
@@ -429,13 +435,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated method list")
     p_bench.add_argument("--omega", type=float, default=DEFAULT_OMEGA,
                          help="relaxation factor for sor/ssor")
-    p_bench.add_argument("--seed", type=int, default=None)
-    p_bench.add_argument("--seeds", default=None,
-                         help="comma-separated seed sweep (overrides --seed)")
+    p_bench.add_argument("--seed", default=None, help="seed, or a comma-separated sweep")
     p_bench.add_argument("--timing", action="store_true",
                          help="record wall-clock times (breaks byte determinism)")
     p_bench.add_argument("--out", default=None, help="output CSV (default stdout)")
-    p_bench.add_argument("--config", default=None, help="flat key=value config file")
     p_bench.set_defaults(func=cmd_bench)
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference gradient checks")
@@ -445,7 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_grad.add_argument("--topology", choices=["banded", "full"], default="banded")
     p_grad.add_argument("--band", type=int, default=2)
     p_grad.add_argument("--seed", type=int, default=None)
-    p_grad.add_argument("--config", default=None, help="flat key=value config file")
     p_grad.set_defaults(func=cmd_gradcheck)
 
     p_pre = sub.add_parser("precondition", help="learn a transform for one matrix")
@@ -455,7 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_pre.add_argument("--seed", type=int, default=None)
     p_pre.add_argument("--out-u", required=True, help="output file for the learned U")
     p_pre.add_argument("--history", default=None, help="optional history CSV")
-    p_pre.add_argument("--config", default=None, help="flat key=value config file")
     p_pre.set_defaults(func=cmd_precondition)
 
     p_lms = sub.add_parser("lms", help="system-identification LMS run")
@@ -471,7 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_lms.add_argument("--transform", choices=["none", "dct", "precog"], default="none")
     p_lms.add_argument("--seed", type=int, default=None)
     p_lms.add_argument("--out", required=True, help="output trace CSV")
-    p_lms.add_argument("--config", default=None, help="flat key=value config file")
     p_lms.set_defaults(func=cmd_lms)
     return parser
 
@@ -483,43 +483,33 @@ def _load_config(path: str) -> dict[str, str]:
         if not line:
             continue
         if "=" not in line:
-            raise PrecogError(f"config line without '=': {raw!r}")
+            raise UsageError(f"config line without '=' in {path}: {raw!r}")
         key, value = line.split("=", 1)
         pairs[key.strip().replace("_", "-")] = value.strip()
     return pairs
 
 
-def _inject_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
-    """Expand --config into flags placed before explicit ones (flags win)."""
-    if "--config" not in argv or not argv:
-        return argv
-    if argv[-1] == "--config":
-        raise UsageError("--config needs a file path")
-    pairs = _load_config(argv[argv.index("--config") + 1])
-    command = argv[0]
-    # find the matching subparser to learn which options are boolean flags
-    sub_actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    subparser = sub_actions[0].choices.get(command) if sub_actions else None
-    store_true = set()
-    if subparser is not None:
-        for action in subparser._actions:
-            if isinstance(action, argparse._StoreTrueAction):
-                store_true.update(s.lstrip("-") for s in action.option_strings)
-    injected: list[str] = []
-    for key, value in pairs.items():
-        if key in store_true:
-            if value.lower() in ("1", "true", "yes", "on"):
-                injected.append(f"--{key}")
-        else:
-            injected.extend([f"--{key}", value])
-    return [command] + injected + argv[1:]
+def _expand_config(argv: list[str]) -> list[str]:
+    """Splice every --config file in after the command as --key=value flags (flags win)."""
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre.add_argument("--config", action="append", default=[])
+    try:
+        known, rest = pre.parse_known_args(argv)
+    except argparse.ArgumentError as exc:
+        raise UsageError(str(exc)) from None
+    pairs: dict[str, str] = {}
+    for path in known.config:  # later files win
+        pairs.update(_load_config(path))
+    flags = [f"--{key}" if key in SWITCHES else f"--{key}={value}"
+             for key, value in pairs.items()
+             if key not in SWITCHES or value.lower() in ("1", "true", "yes", "on")]
+    return rest[:1] + flags + rest[1:]
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(_inject_config(argv, parser))
+        args = build_parser().parse_args(_expand_config(argv))
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from precog import cli
 from precog.baselines import METHOD_NAMES, baseline_cond, none_cond
 from precog.cli import BENCH_HEADER, main
 from precog.errors import IluBreakdownError
@@ -141,13 +142,12 @@ class TestBench:
         assert "rho=0.9" in out_a.read_text()
         assert "rho=0.5" in out_b.read_text()
 
-    def test_bad_method_is_numerical_failure_exit(self, tmp_path, capsys, matrix_file):
+    def test_unknown_method_is_usage_error(self, tmp_path, capsys, matrix_file):
         code, _, err = run(
             capsys, "bench", "--matrix", str(matrix_file), "--methods", "qr-magic",
             "--out", str(tmp_path / "x.csv"),
         )
-        assert code == 1
-        assert "qr-magic" in err
+        assert_usage_error(code, err, "qr-magic")
 
     def test_failed_cell_gets_status_row(self, tmp_path, capsys, monkeypatch):
         # force one method to break and check the row reports it
@@ -225,8 +225,8 @@ class TestBench:
     def test_non_integer_seed_list_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "out.csv"
         code, _, err = run(capsys, "bench", "--family", "ar1", "--n", "6",
-                           "--seeds", "1,x", "--out", str(out))
-        assert_usage_error(code, err, "--seeds")
+                           "--seed", "1,x", "--out", str(out))
+        assert_usage_error(code, err, "--seed")
         assert not out.exists()
 
     def test_config_without_path_is_usage_error(self, tmp_path, capsys):
@@ -294,6 +294,35 @@ class TestBenchSweep:
             assert sorted(methods) == sorted(METHOD_NAMES)  # ilu0 included
         assert all(r["status"] == "ok" for r in rows)
 
+    def test_seed_list_equals_merged_single_seed_runs(self, tmp_path, capsys):
+        args = ["--family", "ar1", "--n", "6", "--max-iter", "10", "--methods", "none,dct"]
+        multi = tmp_path / "multi.csv"
+        assert run(capsys, "bench", *args, "--seed", "0,1", "--out", str(multi))[0] == 0
+        single = []
+        for seed in ("0", "1"):
+            out = tmp_path / f"s{seed}.csv"
+            assert run(capsys, "bench", *args, "--seed", seed, "--out", str(out))[0] == 0
+            for line in out.read_text().splitlines()[1:]:
+                matrix_id, rest = line.split(",", 1)
+                single.append(f"{matrix_id}#s{seed},{rest}")
+        lines = multi.read_text().splitlines()
+        assert lines[0] == BENCH_HEADER
+        assert lines[1:] == sorted(single)
+        assert [r["matrix_id"] for r in csv_rows(multi)] == (
+            ["ar1-n6-rho0.9#s0"] * 3 + ["ar1-n6-rho0.9#s1"] * 3)
+
+    @pytest.mark.parametrize("flags, shared", [
+        pytest.param(["--family", "ar1", "--rho", "0.9,0.9000001"], "ar1-n6-rho0.9",
+                     id="family-values"),
+        pytest.param(["--matrix", "a/x.txt", "--matrix", "b/x.txt"], "x", id="file-stems"),
+        pytest.param(["--family", "ar1", "--seed", "3,3"], "ar1-n6-rho0.9#s3", id="seeds"),
+    ])
+    def test_shared_matrix_id_is_usage_error(self, tmp_path, capsys, flags, shared):
+        out = tmp_path / "out.csv"
+        code, _, err = run(capsys, "bench", "--n", "6", *flags, "--out", str(out))
+        assert_usage_error(code, err, repr(shared))
+        assert not out.exists()
+
     def test_ar2_runs_the_product_of_both_poles(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         code, _, _ = run(capsys, "bench", "--family", "ar2", "--n", "6",
@@ -302,6 +331,53 @@ class TestBenchSweep:
         assert code == 0
         params = [r["params"] for r in csv_rows(out) if r["method"] == "none"]
         assert params == [f"rho1={a};rho2={b}" for a in ("0.8", "0.9") for b in ("0.3", "0.5")]
+
+
+# name -> (command, config files, flags; {0}, {1} name the files, expected attrs or error)
+CONFIG_CASES = {
+    "equals-form": ("bench", ["rho = 0.5"], ["--config={0}"], {"rho": [0.5]}),
+    "abbreviation": ("bench", ["rho = 0.5"], ["--conf", "{0}"], {"rho": [0.5]}),
+    "repeated-key": ("bench", ["rho = 0.5\nrho = 0.6"], ["--config", "{0}"], {"rho": [0.6]}),
+    "later-file-wins": ("bench", ["rho = 0.5\nn = 5", "rho = 0.7"],
+                        ["--config", "{0}", "--config", "{1}"], {"rho": [0.7], "n": 5}),
+    "flag-wins": ("bench", ["rho = 0.5\nn = 5", "rho = 0.7"],
+                  ["--rho", "0.8", "--config", "{0}", "--config", "{1}"],
+                  {"rho": [0.8], "n": 5}),
+    "negative-list": ("bench", ["rho2 = -0.3,0.3"], ["--config", "{0}"], {"rho2": [-0.3, 0.3]}),
+    "seed-list": ("bench", ["seed = 0,1"], ["--config", "{0}"], {"seed": "0,1"}),
+    "out": ("gen", ["out = g.txt"], ["--config", "{0}"], {"out": "g.txt"}),
+    "out-u": ("precondition", ["out_u = u.txt"], ["--config", "{0}"], {"out_u": "u.txt"}),
+    "matrix": ("bench", ["matrix = m.txt"], ["--config", "{0}", "--matrix", "k.txt"],
+               {"matrix": ["m.txt", "k.txt"]}),
+    "band-exit-true": ("bench", ["band_exit = true"], ["--config", "{0}"], {"band_exit": True}),
+    "band-exit-false": ("bench", ["band_exit = false"], ["--config", "{0}"],
+                        {"band_exit": False}),
+    "timing-yes": ("bench", ["timing = yes"], ["--config", "{0}"], {"timing": True}),
+    "timing-false": ("bench", ["timing = false"], ["--config", "{0}"], {"timing": False}),
+    "no-equals": ("bench", ["rho 0.5"], ["--config", "{0}"], "config line without '='"),
+    "unknown-key": ("bench", ["colour = blue"], ["--config", "{0}"],
+                    "unrecognized arguments: --colour=blue"),
+}
+
+
+@pytest.mark.parametrize("command, files, flags, expect",
+                         [pytest.param(*case, id=name) for name, case in CONFIG_CASES.items()])
+def test_config_file(tmp_path, capsys, monkeypatch, command, files, flags, expect):
+    """Config lines parse like --key=value flags placed before the explicit ones."""
+    seen = []
+    monkeypatch.setattr(cli, f"cmd_{command}", lambda args: seen.append(args) or 0)
+    paths = []
+    for i, text in enumerate(files):
+        paths.append(tmp_path / f"{i}.cfg")
+        paths[-1].write_text(text + "\n")
+    code, _, err = run(capsys, command, "--family", "ar1",
+                       *(f.format(*paths) for f in flags))
+    if isinstance(expect, str):  # rejected: exit 2 with one error line
+        assert code == 2 and err.count("error: ") == 1 and expect in err
+        assert not seen
+        return
+    assert code == 0
+    assert {k: getattr(seen[0], k) for k in expect} == expect
 
 
 LEARNING_FLAG_CASES = {
