@@ -224,9 +224,8 @@ def baseline_cond(method: str, R: np.ndarray, omega: float = DEFAULT_OMEGA) -> f
     return BASELINES[method](R, omega)
 
 
-def condition_ratio(cond_method: float, cond_precog: float, log10: bool = False) -> float:
+def condition_ratio(cond_method: float, cond_precog: float) -> float:
     """cond_method / cond_precog; values above 1 favor the learned transform."""
     if cond_method <= 0.0 or cond_precog <= 0.0:
         raise InvalidInputError("condition numbers must be positive")
-    ratio = cond_method / cond_precog
-    return float(np.log10(ratio)) if log10 else float(ratio)
+    return float(cond_method / cond_precog)

@@ -44,6 +44,7 @@ from .learn import (
 )
 from .matgen import (
     DEFAULT_SHIFT_MARGIN,
+    FAMILIES,
     MatrixSpec,
     SignalSpec,
     density,
@@ -61,15 +62,6 @@ BENCH_HEADER = (
 GRADCHECK_MAX_N = 10
 GRADCHECK_U_TOL = 1e-5
 GRADCHECK_W_TOL = 1e-3
-
-# family -> its parameter flags, named by their argparse dests (= MatrixSpec.params keys)
-FAMILY_FLAGS = {
-    "hilbert": ("alpha",),
-    "random-pd": ("reg",),
-    "sparse-pd": ("density", "shift_margin"),
-    "ar1": ("rho",),
-    "ar2": ("rho1", "rho2"),
-}
 
 
 class UsageError(Exception):
@@ -104,10 +96,10 @@ def _add_matrix_flags(p: argparse.ArgumentParser, with_files: bool = False) -> N
     if with_files:
         p.add_argument("--matrix", action="append", default=[], metavar="PATH",
                        help="matrix text file (repeatable)")
-    p.add_argument("--family", choices=[f for f in MatrixSpec.FAMILIES if f != "file"],
+    p.add_argument("--family", choices=list(FAMILIES),
                    help="generate a matrix family instead of reading files")
     p.add_argument("--n", type=int, default=8, help="matrix dimension")
-    # family flags take comma lists; bench runs every combination, gen and precondition one
+    # a flag per FAMILIES parameter name; bench runs every combination of the lists
     p.add_argument("--alpha", type=_float_list, default=[0.0], help="hilbert regularizer")
     p.add_argument("--reg", type=_float_list, default=[1e-3], help="random-pd regularizer")
     p.add_argument("--density", type=_float_list, default=[0.5], help="sparse-pd density")
@@ -138,7 +130,7 @@ def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
 
 def _family_specs(args: argparse.Namespace, seed: int) -> list[MatrixSpec]:
     """One spec per combination of the family's flag values."""
-    names = FAMILY_FLAGS[args.family]
+    _, names, _ = FAMILIES[args.family]
     return [
         MatrixSpec(family=args.family, n=args.n, params=dict(zip(names, values)), seed=seed)
         for values in itertools.product(*(getattr(args, k) for k in names))
@@ -147,7 +139,7 @@ def _family_specs(args: argparse.Namespace, seed: int) -> list[MatrixSpec]:
 
 def _one_matrix_spec(args: argparse.Namespace, seed: int) -> MatrixSpec:
     """The single matrix of gen or precondition: --matrix, or one value per family flag."""
-    for name in itertools.chain(*FAMILY_FLAGS.values()):
+    for name in itertools.chain.from_iterable(names for _, names, _ in FAMILIES.values()):
         if len(values := getattr(args, name)) > 1:
             raise UsageError(f"{args.command} takes one value per family flag, "
                              f"got {len(values)} for --{name.replace('_', '-')}")
@@ -216,12 +208,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 f"--seed must be comma-separated integers, got {args.seed!r}"
             ) from None
     _from_flags(check_omega, args.omega)
-    methods = sorted({m.strip() for m in args.methods.split(",") if m.strip()})
+    methods = sorted({m.strip() for m in args.methods.split(",") if m.strip()} | {"precog"})
     for m in methods:
         if m not in METHOD_NAMES:
             raise UsageError(f"unknown method {m!r}; choose from {METHOD_NAMES}")
-    if "precog" not in methods:
-        methods = ["precog"] + methods
 
     specs: list[tuple[MatrixSpec, int]] = []
     for seed in seeds:
@@ -237,11 +227,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
         if count > 1:
             raise UsageError(f"{count} bench matrices share the matrix_id {matrix_id!r}")
     # every matrix is built before any work, so a bad flag or file fails fast
-    matrices = [(spec, seed, _build_matrix(spec)) for spec, seed in specs]
+    matrices = sorted([(matrix_id, spec, seed, _build_matrix(spec))
+                       for matrix_id, (spec, seed) in zip(ids, specs)], key=lambda m: m[0])
 
-    rows = []
+    lines = [BENCH_HEADER]
     n_failed = 0
-    for matrix_id, (spec, seed, R) in zip(ids, matrices):
+    for matrix_id, spec, seed, R in matrices:
         n = R.shape[0]
         params_str = ";".join(f"{k}={v:g}" for k, v in sorted(spec.params.items()))
         hp = _hyperparams_from_args(args, seed)
@@ -263,7 +254,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 precog_status = type(exc).__name__
         precog_ms = 1000.0 * (time.perf_counter() - t0)
 
-        for method in sorted(methods):
+        for method in methods:
             t0 = time.perf_counter()
             if method == "precog" or cond_raw is None:
                 status, cond_method, iters = precog_status, precog_cond, precog_iters
@@ -279,38 +270,18 @@ def cmd_bench(args: argparse.Namespace) -> int:
             if cond_method is not None and precog_cond is not None:
                 ratio = condition_ratio(cond_method, precog_cond)
                 log_ratio = float(np.log10(ratio))
-            rows.append({
-                "matrix_id": matrix_id,
-                "n": n,
-                "family": spec.family,
-                "params": params_str,
-                "method": method,
-                "cond_raw": cond_raw,
-                "cond_method": cond_method,
-                "condition_ratio": ratio,
-                "log10_ratio": log_ratio,
-                "iterations": iters,
-                "wall_ms": wall_ms if args.timing else None,
-                "seed": seed,
-                "gradient_mode": hp.gradient_mode,
-                "status": status,
-            })
+            lines.append(",".join(map(_fmt, [
+                matrix_id, n, spec.family, params_str, method, cond_raw, cond_method, ratio,
+                log_ratio, iters, wall_ms if args.timing else None, seed, hp.gradient_mode,
+                status, __version__,
+            ])))
 
-    rows.sort(key=lambda r: (r["matrix_id"], r["method"], r["seed"]))
-    lines = [BENCH_HEADER]
-    for r in rows:
-        lines.append(",".join([
-            r["matrix_id"], str(r["n"]), r["family"], r["params"], r["method"],
-            _fmt(r["cond_raw"]), _fmt(r["cond_method"]), _fmt(r["condition_ratio"]),
-            _fmt(r["log10_ratio"]), _fmt(r["iterations"]), _fmt(r["wall_ms"]),
-            str(r["seed"]), r["gradient_mode"], r["status"], __version__,
-        ]))
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
-    return 1 if rows and n_failed == len(rows) else 0
+    return 1 if n_failed == len(lines) - 1 else 0
 
 
 def _central_diff(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:

@@ -195,7 +195,7 @@ def ar2_signal(length: int, rho1: float, rho2: float, seed: int) -> np.ndarray:
 class SignalSpec:
     """Excitation description for system-identification runs."""
 
-    family: str  # white | ar1 | ar2
+    family: str  # white | ar1 | ar2; white is ar1 at rho = 0, as ar1_autocorr(n, 0.0) == eye(n)
     rho: float = 0.0
     rho1: float = 0.0
     rho2: float = 0.0
@@ -205,56 +205,53 @@ class SignalSpec:
             raise InvalidInputError(f"unknown signal family {self.family!r}")
 
     def generate(self, length: int, seed: int) -> np.ndarray:
-        if self.family == "white":
-            return ar1_signal(length, 0.0, seed)
-        if self.family == "ar1":
-            return ar1_signal(length, self.rho, seed)
-        return ar2_signal(length, self.rho1, self.rho2, seed)
+        if self.family == "ar2":
+            return ar2_signal(length, self.rho1, self.rho2, seed)
+        return ar1_signal(length, self._ar1_rho, seed)
 
     def autocorr(self, n: int) -> np.ndarray:
         """Theoretical n x n autocorrelation matrix of the process."""
-        if self.family == "white":
-            return np.eye(n)
-        if self.family == "ar1":
-            return ar1_autocorr(n, self.rho)
-        return ar2_autocorr(n, self.rho1, self.rho2)
+        if self.family == "ar2":
+            return ar2_autocorr(n, self.rho1, self.rho2)
+        return ar1_autocorr(n, self._ar1_rho)
+
+    @property
+    def _ar1_rho(self) -> float:
+        return 0.0 if self.family == "white" else self.rho
+
+
+# family -> (generator, parameter names, seeded); the names are the MatrixSpec.params keys
+# and the generator's keyword arguments, so a missing one takes the generator's default
+FAMILIES = {
+    "hilbert": (hilbert, ("alpha",), False),
+    "random-pd": (random_pd, ("reg",), True),
+    "sparse-pd": (random_sparse_pd, ("density", "shift_margin"), True),
+    "ar1": (ar1_autocorr, ("rho",), False),
+    "ar2": (ar2_autocorr, ("rho1", "rho2"), False),
+}
 
 
 @dataclass(frozen=True)
 class MatrixSpec:
     """CLI-facing description of one generated (or loaded) test matrix."""
 
-    family: str  # hilbert | random-pd | sparse-pd | ar1 | ar2 | file
+    family: str  # a key of FAMILIES, or file
     n: int = 0
     params: dict = field(default_factory=dict)
     seed: int = 0
     path: str | None = None
 
-    FAMILIES = ("hilbert", "random-pd", "sparse-pd", "ar1", "ar2", "file")
-
     def __post_init__(self) -> None:
-        if self.family not in self.FAMILIES:
+        if self.family != "file" and self.family not in FAMILIES:
             raise InvalidInputError(f"unknown matrix family {self.family!r}")
 
     def build(self) -> np.ndarray:
-        if self.family == "hilbert":
-            return hilbert(self.n, self.params.get("alpha", 0.0))
-        if self.family == "random-pd":
-            return random_pd(self.n, self.seed, self.params.get("reg", 0.0))
-        if self.family == "sparse-pd":
-            return random_sparse_pd(
-                self.n,
-                self.params["density"],
-                self.seed,
-                self.params.get("shift_margin", DEFAULT_SHIFT_MARGIN),
-            )
-        if self.family == "ar1":
-            return ar1_autocorr(self.n, self.params["rho"])
-        if self.family == "ar2":
-            return ar2_autocorr(self.n, self.params["rho1"], self.params["rho2"])
-        if self.path is None:
-            raise InvalidInputError("file family needs a path")
-        return load_matrix(self.path)
+        if self.family == "file":
+            if self.path is None:
+                raise InvalidInputError("file family needs a path")
+            return load_matrix(self.path)
+        make, _, seeded = FAMILIES[self.family]
+        return make(self.n, **self.params, **({"seed": self.seed} if seeded else {}))
 
     def label(self) -> str:
         """Deterministic identifier used as matrix_id in reports."""
@@ -262,7 +259,8 @@ class MatrixSpec:
             return Path(self.path or "matrix").stem
         parts = [self.family, f"n{self.n}"]
         parts += [f"{k}{v:g}" for k, v in sorted(self.params.items())]
-        if self.family in ("random-pd", "sparse-pd"):
+        _, _, seeded = FAMILIES[self.family]
+        if seeded:
             parts.append(f"s{self.seed}")
         return "-".join(parts)
 
@@ -283,10 +281,13 @@ def load_matrix(path: str | Path) -> np.ndarray:
     text = Path(path).read_text().strip().splitlines()
     if not text:
         raise InvalidInputError(f"empty matrix file {path}")
-    n = int(text[0])
-    if len(text) != n + 1:
-        raise InvalidInputError(f"expected {n} rows in {path}, got {len(text) - 1}")
-    M = np.array([[float(x) for x in line.split()] for line in text[1:]])
-    if M.shape != (n, n):
+    try:
+        n = int(text[0])
+        rows = [[float(x) for x in line.split()] for line in text[1:]]
+    except ValueError as exc:  # a header or an entry that is not a number
+        raise InvalidInputError(f"malformed matrix file {path}: {exc}") from None
+    if len(rows) != n:
+        raise InvalidInputError(f"expected {n} rows in {path}, got {len(rows)}")
+    if {len(row) for row in rows} != {n}:  # ragged rows, or n = 0
         raise InvalidInputError(f"matrix in {path} is not {n} x {n}")
-    return M
+    return np.array(rows)

@@ -47,8 +47,10 @@ def _check_symmetric(M: np.ndarray, what: str = "matrix") -> np.ndarray:
         raise InvalidInputError(f"{what} must be square, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
         raise InvalidInputError(f"{what} has non-finite entries")
-    if np.max(np.abs(M - M.T), initial=0.0) > SYMMETRY_TOL:
-        raise SymmetryError(f"{what} is not symmetric to {SYMMETRY_TOL:g}")
+    # relative to max|M| above 1: a congruence U^T R U is symmetric only to rounding of R
+    asym = np.max(np.abs(M - M.T), initial=0.0)
+    if asym > SYMMETRY_TOL and asym > SYMMETRY_TOL * max(1.0, np.max(np.abs(M))):
+        raise SymmetryError(f"{what} is not symmetric to {SYMMETRY_TOL:g} times max(1, max|M|)")
     return M
 
 

@@ -252,7 +252,6 @@ class TestIlu0:
 class TestConditionRatio:
     def test_equal_inputs(self):
         assert condition_ratio(5.0, 5.0) == 1.0
-        assert condition_ratio(5.0, 5.0, log10=True) == 0.0
 
     def test_simple_division(self):
         assert np.isclose(condition_ratio(361.0, 19.0), 19.0)

@@ -7,7 +7,7 @@ from precog.cli import BENCH_HEADER, main
 from precog.errors import IluBreakdownError
 from precog.graph import banded_topology
 from precog.learn import HyperParams, optimize
-from precog.matgen import ar1_autocorr, hilbert, load_matrix
+from precog.matgen import FAMILIES, ar1_autocorr, hilbert, load_matrix, save_matrix
 from precog.spectral import cond_spd, orthonormality_error, split_preconditioned_cond
 
 
@@ -57,6 +57,14 @@ class TestGen:
             run(capsys, "gen", "--family", "random-pd", "--n", "6", "--seed", "3",
                 "--out", str(out))
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_every_registry_family(self, tmp_path, capsys, family):
+        out = tmp_path / "m.txt"
+        code, stdout, _ = run(capsys, "gen", "--family", family, "--n", "6", "--out", str(out))
+        assert code == 0
+        assert stdout.startswith(f"{family}-n6-")
+        assert load_matrix(out).shape == (6, 6)
 
     def test_usage_error_exit_2(self, tmp_path, capsys):
         code, _, _ = run(capsys, "gen", "--family", "klein-bottle",
@@ -311,6 +319,22 @@ class TestBenchSweep:
         assert [r["matrix_id"] for r in csv_rows(multi)] == (
             ["ar1-n6-rho0.9#s0"] * 3 + ["ar1-n6-rho0.9#s1"] * 3)
 
+    def test_blocks_come_out_in_matrix_id_order(self, tmp_path, capsys):
+        # file stems that sort before, between and after the family's ids
+        files = []
+        for stem in ("zz", "ar1-n6-rho0.7", "aa"):
+            files += ["--matrix", str(tmp_path / f"{stem}.txt")]
+            save_matrix(ar1_autocorr(6, 0.7), tmp_path / f"{stem}.txt")
+        out = tmp_path / "out.csv"
+        code, _, _ = run(capsys, "bench", *files, "--family", "ar1", "--n", "6",
+                         "--rho", "0.9,0.5", "--methods", "none", "--max-iter", "5",
+                         "--out", str(out))
+        assert code == 0
+        rows = csv_rows(out)
+        ids = ["aa", "ar1-n6-rho0.5", "ar1-n6-rho0.7", "ar1-n6-rho0.9", "zz"]
+        assert [r["matrix_id"] for r in rows] == [i for i in ids for _ in range(2)]
+        assert [r["method"] for r in rows] == ["none", "precog"] * len(ids)
+
     @pytest.mark.parametrize("flags, shared", [
         pytest.param(["--family", "ar1", "--rho", "0.9,0.9000001"], "ar1-n6-rho0.9",
                      id="family-values"),
@@ -452,6 +476,24 @@ def test_matrix_source_is_usage_error(tmp_path, capsys, command, flags, needle):
     out = tmp_path / "out.txt"
     code, _, err = run(capsys, command, *flags, OUT_FLAG[command], str(out))
     assert_usage_error(code, err, needle)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("abc\n1 2\n", id="header"),
+    pytest.param("2\n1 x\n0 1\n", id="entry"),
+    pytest.param("2\n1 0\n0\n", id="ragged"),
+    pytest.param("0\n", id="zero"),
+])
+@pytest.mark.parametrize("command", ["precondition", "bench"])
+def test_malformed_matrix_file_is_one_error_line(tmp_path, capsys, command, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    out = tmp_path / "out.txt"
+    code, _, err = run(capsys, command, "--matrix", str(path), OUT_FLAG[command], str(out))
+    assert code == 1
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert str(path) in err
     assert not out.exists()
 
 

@@ -10,6 +10,7 @@ from precog.errors import (
     InvalidInputError,
 )
 from precog.matgen import (
+    FAMILIES,
     SPARSITY_PRESETS,
     MatrixSpec,
     SignalSpec,
@@ -241,6 +242,43 @@ class TestSignals:
         assert np.allclose(SignalSpec("ar1", rho=0.5).autocorr(3), ar1_autocorr(3, 0.5))
         with pytest.raises(InvalidInputError):
             SignalSpec("pink")
+
+    def test_white_is_ar1_at_rho_zero(self):
+        white, ar1 = SignalSpec("white", rho=0.7), SignalSpec("ar1", rho=0.0)
+        assert np.array_equal(white.generate(500, 3), ar1.generate(500, 3))
+        assert np.array_equal(white.autocorr(6), ar1.autocorr(6))
+        assert np.array_equal(white.autocorr(6), np.eye(6))
+
+
+# family -> (params, seed, the generator called directly, the expected label)
+FAMILY_CASES = {
+    "hilbert": ({"alpha": 0.25}, 4, lambda: hilbert(5, 0.25), "hilbert-n5-alpha0.25"),
+    "random-pd": ({"reg": 0.001}, 4, lambda: random_pd(5, 4, 0.001),
+                  "random-pd-n5-reg0.001-s4"),
+    "sparse-pd": ({"density": 0.5, "shift_margin": 0.1}, 4,
+                  lambda: random_sparse_pd(5, 0.5, 4, 0.1),
+                  "sparse-pd-n5-density0.5-shift_margin0.1-s4"),
+    "ar1": ({"rho": 0.8}, 4, lambda: ar1_autocorr(5, 0.8), "ar1-n5-rho0.8"),
+    "ar2": ({"rho1": 0.9, "rho2": -0.3}, 4, lambda: ar2_autocorr(5, 0.9, -0.3),
+            "ar2-n5-rho10.9-rho2-0.3"),
+}
+
+
+class TestFamilies:
+    def test_cases_cover_the_registry(self):
+        assert set(FAMILY_CASES) == set(FAMILIES)
+
+    @pytest.mark.parametrize("family", sorted(FAMILY_CASES))
+    def test_spec_builds_the_generator_output(self, family):
+        params, seed, direct, label = FAMILY_CASES[family]
+        spec = MatrixSpec(family=family, n=5, params=params, seed=seed)
+        assert np.array_equal(spec.build(), direct())
+        assert spec.label() == label
+
+    def test_missing_parameter_takes_the_generator_default(self):
+        spec = MatrixSpec(family="sparse-pd", n=5, params={"density": 0.5}, seed=2)
+        assert np.array_equal(spec.build(), random_sparse_pd(5, 0.5, 2))
+        assert np.array_equal(MatrixSpec(family="hilbert", n=3).build(), hilbert(3))
 
 
 class TestMatrixIO:

@@ -11,7 +11,9 @@ from precog.errors import (
     NumericallySingularError,
     SymmetryError,
 )
-from precog.learn import is_degenerate
+from precog.baselines import dct_matrix, none_cond
+from precog.graph import banded_topology
+from precog.learn import HyperParams, is_degenerate, optimize
 from precog.matgen import ar1_autocorr
 from precog.spectral import (
     canonical_sign,
@@ -92,6 +94,19 @@ class TestSymEig:
     def test_rejects_asymmetric(self):
         with pytest.raises(SymmetryError):
             sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(SymmetryError):  # the tolerance scales, but not this far
+            sym_eig(np.array([[0.0, 1e6], [0.0, 0.0]]))
+
+    def test_large_entries_pass_the_symmetry_check(self):
+        # U^T R U is symmetric only to rounding of order 1e-16 max|R|, which exceeds
+        # an absolute 1e-10 once the entries are large
+        R = ar1_autocorr(16, 0.9)
+        big = R * 1e6
+        optimize(big, banded_topology(16, 2), HyperParams(max_iter=20, seed=0))
+        U = dct_matrix(16).T
+        assert np.isclose(split_preconditioned_cond(big, U), split_preconditioned_cond(R, U),
+                          rtol=1e-12, atol=0)
+        assert np.isclose(none_cond(big), none_cond(R), rtol=1e-12, atol=0)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(InvalidInputError):
