@@ -105,9 +105,14 @@ def laplacian(g: WeightedGraph) -> np.ndarray:
     The diagonal is an ordered bincount that adds each vertex's weights in
     edge order, so the result is bitwise equal to the sum of w_i * theta_i.
     """
-    P, Q = g.topology.endpoints.T
-    L = np.diag(signed_degree_vector(g))
-    L[P, Q] = L[Q, P] = 0.0 - g.w  # not -w: a zero weight stays +0.0
+    return _laplacian(g.topology, g.w)
+
+
+def _laplacian(t: Topology, w: np.ndarray) -> np.ndarray:
+    # unchecked core of laplacian; exactly symmetric by construction
+    P, Q = t.endpoints.T
+    L = np.diag(_signed_degrees(t, w))
+    L[P, Q] = L[Q, P] = 0.0 - w  # not -w: a zero weight stays +0.0
     return L
 
 
@@ -130,6 +135,9 @@ def theta(g: WeightedGraph, edge_index: int) -> np.ndarray:
 
 def signed_degree_vector(g: WeightedGraph) -> np.ndarray:
     """Per-vertex sum of signed weights over incident edges (the Laplacian diagonal)."""
-    t = g.topology
+    return _signed_degrees(g.topology, g.w)
+
+
+def _signed_degrees(t: Topology, w: np.ndarray) -> np.ndarray:
     # interleaved (p0, q0, p1, q1, ...): each vertex accumulates in edge order
-    return np.bincount(t.endpoints.ravel(), weights=np.repeat(g.w, 2), minlength=t.n)
+    return np.bincount(t.endpoints.ravel(), weights=np.repeat(w, 2), minlength=t.n)

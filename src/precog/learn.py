@@ -17,6 +17,7 @@ G = U^T R U; optimize computes it once per iteration and shares it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,8 +28,15 @@ from .errors import (
     InvalidDimensionError,
     InvalidInputError,
 )
-from .graph import Topology, WeightedGraph, laplacian
-from .spectral import SpectralPair, cond_spd, orthonormality_error, power_normalize, sym_eig
+from .graph import Topology, WeightedGraph, _laplacian, laplacian
+from .spectral import (
+    SpectralPair,
+    _eig,
+    cond_spd,
+    orthonormality_error,
+    power_normalize,
+    sym_eig,
+)
 
 MAX_CONSECUTIVE_JITTERS = 5
 JITTER_SCALE = 1e-6
@@ -37,7 +45,8 @@ DEGENERACY_GAP = 1e-8  # smallest eigen-gap the perturbation gradient resolves
 
 def is_degenerate(gamma: np.ndarray) -> bool:
     """True when two ascending eigenvalues lie closer than DEGENERACY_GAP."""
-    return float(np.min(np.diff(gamma), initial=np.inf)) < DEGENERACY_GAP
+    gamma = np.asarray(gamma)
+    return float((gamma[1:] - gamma[:-1]).min(initial=np.inf)) < DEGENERACY_GAP
 
 
 @dataclass(frozen=True)
@@ -78,6 +87,10 @@ class HyperParams:
             raise InvalidInputError("seed must fit in 64 unsigned bits")
         if self.gradient_mode != "perturbation":
             raise InvalidInputError(f"unknown gradient mode {self.gradient_mode!r}")
+        # nan passes the one-sided tests above; mu and eps2 fail their ranges on nan and inf
+        for name in ("beta", "eps1", "tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidInputError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -118,13 +131,16 @@ def cost_E(R: np.ndarray, U: np.ndarray, eps1: float, eps2: float) -> float:
     U = np.asarray(U, dtype=float)
     if R.shape != U.shape or R.ndim != 2 or R.shape[0] != R.shape[1]:
         raise InvalidDimensionError(f"shape mismatch: R {R.shape}, U {U.shape}")
-    return _band_cost(U.T @ R @ U, eps1, eps2)
+    G = U.T @ R @ U
+    return _band_cost(G, np.diag(G.diagonal()), eps1, eps2)
 
 
-def _band_cost(G: np.ndarray, eps1: float, eps2: float) -> float:
-    d = np.diag(G)
-    off = G - np.diag(d)
-    off2 = float(np.sum(off * off))
+def _band_cost(G: np.ndarray, D: np.ndarray, eps1: float, eps2: float) -> float:
+    # D is np.diag(G.diagonal()); d must stay the strided diagonal view: a
+    # contiguous copy takes another BLAS dot path and rounds differently
+    d = G.diagonal()
+    off = G - D
+    off2 = float((off * off).sum())
     d2 = float(d @ d)
     return (off2 + eps1 * eps1 * d2) + (off2 + eps2 * eps2 * d2)
 
@@ -153,12 +169,18 @@ def grad_E_wrt_U(
         raise InvalidDimensionError(f"shape mismatch: R {R.shape}, U {U.shape}")
     if formula != "canonical":
         raise InvalidInputError(f"unknown formula {formula!r}")
-    return _grad_E_canonical(R, U, U.T @ R @ U, eps1, eps2)
+    G = U.T @ R @ U
+    return _grad_E_canonical(4.0 * R, U, G, np.diag(G.diagonal()), _diag_coef(eps1, eps2))
 
 
-def _grad_E_canonical(R, U, G, eps1: float, eps2: float) -> np.ndarray:
-    D = np.diag(np.diag(G))
-    return 4.0 * R @ U @ (2.0 * G - (2.0 - eps1 * eps1 - eps2 * eps2) * D)
+def _diag_coef(eps1: float, eps2: float) -> float:
+    return 2.0 - eps1 * eps1 - eps2 * eps2
+
+
+def _grad_E_canonical(R4, U, G, D, coef: float) -> np.ndarray:
+    # R4 = 4 R and coef = _diag_coef(eps1, eps2), both fixed over a run;
+    # 4.0 * R @ U @ F parses as ((4.0 * R) @ U) @ F, so passing 4 R is exact
+    return R4 @ U @ (2.0 * G - coef * D)
 
 
 def dL_du(sp: SpectralPair, k: int, l: int) -> np.ndarray:
@@ -180,10 +202,12 @@ def dL_du(sp: SpectralPair, k: int, l: int) -> np.ndarray:
 
 def _inverse_gaps(gamma: np.ndarray) -> np.ndarray:
     # entry (b, a) = 1 / (gamma_a - gamma_b), zero on the diagonal
-    n = gamma.shape[0]
-    diff = gamma[None, :] - gamma[:, None] + np.eye(n)
+    # .flat[::step] is np.fill_diagonal without its argument checks
+    step = gamma.shape[0] + 1
+    diff = gamma[None, :] - gamma[:, None]
+    diff.flat[::step] = 1.0  # keeps 1 / 0 off the diagonal
     inv = 1.0 / diff
-    np.fill_diagonal(inv, 0.0)
+    inv.flat[::step] = 0.0
     return inv
 
 
@@ -195,9 +219,14 @@ def _grad_core(g: WeightedGraph, sp: SpectralPair, GE: np.ndarray) -> np.ndarray
     """
     if is_degenerate(sp.gamma):
         raise DegenerateSpectrumError(f"minimum eigen-gap below {DEGENERACY_GAP:g}")
+    P, Q = g.topology.endpoints.T
+    return _edge_trace(P, Q, sp, GE)
+
+
+def _edge_trace(P: np.ndarray, Q: np.ndarray, sp: SpectralPair, GE: np.ndarray) -> np.ndarray:
+    # _grad_core for a spectrum already known to be simple
     W = (sp.U.T @ GE) * _inverse_gaps(sp.gamma)
     S = sp.U @ W @ sp.U.T
-    P, Q = g.topology.endpoints.T
     return S[P, P] + S[Q, Q] - S[P, Q] - S[Q, P]
 
 
@@ -217,11 +246,20 @@ def optimize(R: np.ndarray, t: Topology, hp: HyperParams) -> PrecogResult:
     Stops on max_iter, a cost change below tol, or (when band_exit is set)
     all normalized eigenvalues inside [1 - eps2, 1 + eps1].  Near-degenerate
     spectra get a one-time weight jitter; five consecutive jitters abort.
+
+    The result is bitwise equal to the public-function loop in
+    tests/test_learn.py.  L is exactly symmetric by construction, so only
+    w and L's diagonal are checked (for finiteness), and the degeneracy
+    test runs once per iteration.
     """
     R = np.asarray(R, dtype=float)
     cond_spd(R)  # rejects asymmetric or non-positive-definite input
     rng = np.random.default_rng(hp.seed)
     w = rng.standard_normal(t.n_edges)
+    P, Q = t.endpoints.T
+    R4 = 4.0 * R
+    coef = _diag_coef(hp.eps1, hp.eps2)
+    shrink = 1.0 - 2.0 * hp.beta
     history: list[IterationRecord] = []
     best_cond = np.inf
     best_U: np.ndarray | None = None
@@ -232,8 +270,12 @@ def optimize(R: np.ndarray, t: Topology, hp: HyperParams) -> PrecogResult:
     reason = "max_iter"
 
     for it in range(hp.max_iter):
-        g = WeightedGraph(t, w)
-        sp = sym_eig(laplacian(g))
+        if not np.isfinite(w).all():
+            raise InvalidInputError("edge weights must be finite")
+        L = _laplacian(t, w)
+        if not np.isfinite(L.diagonal()).all():  # a degree sum can overflow
+            raise InvalidInputError("matrix has non-finite entries")
+        sp = _eig(L)
         if is_degenerate(sp.gamma):
             if consecutive_jitters >= MAX_CONSECUTIVE_JITTERS:
                 raise DegenerateSpectrumError(
@@ -248,12 +290,13 @@ def optimize(R: np.ndarray, t: Topology, hp: HyperParams) -> PrecogResult:
         U = sp.U
         max_unitarity = max(max_unitarity, orthonormality_error(U))
         G = U.T @ R @ U  # shared by the score, the cost and the gradient
+        D = np.diag(G.diagonal())  # shared by the cost and the gradient
         s_ev = np.linalg.eigvalsh(power_normalize(G).S)
         split_cond = float(s_ev[-1] / s_ev[0])
-        cost = _band_cost(G, hp.eps1, hp.eps2) + hp.beta * (float(w @ w) - 1.0)
-        grad_core = _grad_core(g, sp, _grad_E_canonical(R, U, G, hp.eps1, hp.eps2))
+        cost = _band_cost(G, D, hp.eps1, hp.eps2) + hp.beta * (float(w @ w) - 1.0)
+        grad_core = _edge_trace(P, Q, sp, _grad_E_canonical(R4, U, G, D, coef))
         grad_full = grad_core + 2.0 * hp.beta * w
-        if not np.isfinite(cost) or not np.all(np.isfinite(grad_core)):
+        if not np.isfinite(cost) or not np.isfinite(grad_core).all():
             raise DivergenceError(f"non-finite cost or gradient at iteration {it}")
 
         history.append(
@@ -278,7 +321,7 @@ def optimize(R: np.ndarray, t: Topology, hp: HyperParams) -> PrecogResult:
             break
         prev_cost = cost
 
-        w = w * (1.0 - 2.0 * hp.beta) - hp.mu * grad_core
+        w = w * shrink - hp.mu * grad_core
 
     if best_U is None:
         raise DegenerateSpectrumError("no non-degenerate iterate was reached")

@@ -45,10 +45,10 @@ def _check_symmetric(M: np.ndarray, what: str = "matrix") -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InvalidInputError(f"{what} must be square, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
+    if not np.isfinite(M).all():
         raise InvalidInputError(f"{what} has non-finite entries")
     # relative to max|M| above 1: a congruence U^T R U is symmetric only to rounding of R
-    asym = np.max(np.abs(M - M.T), initial=0.0)
+    asym = np.abs(M - M.T).max(initial=0.0)
     if asym > SYMMETRY_TOL and asym > SYMMETRY_TOL * max(1.0, np.max(np.abs(M))):
         raise SymmetryError(f"{what} is not symmetric to {SYMMETRY_TOL:g} times max(1, max|M|)")
     return M
@@ -56,15 +56,24 @@ def _check_symmetric(M: np.ndarray, what: str = "matrix") -> np.ndarray:
 
 def canonical_sign(U: np.ndarray) -> np.ndarray:
     """Flip column signs so each column's largest-magnitude entry is positive."""
-    k = np.argmax(np.abs(U), axis=0)  # first index on ties
-    return U * np.where(U[k, np.arange(U.shape[1])] < 0, -1.0, 1.0)
+    return U * _column_signs(U)
+
+
+def _column_signs(U: np.ndarray) -> np.ndarray:
+    k = np.abs(U).argmax(axis=0)  # first index on ties
+    return np.where(U[k, np.arange(U.shape[1])] < 0, -1.0, 1.0)
 
 
 def sym_eig(M: np.ndarray) -> SpectralPair:
     """Eigendecomposition of a symmetric matrix under the canonical convention."""
-    M = _check_symmetric(M)
+    return _eig(_check_symmetric(M))
+
+
+def _eig(M: np.ndarray) -> SpectralPair:
+    # sym_eig without the input check, for matrices symmetric by construction
     gamma, U = np.linalg.eigh(M)
-    return SpectralPair(U=canonical_sign(U), gamma=gamma)
+    U *= _column_signs(U)  # in place: x * -1.0 is bitwise -x
+    return SpectralPair(U=U, gamma=gamma)
 
 
 def cond_spd(M: np.ndarray) -> float:
@@ -96,21 +105,23 @@ def cond_general(M: np.ndarray) -> float:
 def power_normalize(R: np.ndarray) -> NormalizedAutocorr:
     """Symmetric diagonal scaling to unit diagonal: delta^{-1/2} R delta^{-1/2}."""
     R = _check_symmetric(R)
-    delta = np.diag(R).copy()
-    if np.any(delta <= 0.0):
+    delta = R.diagonal().copy()
+    if (delta <= 0.0).any():
         bad = int(np.argmin(delta))
         raise NormalizationDomainError(
             f"diagonal entry {bad} is {delta[bad]:g}, must be positive"
         )
     inv_sqrt = 1.0 / np.sqrt(delta)
-    S = R * np.outer(inv_sqrt, inv_sqrt)
+    S = R * (inv_sqrt[:, None] * inv_sqrt)  # the outer product, without np.outer's ravels
     return NormalizedAutocorr(S=S, delta=delta)
 
 
 def orthonormality_error(U: np.ndarray) -> float:
     """Frobenius norm of U^T U - I."""
     U = np.asarray(U, dtype=float)
-    return float(np.linalg.norm(U.T @ U - np.eye(U.shape[1])))
+    E = U.T @ U
+    E.flat[:: E.shape[0] + 1] -= 1.0  # E - I without building I
+    return float(np.linalg.norm(E))
 
 
 def split_preconditioned_cond(R: np.ndarray, U: np.ndarray) -> float:

@@ -428,6 +428,20 @@ def test_bad_hyperparameter_flag_is_usage_error(tmp_path, capsys, command, flags
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["bench", "precondition"])
+@pytest.mark.parametrize("flag, value", [
+    ("--beta", "inf"), ("--beta", "nan"), ("--eps1", "nan"), ("--eps1", "inf"),
+    ("--tol", "nan"), ("--tol", "inf"),
+])
+def test_non_finite_hyperparameter_is_usage_error(tmp_path, capsys, command, flag, value):
+    out = tmp_path / "out.txt"
+    out_flag = "--out" if command == "bench" else "--out-u"
+    code, _, err = run(capsys, command, "--family", "ar1", "--n", "6", "--rho", "0.5",
+                       flag, value, out_flag, str(out))
+    assert_usage_error(code, err, f"{flag[2:]} must be finite")
+    assert not out.exists()
+
+
 MATRIX_FLAG_CASES = {
     "ar1-n": (["--family", "ar1", "--n", "0"], "n must be positive"),
     "ar1-rho": (["--family", "ar1", "--rho", "1.5"], "rho"),

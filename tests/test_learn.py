@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from conftest import rand_orthonormal, rand_spd
 from precog.errors import (
     DegenerateSpectrumError,
+    DivergenceError,
     InvalidDimensionError,
     InvalidInputError,
     NotPositiveDefiniteError,
@@ -19,17 +20,28 @@ from precog.graph import (
     theta,
 )
 from precog.learn import (
+    JITTER_SCALE,
+    MAX_CONSECUTIVE_JITTERS,
     HyperParams,
+    IterationRecord,
+    PrecogResult,
     _grad_core,
     cost_E,
     cost_EN,
     dL_du,
     grad_E_wrt_U,
     grad_EN_wrt_w,
+    is_degenerate,
     optimize,
 )
 from precog.matgen import ar1_autocorr, hilbert
-from precog.spectral import power_normalize, split_preconditioned_cond, sym_eig
+from precog.spectral import (
+    cond_spd,
+    orthonormality_error,
+    power_normalize,
+    split_preconditioned_cond,
+    sym_eig,
+)
 
 FD_STEP = 1e-6
 
@@ -86,6 +98,61 @@ def du_dw_perturbation(sp, theta_i, degeneracy_gap):
     gaps = sp.gamma[None, :] - sp.gamma[:, None]
     np.fill_diagonal(gaps, np.inf)
     return sp.U @ ((sp.U.T @ theta_i @ sp.U) / gaps)
+
+
+def optimize_reference(R, t, hp):
+    """Oracle: optimize's loop written with the public layer functions, one call each."""
+    R = np.asarray(R, dtype=float)
+    cond_spd(R)
+    rng = np.random.default_rng(hp.seed)
+    w = rng.standard_normal(t.n_edges)
+    history = []
+    best_cond = np.inf
+    best_U = None
+    prev_cost = None
+    consecutive_jitters = 0
+    max_unitarity = 0.0
+    converged = False
+    reason = "max_iter"
+    for it in range(hp.max_iter):
+        g = WeightedGraph(t, w)
+        sp = sym_eig(laplacian(g))
+        if is_degenerate(sp.gamma):
+            if consecutive_jitters >= MAX_CONSECUTIVE_JITTERS:
+                raise DegenerateSpectrumError(
+                    f"spectrum stayed degenerate after {consecutive_jitters} jitters "
+                    f"at iteration {it}"
+                )
+            w = w + JITTER_SCALE * np.linalg.norm(w) * rng.standard_normal(w.shape)
+            consecutive_jitters += 1
+            continue
+        consecutive_jitters = 0
+        U = sp.U
+        max_unitarity = max(max_unitarity, orthonormality_error(U))
+        s_ev = np.linalg.eigvalsh(power_normalize(U.T @ R @ U).S)
+        split_cond = float(s_ev[-1] / s_ev[0])
+        cost = cost_E(R, U, hp.eps1, hp.eps2) + hp.beta * (float(w @ w) - 1.0)
+        grad_core = _grad_core(g, sp, grad_E_wrt_U(R, U, hp.eps1, hp.eps2))
+        grad_full = grad_core + 2.0 * hp.beta * w
+        if not np.isfinite(cost) or not np.all(np.isfinite(grad_core)):
+            raise DivergenceError(f"non-finite cost or gradient at iteration {it}")
+        history.append(IterationRecord(t=it, cost=cost, split_cond=split_cond,
+                                       grad_norm=float(np.linalg.norm(grad_full))))
+        if split_cond < best_cond:
+            best_cond = split_cond
+            best_U = U.copy()
+        if hp.band_exit and s_ev[0] >= 1.0 - hp.eps2 and s_ev[-1] <= 1.0 + hp.eps1:
+            converged, reason = True, "band"
+            break
+        if prev_cost is not None and abs(cost - prev_cost) < hp.tol:
+            converged, reason = True, "tol"
+            break
+        prev_cost = cost
+        w = w * (1.0 - 2.0 * hp.beta) - hp.mu * grad_core
+    if best_U is None:
+        raise DegenerateSpectrumError("no non-degenerate iterate was reached")
+    return PrecogResult(U=best_U, w_final=w, history=history, converged=converged,
+                        reason=reason, max_unitarity_error=max_unitarity)
 
 
 def nondegenerate_weights(topo, rng, gap=1e-6):
@@ -312,6 +379,12 @@ class TestHyperParams:
         with pytest.raises(InvalidInputError):
             HyperParams(max_iter=0)
 
+    @pytest.mark.parametrize("name", ["mu", "beta", "eps1", "eps2", "tol"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite(self, name, value):
+        with pytest.raises(InvalidInputError, match=name):
+            HyperParams(**{name: value})
+
 
 class TestOptimize:
     def test_identity_exits_by_tolerance(self):
@@ -386,3 +459,45 @@ class TestOptimize:
         assert len(res.history) <= hp.max_iter
         assert all(np.isfinite(rec.cost) for rec in res.history)
         assert all(rec.split_cond > 0 for rec in res.history)
+
+
+def banded2(n):
+    return banded_topology(n, 2)
+
+
+@pytest.mark.parametrize("R, make, hp, reason", [
+    *(pytest.param(ar1_autocorr(n, 0.9), make, HyperParams(max_iter=iters, seed=n),
+                   "max_iter", id=f"{name}-n{n}")
+      for n, iters in ((5, 120), (12, 120), (64, 25))
+      for name, make in (("banded2", banded2), ("full", full_topology))),
+    pytest.param(hilbert(10, 1e-4), full_topology, HyperParams(max_iter=80, seed=1),
+                 "max_iter", id="hilbert-full-n10"),
+    pytest.param(np.eye(6), banded2, HyperParams(beta=0.0, max_iter=50, seed=3),
+                 "tol", id="tol-stop"),
+    pytest.param(np.eye(6), banded2, HyperParams(beta=0.0, max_iter=50, seed=3, band_exit=True),
+                 "band", id="band-exit-stop"),
+])
+def test_optimize_bitwise_equals_public_function_loop(R, make, hp, reason):
+    t = make(R.shape[0])
+    got = optimize(R, t, hp)
+    want = optimize_reference(R, t, hp)
+    assert got.reason == want.reason == reason
+    assert got.converged == want.converged
+    assert got.history == want.history
+    assert got.U.tobytes() == want.U.tobytes()
+    assert got.w_final.tobytes() == want.w_final.tobytes()
+    assert got.max_unitarity_error == want.max_unitarity_error
+
+
+class TestJitter:
+    # two isolated vertices: the Laplacian's zero eigenvalue is always repeated
+    TOPOLOGY = Topology(4, ((0, 1),))
+
+    def test_gives_up_after_consecutive_jitters(self):
+        with pytest.raises(DegenerateSpectrumError, match="after 5 jitters at iteration 5"):
+            optimize(np.eye(4), self.TOPOLOGY, HyperParams(max_iter=50))
+
+    def test_no_nondegenerate_iterate(self):
+        with pytest.raises(DegenerateSpectrumError,
+                           match="no non-degenerate iterate was reached"):
+            optimize(np.eye(4), self.TOPOLOGY, HyperParams(max_iter=3))
