@@ -31,7 +31,6 @@ class Preconditioner:
     """
 
     payload: np.ndarray
-    label: str
     factors: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self) -> None:
@@ -132,13 +131,13 @@ def _check_diag(A: np.ndarray, label: str) -> np.ndarray:
 def jacobi_precond(A: np.ndarray) -> Preconditioner:
     """Diagonal (Jacobi) preconditioner M = diag(A)."""
     A = _check_diag(A, "jacobi")
-    return Preconditioner(payload=np.diag(np.diag(A)), label="jacobi")
+    return Preconditioner(payload=np.diag(np.diag(A)))
 
 
 def gauss_seidel_precond(A: np.ndarray) -> Preconditioner:
     """Gauss-Seidel preconditioner M = D + L (diagonal plus strict lower part)."""
     A = _check_diag(A, "gauss-seidel")
-    return Preconditioner(payload=np.tril(A), label="gauss-seidel")
+    return Preconditioner(payload=np.tril(A))
 
 
 def check_omega(omega: float) -> None:
@@ -152,7 +151,7 @@ def sor_precond(A: np.ndarray, omega: float = DEFAULT_OMEGA) -> Preconditioner:
     check_omega(omega)
     A = _check_diag(A, "sor")
     M = np.tril(A, -1) + np.diag(np.diag(A)) / omega
-    return Preconditioner(payload=M, label="sor")
+    return Preconditioner(payload=M)
 
 
 def ssor_precond(A: np.ndarray, omega: float = DEFAULT_OMEGA) -> Preconditioner:
@@ -162,7 +161,7 @@ def ssor_precond(A: np.ndarray, omega: float = DEFAULT_OMEGA) -> Preconditioner:
     D = np.diag(A)
     K = np.tril(A, -1) + np.diag(D) / omega
     M = (omega / (2.0 - omega)) * K @ np.diag(1.0 / D) @ K.T
-    return Preconditioner(payload=M, label="ssor")
+    return Preconditioner(payload=M)
 
 
 def ilu0_precond(A: np.ndarray) -> Preconditioner:
@@ -195,7 +194,7 @@ def ilu0_precond(A: np.ndarray) -> Preconditioner:
         )
     Lf = np.tril(LU, -1) + np.eye(n)
     Uf = np.triu(LU)
-    return Preconditioner(payload=Lf @ Uf, label="ilu0", factors=(Lf, Uf))
+    return Preconditioner(payload=Lf @ Uf, factors=(Lf, Uf))
 
 
 def none_cond(R: np.ndarray) -> float:

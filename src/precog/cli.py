@@ -17,6 +17,7 @@ import os
 import sys
 import time
 from collections import Counter
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +53,7 @@ from .matgen import (
     save_matrix,
 )
 from .spectral import cond_spd, split_preconditioned_cond, sym_eig
-from .tdlms import FilterConfig, system_id_experiment
+from .tdlms import FilterConfig, check_run, system_id_experiment
 
 BENCH_HEADER = (
     "matrix_id,n,family,params,method,cond_raw,cond_method,condition_ratio,"
@@ -68,12 +69,11 @@ class UsageError(Exception):
     """Bad command line or environment; main reports it and exits 2."""
 
 
-def _env_seed() -> int:
-    raw = os.environ.get("PRECOG_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"PRECOG_SEED must be an integer, got {raw!r}") from None
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors raise UsageError instead of printing usage and exiting."""
+
+    def error(self, message: str):
+        raise UsageError(message)
 
 
 def _fmt(x) -> str:
@@ -84,12 +84,29 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _float_list(text: str) -> list[float]:
+def _list_of(kind):
+    """Argument type: a comma-separated list of kind (int or float) values."""
+    def parse(text: str) -> list:
+        try:
+            return [kind(v) for v in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {kind.__name__} values, got {text!r}") from None
+    return parse
+
+
+def _seeds(args: argparse.Namespace) -> list[int]:
+    """--seed, else PRECOG_SEED, else 0; each in [0, 2**64), and only bench takes several."""
+    source = "--seed" if args.seed is not None else "PRECOG_SEED"
     try:
-        return [float(v) for v in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated numbers, got {text!r}") from None
+        seeds = args.seed or _list_of(int)(os.environ.get("PRECOG_SEED", "0"))
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"PRECOG_SEED: {exc}") from None
+    if len(seeds) > 1 and args.command != "bench":
+        raise UsageError(f"{args.command} takes one seed, got {len(seeds)} from {source}")
+    if not all(0 <= seed < 2**64 for seed in seeds):
+        raise UsageError(f"{source} values must lie in [0, 2**64), got {seeds}")
+    return seeds
 
 
 def _add_matrix_flags(p: argparse.ArgumentParser, with_files: bool = False) -> None:
@@ -100,14 +117,14 @@ def _add_matrix_flags(p: argparse.ArgumentParser, with_files: bool = False) -> N
                    help="generate a matrix family instead of reading files")
     p.add_argument("--n", type=int, default=8, help="matrix dimension")
     # a flag per FAMILIES parameter name; bench runs every combination of the lists
-    p.add_argument("--alpha", type=_float_list, default=[0.0], help="hilbert regularizer")
-    p.add_argument("--reg", type=_float_list, default=[1e-3], help="random-pd regularizer")
-    p.add_argument("--density", type=_float_list, default=[0.5], help="sparse-pd density")
-    p.add_argument("--shift-margin", type=_float_list, default=[DEFAULT_SHIFT_MARGIN],
+    p.add_argument("--alpha", type=_list_of(float), default=[0.0], help="hilbert regularizer")
+    p.add_argument("--reg", type=_list_of(float), default=[1e-3], help="random-pd regularizer")
+    p.add_argument("--density", type=_list_of(float), default=[0.5], help="sparse-pd density")
+    p.add_argument("--shift-margin", type=_list_of(float), default=[DEFAULT_SHIFT_MARGIN],
                    help="sparse-pd diagonal margin")
-    p.add_argument("--rho", type=_float_list, default=[0.9], help="ar1 correlation factor")
-    p.add_argument("--rho1", type=_float_list, default=[0.9], help="ar2 first pole")
-    p.add_argument("--rho2", type=_float_list, default=[0.5], help="ar2 second pole")
+    p.add_argument("--rho", type=_list_of(float), default=[0.9], help="ar1 correlation factor")
+    p.add_argument("--rho1", type=_list_of(float), default=[0.9], help="ar2 first pole")
+    p.add_argument("--rho2", type=_list_of(float), default=[0.5], help="ar2 second pole")
 
 
 # the value-less flags; a config line sets one with 1/true/yes/on, else leaves it unset
@@ -167,17 +184,9 @@ def _build_matrix(spec: MatrixSpec) -> np.ndarray:
 
 
 def _hyperparams_from_args(args: argparse.Namespace, seed: int) -> HyperParams:
-    return _from_flags(
-        HyperParams,
-        mu=args.mu,
-        beta=args.beta,
-        eps1=args.eps1,
-        eps2=args.eps2,
-        max_iter=args.max_iter,
-        tol=args.tol,
-        seed=seed,
-        band_exit=args.band_exit,
-    )
+    """HyperParams from the learning flags, each named after the field it sets."""
+    flags = {f.name: getattr(args, f.name) for f in fields(HyperParams) if f.name in args}
+    return _from_flags(HyperParams, **flags | {"seed": seed})
 
 
 def _topology_from_args(args: argparse.Namespace, n: int):
@@ -187,8 +196,7 @@ def _topology_from_args(args: argparse.Namespace, n: int):
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else _env_seed()
-    spec = _one_matrix_spec(args, seed)
+    spec = _one_matrix_spec(args, args.seed[0])
     M = _build_matrix(spec)
     cond = cond_spd(M)  # a matrix that is not SPD fails before anything is written
     save_matrix(M, args.out)
@@ -198,15 +206,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    if args.seed is None:
-        seeds = [_env_seed()]
-    else:
-        try:
-            seeds = [int(s) for s in args.seed.split(",")]
-        except ValueError:
-            raise UsageError(
-                f"--seed must be comma-separated integers, got {args.seed!r}"
-            ) from None
     _from_flags(check_omega, args.omega)
     methods = sorted({m.strip() for m in args.methods.split(",") if m.strip()} | {"precog"})
     for m in methods:
@@ -214,14 +213,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
             raise UsageError(f"unknown method {m!r}; choose from {METHOD_NAMES}")
 
     specs: list[tuple[MatrixSpec, int]] = []
-    for seed in seeds:
+    for seed in args.seed:
         for path in args.matrix:
             specs.append((MatrixSpec(family="file", path=path), seed))
         if args.family is not None:
             specs.extend((spec, seed) for spec in _family_specs(args, seed))
     if not specs:
         raise UsageError("bench needs --matrix and/or --family")
-    ids = [spec.label() if len(seeds) == 1 else f"{spec.label()}#s{seed}"
+    ids = [spec.label() if len(args.seed) == 1 else f"{spec.label()}#s{seed}"
            for spec, seed in specs]
     for matrix_id, count in Counter(ids).items():
         if count > 1:
@@ -295,12 +294,12 @@ def _central_diff(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else _env_seed()
+    seed = args.seed[0]
     n = args.n
     rng = np.random.default_rng(seed)
     R = random_pd(n, seed, 0.1)
     topo = _topology_from_args(args, n)
-    hp = _from_flags(HyperParams, seed=seed)
+    hp = HyperParams(seed=seed)  # the seed was range-checked before dispatch
 
     # sample a weight vector with a resolvable spectrum
     w = None
@@ -334,7 +333,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
 
 def cmd_precondition(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else _env_seed()
+    seed = args.seed[0]
     spec = _one_matrix_spec(args, seed)
     R = _build_matrix(spec)
     hp = _hyperparams_from_args(args, seed)
@@ -356,19 +355,20 @@ def cmd_precondition(args: argparse.Namespace) -> int:
 
 
 def cmd_lms(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else _env_seed()
+    seed = args.seed[0]
     spec = SignalSpec(family=args.signal, rho=args.rho, rho1=args.rho1, rho2=args.rho2)
+    # every flag is checked before a transform is learned or the filter runs
+    cfg = _from_flags(FilterConfig, taps=args.taps, step=args.step)
+    R = _from_flags(spec.autocorr, args.taps)
+    _from_flags(check_run, args.run_len, args.noise_db)
 
-    transform = None
     if args.transform == "dct":
-        transform = dct_matrix(args.taps).T
+        cfg = replace(cfg, transform=dct_matrix(args.taps).T)
     elif args.transform == "precog":
-        R = spec.autocorr(args.taps)
         hp = _hyperparams_from_args(args, seed)
         topo = _topology_from_args(args, args.taps)
-        transform = optimize(R, topo, hp).U
+        cfg = replace(cfg, transform=optimize(R, topo, hp).U)
 
-    cfg = FilterConfig(taps=args.taps, step=args.step, transform=transform)
     rng = np.random.default_rng(seed)
     plant = rng.standard_normal(args.taps)
     plant /= np.linalg.norm(plant)
@@ -383,7 +383,7 @@ def cmd_lms(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="precog",
         description="Learned unitary split preconditioners and classical baselines",
     )
@@ -395,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="generate a test matrix file")
     _add_matrix_flags(p_gen)
-    p_gen.add_argument("--seed", type=int, default=None)
     p_gen.add_argument("--out", required=True, help="output matrix file")
     p_gen.set_defaults(func=cmd_gen)
 
@@ -406,7 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated method list")
     p_bench.add_argument("--omega", type=float, default=DEFAULT_OMEGA,
                          help="relaxation factor for sor/ssor")
-    p_bench.add_argument("--seed", default=None, help="seed, or a comma-separated sweep")
     p_bench.add_argument("--timing", action="store_true",
                          help="record wall-clock times (breaks byte determinism)")
     p_bench.add_argument("--out", default=None, help="output CSV (default stdout)")
@@ -418,14 +416,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="dimension (small: the oracle is O(n^4) eigensolves)")
     p_grad.add_argument("--topology", choices=["banded", "full"], default="banded")
     p_grad.add_argument("--band", type=int, default=2)
-    p_grad.add_argument("--seed", type=int, default=None)
     p_grad.set_defaults(func=cmd_gradcheck)
 
     p_pre = sub.add_parser("precondition", help="learn a transform for one matrix")
     _add_matrix_flags(p_pre)
     _add_hyper_flags(p_pre)
     p_pre.add_argument("--matrix", default=None, help="matrix text file")
-    p_pre.add_argument("--seed", type=int, default=None)
     p_pre.add_argument("--out-u", required=True, help="output file for the learned U")
     p_pre.add_argument("--history", default=None, help="optional history CSV")
     p_pre.set_defaults(func=cmd_precondition)
@@ -441,9 +437,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_lms.add_argument("--noise-db", type=float, default=30.0)
     p_lms.add_argument("--run-len", type=int, default=20000)
     p_lms.add_argument("--transform", choices=["none", "dct", "precog"], default="none")
-    p_lms.add_argument("--seed", type=int, default=None)
     p_lms.add_argument("--out", required=True, help="output trace CSV")
     p_lms.set_defaults(func=cmd_lms)
+    for p in sub.choices.values():
+        p.add_argument("--seed", type=_list_of(int), default=None,
+                       help="seed (bench: a comma-separated sweep); default $PRECOG_SEED, else 0")
     return parser
 
 
@@ -462,12 +460,9 @@ def _load_config(path: str) -> dict[str, str]:
 
 def _expand_config(argv: list[str]) -> list[str]:
     """Splice every --config file in after the command as --key=value flags (flags win)."""
-    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre = _Parser(add_help=False)
     pre.add_argument("--config", action="append", default=[])
-    try:
-        known, rest = pre.parse_known_args(argv)
-    except argparse.ArgumentError as exc:
-        raise UsageError(str(exc)) from None
+    known, rest = pre.parse_known_args(argv)
     pairs: dict[str, str] = {}
     for path in known.config:  # later files win
         pairs.update(_load_config(path))
@@ -481,8 +476,9 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
         args = build_parser().parse_args(_expand_config(argv))
+        args.seed = _seeds(args)
         return args.func(args)
-    except SystemExit as exc:
+    except SystemExit as exc:  # --help and --version
         return int(exc.code or 0)
     except (PrecogError, UsageError, OSError) as exc:  # OSError: a named file is unusable
         print(f"error: {exc}", file=sys.stderr)

@@ -113,9 +113,13 @@ class PrecogResult:
     U: np.ndarray
     w_final: np.ndarray
     history: list[IterationRecord] = field(default_factory=list)
-    converged: bool = False
     reason: str = ""
     max_unitarity_error: float = 0.0
+
+    @property
+    def converged(self) -> bool:
+        """True when the run stopped on the band or the tolerance, not the budget."""
+        return self.reason in ("band", "tol")
 
     @property
     def best_cond(self) -> float:
@@ -211,20 +215,13 @@ def _inverse_gaps(gamma: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _grad_core(g: WeightedGraph, sp: SpectralPair, GE: np.ndarray) -> np.ndarray:
-    """Per-edge trace term Tr((dE/dU)^T dU/dw_i); GE is dE/dU.
+def _edge_trace(P: np.ndarray, Q: np.ndarray, sp: SpectralPair, GE: np.ndarray) -> np.ndarray:
+    """Per-edge trace term Tr((dE/dU)^T dU/dw_i) of edges (P, Q); GE is dE/dU.
 
     With W = (U^T GE) * _inverse_gaps, edge (p, q) gets
-    S[p,p] + S[q,q] - S[p,q] - S[q,p] for S = U W U^T.
+    S[p,p] + S[q,q] - S[p,q] - S[q,p] for S = U W U^T.  The spectrum must
+    be simple (not is_degenerate); callers check it.
     """
-    if is_degenerate(sp.gamma):
-        raise DegenerateSpectrumError(f"minimum eigen-gap below {DEGENERACY_GAP:g}")
-    P, Q = g.topology.endpoints.T
-    return _edge_trace(P, Q, sp, GE)
-
-
-def _edge_trace(P: np.ndarray, Q: np.ndarray, sp: SpectralPair, GE: np.ndarray) -> np.ndarray:
-    # _grad_core for a spectrum already known to be simple
     W = (sp.U.T @ GE) * _inverse_gaps(sp.gamma)
     S = sp.U @ W @ sp.U.T
     return S[P, P] + S[Q, Q] - S[P, Q] - S[Q, P]
@@ -233,8 +230,11 @@ def _edge_trace(P: np.ndarray, Q: np.ndarray, sp: SpectralPair, GE: np.ndarray) 
 def grad_EN_wrt_w(g: WeightedGraph, R: np.ndarray, hp: HyperParams) -> np.ndarray:
     """Gradient of cost_EN over the edge weights: trace term plus 2 beta w."""
     sp = sym_eig(laplacian(g))
+    if is_degenerate(sp.gamma):
+        raise DegenerateSpectrumError(f"minimum eigen-gap below {DEGENERACY_GAP:g}")
     GE = grad_E_wrt_U(R, sp.U, hp.eps1, hp.eps2)
-    return _grad_core(g, sp, GE) + 2.0 * hp.beta * g.w
+    P, Q = g.topology.endpoints.T
+    return _edge_trace(P, Q, sp, GE) + 2.0 * hp.beta * g.w
 
 
 def optimize(R: np.ndarray, t: Topology, hp: HyperParams) -> PrecogResult:
@@ -266,7 +266,6 @@ def optimize(R: np.ndarray, t: Topology, hp: HyperParams) -> PrecogResult:
     prev_cost: float | None = None
     consecutive_jitters = 0
     max_unitarity = 0.0
-    converged = False
     reason = "max_iter"
 
     for it in range(hp.max_iter):
@@ -312,11 +311,9 @@ def optimize(R: np.ndarray, t: Topology, hp: HyperParams) -> PrecogResult:
             best_U = U.copy()
 
         if hp.band_exit and s_ev[0] >= 1.0 - hp.eps2 and s_ev[-1] <= 1.0 + hp.eps1:
-            converged = True
             reason = "band"
             break
         if prev_cost is not None and abs(cost - prev_cost) < hp.tol:
-            converged = True
             reason = "tol"
             break
         prev_cost = cost
@@ -329,7 +326,6 @@ def optimize(R: np.ndarray, t: Topology, hp: HyperParams) -> PrecogResult:
         U=best_U,
         w_final=w,
         history=history,
-        converged=converged,
         reason=reason,
         max_unitarity_error=max_unitarity,
     )

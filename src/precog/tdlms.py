@@ -50,8 +50,8 @@ class FilterConfig:
     def __post_init__(self) -> None:
         if self.taps < 1:
             raise InvalidDimensionError(f"taps must be positive, got {self.taps}")
-        if self.step <= 0.0:
-            raise InvalidInputError(f"step must be positive, got {self.step}")
+        if not 0.0 < self.step < np.inf:  # nan fails too
+            raise InvalidInputError(f"step must be positive and finite, got {self.step}")
         if not 0.0 < self.gamma_pow < 1.0:
             raise InvalidInputError(f"gamma_pow must be in (0, 1), got {self.gamma_pow}")
         if self.delta_pow <= 0.0:
@@ -183,6 +183,14 @@ def _block_lms(V: np.ndarray, d: np.ndarray, Z: np.ndarray, w: np.ndarray):
     return e, W, w
 
 
+def check_run(run_len: int, noise_db: float) -> None:
+    """Reject a run length below 1 or a non-finite signal-to-noise ratio."""
+    if run_len < 1:
+        raise InvalidDimensionError(f"run_len must be positive, got {run_len}")
+    if not np.isfinite(noise_db):
+        raise InvalidInputError(f"noise_db must be finite, got {noise_db}")
+
+
 def system_id_experiment(
     plant: np.ndarray,
     input_spec: SignalSpec,
@@ -208,8 +216,7 @@ def system_id_experiment(
         raise InvalidDimensionError(
             f"plant length {plant.shape} does not match taps={cfg.taps}"
         )
-    if run_len < 1:
-        raise InvalidDimensionError(f"run_len must be positive, got {run_len}")
+    check_run(run_len, noise_db)
     plant_energy = float(plant @ plant)
     if not plant_energy > 0.0:
         raise InvalidInputError("plant must be nonzero: misalignment is relative to its energy")

@@ -157,7 +157,7 @@ def ilu0_ikj_loop(A):
             raise IluBreakdownError(f"zero pivot at index {i}")
     Lf = np.tril(LU, -1) + np.eye(n)
     Uf = np.triu(LU)
-    return Preconditioner(payload=Lf @ Uf, label="ilu0", factors=(Lf, Uf))
+    return Preconditioner(payload=Lf @ Uf, factors=(Lf, Uf))
 
 
 def ilu0_outcome(make, A):
@@ -279,7 +279,7 @@ class TestPreconditionerType:
 
     def test_tiny_upper_entries_are_not_dropped(self):
         M = np.array([[1.0, 1e-9], [0.0, 1.0]])
-        inv = Preconditioner(payload=M, label="x").apply_inverse(np.eye(2))
+        inv = Preconditioner(payload=M).apply_inverse(np.eye(2))
         assert np.allclose(inv, [[1.0, -1e-9], [0.0, 1.0]], rtol=1e-12, atol=0.0)
 
     def test_ssor_with_tiny_couplings_solves_the_full_payload(self):
@@ -290,7 +290,7 @@ class TestPreconditionerType:
 
     def test_singular_left_payload_rejected(self):
         with pytest.raises(NumericallySingularError):
-            Preconditioner(payload=np.zeros((3, 3)), label="x")
+            Preconditioner(payload=np.zeros((3, 3)))
 
     def test_none_cond(self, rng):
         A = rand_spd(6, rng)

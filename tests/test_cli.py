@@ -368,7 +368,7 @@ CONFIG_CASES = {
                   ["--rho", "0.8", "--config", "{0}", "--config", "{1}"],
                   {"rho": [0.8], "n": 5}),
     "negative-list": ("bench", ["rho2 = -0.3,0.3"], ["--config", "{0}"], {"rho2": [-0.3, 0.3]}),
-    "seed-list": ("bench", ["seed = 0,1"], ["--config", "{0}"], {"seed": "0,1"}),
+    "seed-list": ("bench", ["seed = 0,1"], ["--config", "{0}"], {"seed": [0, 1]}),
     "out": ("gen", ["out = g.txt"], ["--config", "{0}"], {"out": "g.txt"}),
     "out-u": ("precondition", ["out_u = u.txt"], ["--config", "{0}"], {"out_u": "u.txt"}),
     "matrix": ("bench", ["matrix = m.txt"], ["--config", "{0}", "--matrix", "k.txt"],
@@ -463,6 +463,61 @@ def test_bad_matrix_family_flag_is_usage_error(tmp_path, capsys, command, flags,
     code, _, err = run(capsys, command, *flags, OUT_FLAG[command], str(out))
     assert_usage_error(code, err, needle)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, needle", [
+    pytest.param(["gen", "--family", "klein-bottle", "--out", "out.txt"], "--family",
+                 id="gen-family"),
+    pytest.param(["bench", "--family", "ar1", "--rho", "abc", "--out", "out.csv"], "--rho",
+                 id="bench-rho"),
+    pytest.param(["bench", "--family", "ar1", "--topology", "ring", "--out", "out.csv"],
+                 "--topology", id="bench-topology"),
+    pytest.param(["bench", "--family", "ar1", "--colour", "blue", "--out", "out.csv"],
+                 "--colour", id="unknown-flag"),
+    pytest.param([], "command", id="no-command"),
+])
+def test_argparse_error_is_one_error_line(tmp_path, capsys, monkeypatch, argv, needle):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert_usage_error(code, err, needle)
+    assert out == ""
+    assert not any(tmp_path.iterdir())
+
+
+# each command with flags that would write out.txt in the working directory
+SEED_COMMANDS = {
+    "gen": ["gen", "--family", "random-pd", "--n", "4", "--out", "out.txt"],
+    "bench": ["bench", "--family", "sparse-pd", "--n", "4", "--max-iter", "5", "--out", "out.txt"],
+    "precondition": ["precondition", "--family", "random-pd", "--n", "4", "--max-iter", "5",
+                     "--out-u", "out.txt"],
+    "lms": ["lms", "--taps", "4", "--run-len", "50", "--out", "out.txt"],
+    "gradcheck": ["gradcheck", "--n", "3"],
+}
+
+
+@pytest.mark.parametrize("command", SEED_COMMANDS)
+@pytest.mark.parametrize("flag_seed, env_seed", [
+    pytest.param("-1", None, id="flag-negative"),
+    pytest.param(str(2**64), None, id="flag-too-large"),
+    pytest.param(None, "-1", id="env-negative"),
+])
+def test_seed_out_of_range_is_usage_error(tmp_path, capsys, monkeypatch, command,
+                                          flag_seed, env_seed):
+    monkeypatch.chdir(tmp_path)
+    if env_seed is not None:
+        monkeypatch.setenv("PRECOG_SEED", env_seed)
+    flags = [] if flag_seed is None else ["--seed", flag_seed]
+    code, _, err = run(capsys, *SEED_COMMANDS[command], *flags)
+    assert_usage_error(code, err, "[0, 2**64)")
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", [c for c in SEED_COMMANDS if c != "bench"])
+def test_seed_list_outside_bench_is_usage_error(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, *SEED_COMMANDS[command], "--seed", "0,1")
+    assert_usage_error(code, err, f"{command} takes one seed")
+    assert not any(tmp_path.iterdir())
 
 
 def test_non_spd_family_is_still_numerical_failure(tmp_path, capsys):
@@ -582,6 +637,31 @@ class TestLms:
             "--seed", "2", "--out", str(out),
         )
         assert code == 0
+
+    @pytest.mark.parametrize("flags, needle", [
+        pytest.param(["--taps", "0"], "taps", id="taps"),
+        pytest.param(["--step", "-1"], "step", id="step"),
+        pytest.param(["--step", "nan"], "step", id="step-nan"),
+        pytest.param(["--step", "inf"], "step", id="step-inf"),
+        pytest.param(["--run-len", "0"], "run_len", id="run-len"),
+        pytest.param(["--rho", "1.5"], "rho", id="rho"),
+        pytest.param(["--signal", "ar2", "--rho1", "0.5", "--rho2", "0.5"], "rho1 == rho2",
+                     id="ar2-equal-poles"),
+        pytest.param(["--noise-db", "nan"], "noise_db", id="noise-db-nan"),
+        pytest.param(["--noise-db", "inf"], "noise_db", id="noise-db-inf"),
+        pytest.param(["--noise-db=-inf"], "noise_db", id="noise-db-minus-inf"),
+    ])
+    def test_bad_flag_is_usage_error_before_learning(self, tmp_path, capsys, monkeypatch,
+                                                     flags, needle):
+        def no_learning(*args):
+            raise AssertionError("optimize ran before the flags were checked")
+
+        monkeypatch.setattr(cli, "optimize", no_learning)
+        out = tmp_path / "trace.csv"
+        code, _, err = run(capsys, "lms", "--transform", "precog", "--taps", "8",
+                           "--run-len", "400", *flags, "--out", str(out))
+        assert_usage_error(code, err, needle)
+        assert not out.exists()
 
     def test_divergent_step_exits_1_without_trace(self, tmp_path, capsys):
         out = tmp_path / "trace.csv"

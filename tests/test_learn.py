@@ -25,7 +25,7 @@ from precog.learn import (
     HyperParams,
     IterationRecord,
     PrecogResult,
-    _grad_core,
+    _edge_trace,
     cost_E,
     cost_EN,
     dL_du,
@@ -101,23 +101,29 @@ def du_dw_perturbation(sp, theta_i, degeneracy_gap):
 
 
 def optimize_reference(R, t, hp):
-    """Oracle: optimize's loop written with the public layer functions, one call each."""
+    """Oracle: optimize's loop with the expressions of its helpers written out.
+
+    The band cost, dE/dU, the canonical sign of eigh's columns, the power
+    normalization and the edge trace are spelled out here in the same IEEE
+    operations as in learn and spectral, so a change that rounds
+    differently inside one of those helpers fails the bitwise comparison.
+    """
     R = np.asarray(R, dtype=float)
     cond_spd(R)
     rng = np.random.default_rng(hp.seed)
     w = rng.standard_normal(t.n_edges)
+    P, Q = t.endpoints.T
+    coef = 2.0 - hp.eps1 * hp.eps1 - hp.eps2 * hp.eps2
     history = []
     best_cond = np.inf
     best_U = None
     prev_cost = None
     consecutive_jitters = 0
     max_unitarity = 0.0
-    converged = False
     reason = "max_iter"
     for it in range(hp.max_iter):
-        g = WeightedGraph(t, w)
-        sp = sym_eig(laplacian(g))
-        if is_degenerate(sp.gamma):
+        gamma, U = np.linalg.eigh(laplacian(WeightedGraph(t, w)))
+        if is_degenerate(gamma):
             if consecutive_jitters >= MAX_CONSECUTIVE_JITTERS:
                 raise DegenerateSpectrumError(
                     f"spectrum stayed degenerate after {consecutive_jitters} jitters "
@@ -127,12 +133,28 @@ def optimize_reference(R, t, hp):
             consecutive_jitters += 1
             continue
         consecutive_jitters = 0
-        U = sp.U
+        # each column's largest-magnitude entry positive, the first one on ties
+        top = U[np.abs(U).argmax(axis=0), np.arange(t.n)]
+        U = U * np.where(top < 0, -1.0, 1.0)
         max_unitarity = max(max_unitarity, orthonormality_error(U))
-        s_ev = np.linalg.eigvalsh(power_normalize(U.T @ R @ U).S)
+        G = U.T @ R @ U
+        d = G.diagonal()
+        D = np.diag(d)
+        inv_sqrt = 1.0 / np.sqrt(d)
+        s_ev = np.linalg.eigvalsh(G * (inv_sqrt[:, None] * inv_sqrt))
         split_cond = float(s_ev[-1] / s_ev[0])
-        cost = cost_E(R, U, hp.eps1, hp.eps2) + hp.beta * (float(w @ w) - 1.0)
-        grad_core = _grad_core(g, sp, grad_E_wrt_U(R, U, hp.eps1, hp.eps2))
+        off = G - D
+        off2 = float((off * off).sum())
+        d2 = float(d @ d)
+        cost = ((off2 + hp.eps1 * hp.eps1 * d2) + (off2 + hp.eps2 * hp.eps2 * d2)
+                + hp.beta * (float(w @ w) - 1.0))
+        GE = 4.0 * R @ U @ (2.0 * G - coef * D)
+        gaps = gamma[None, :] - gamma[:, None]
+        np.fill_diagonal(gaps, 1.0)
+        inv_gaps = 1.0 / gaps
+        np.fill_diagonal(inv_gaps, 0.0)
+        S = U @ ((U.T @ GE) * inv_gaps) @ U.T
+        grad_core = S[P, P] + S[Q, Q] - S[P, Q] - S[Q, P]
         grad_full = grad_core + 2.0 * hp.beta * w
         if not np.isfinite(cost) or not np.all(np.isfinite(grad_core)):
             raise DivergenceError(f"non-finite cost or gradient at iteration {it}")
@@ -142,17 +164,17 @@ def optimize_reference(R, t, hp):
             best_cond = split_cond
             best_U = U.copy()
         if hp.band_exit and s_ev[0] >= 1.0 - hp.eps2 and s_ev[-1] <= 1.0 + hp.eps1:
-            converged, reason = True, "band"
+            reason = "band"
             break
         if prev_cost is not None and abs(cost - prev_cost) < hp.tol:
-            converged, reason = True, "tol"
+            reason = "tol"
             break
         prev_cost = cost
         w = w * (1.0 - 2.0 * hp.beta) - hp.mu * grad_core
     if best_U is None:
         raise DegenerateSpectrumError("no non-degenerate iterate was reached")
-    return PrecogResult(U=best_U, w_final=w, history=history, converged=converged,
-                        reason=reason, max_unitarity_error=max_unitarity)
+    return PrecogResult(U=best_U, w_final=w, history=history, reason=reason,
+                        max_unitarity_error=max_unitarity)
 
 
 def nondegenerate_weights(topo, rng, gap=1e-6):
@@ -348,7 +370,8 @@ class TestGradW:
         g = WeightedGraph(topo, nondegenerate_weights(topo, rng))
         sp = sym_eig(laplacian(g))
         hp = HyperParams(eps1=0.2, eps2=0.1)
-        fast = _grad_core(g, sp, grad_E_wrt_U(R, sp.U, hp.eps1, hp.eps2))
+        P, Q = topo.endpoints.T
+        fast = _edge_trace(P, Q, sp, grad_E_wrt_U(R, sp.U, hp.eps1, hp.eps2))
         slow = grad_core_loop(g, R, sp, hp)
         assert np.linalg.norm(fast - slow) <= 1e-12 * np.linalg.norm(slow)
 

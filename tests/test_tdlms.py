@@ -217,6 +217,14 @@ class TestSystemId:
                 np.zeros(4), SignalSpec("white"), 30.0, plain_cfg(taps=4), 100, seed=0
             )
 
+    @pytest.mark.parametrize("noise_db", [np.nan, np.inf, -np.inf])
+    def test_non_finite_noise_rejected(self, noise_db):
+        # not reported as a divergence: the noise level is an input, not a filter state
+        with pytest.raises(InvalidInputError, match="noise_db"):
+            system_id_experiment(
+                np.ones(4), SignalSpec("white"), noise_db, plain_cfg(taps=4), 100, seed=0
+            )
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_raises(self):
         plant = np.ones(4) / 2.0
