@@ -28,9 +28,7 @@ from .graph import (
     WeightedGraph,
     banded_topology,
     full_topology,
-    incidence_matrix,
     laplacian,
-    signed_degree_vector,
     theta,
 )
 from .learn import (

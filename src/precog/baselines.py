@@ -53,8 +53,6 @@ class Preconditioner:
 def _forward_solve(L: np.ndarray, B: np.ndarray) -> np.ndarray:
     n = L.shape[0]
     X = np.array(B, dtype=float, copy=True)
-    if X.ndim == 1:
-        X = X[:, None]
     for i in range(n):
         if i:
             X[i] -= L[i, :i] @ X[:i]
@@ -65,8 +63,6 @@ def _forward_solve(L: np.ndarray, B: np.ndarray) -> np.ndarray:
 def _backward_solve(U: np.ndarray, B: np.ndarray) -> np.ndarray:
     n = U.shape[0]
     X = np.array(B, dtype=float, copy=True)
-    if X.ndim == 1:
-        X = X[:, None]
     for i in range(n - 1, -1, -1):
         if i < n - 1:
             X[i] -= U[i, i + 1:] @ X[i + 1:]

@@ -1,11 +1,9 @@
-"""Graph topologies, incidence matrices, and weighted Laplacians.
+"""Graph topologies and weighted Laplacians.
 
 Vertices are zero-based internally (text I/O in the CLI uses one-based
 labels).  Edge weights may be negative: weight vectors are initialized from
 a zero-mean Gaussian, and everything downstream needs only the symmetry of
-the Laplacian, not positive semidefiniteness.  The incidence sign
-convention is fixed (+1 at the smaller vertex index) so that the matrix is
-bit-deterministic; the Laplacian is invariant to that choice.
+the Laplacian, not positive semidefiniteness.
 """
 
 from __future__ import annotations
@@ -90,17 +88,8 @@ def full_topology(n: int) -> Topology:
     return Topology(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)))
 
 
-def incidence_matrix(t: Topology) -> np.ndarray:
-    """n x |edges| incidence matrix: column e has +1 at row i, -1 at row j."""
-    P, Q = t.endpoints.T
-    B = np.zeros((t.n, t.n_edges))
-    B[P, np.arange(t.n_edges)] = 1.0
-    B[Q, np.arange(t.n_edges)] = -1.0
-    return B
-
-
 def laplacian(g: WeightedGraph) -> np.ndarray:
-    """Weighted graph Laplacian B diag(w) B^T.
+    """Weighted graph Laplacian B diag(w) B^T, B the signed incidence matrix.
 
     The diagonal is an ordered bincount that adds each vertex's weights in
     edge order, so the result is bitwise equal to the sum of w_i * theta_i.
@@ -111,7 +100,8 @@ def laplacian(g: WeightedGraph) -> np.ndarray:
 def _laplacian(t: Topology, w: np.ndarray) -> np.ndarray:
     # unchecked core of laplacian; exactly symmetric by construction
     P, Q = t.endpoints.T
-    L = np.diag(_signed_degrees(t, w))
+    # interleaved (p0, q0, p1, q1, ...): each vertex accumulates in edge order
+    L = np.diag(np.bincount(t.endpoints.ravel(), weights=np.repeat(w, 2), minlength=t.n))
     L[P, Q] = L[Q, P] = 0.0 - w  # not -w: a zero weight stays +0.0
     return L
 
@@ -132,12 +122,3 @@ def theta(g: WeightedGraph, edge_index: int) -> np.ndarray:
     T[p, q] = T[q, p] = -1.0
     return T
 
-
-def signed_degree_vector(g: WeightedGraph) -> np.ndarray:
-    """Per-vertex sum of signed weights over incident edges (the Laplacian diagonal)."""
-    return _signed_degrees(g.topology, g.w)
-
-
-def _signed_degrees(t: Topology, w: np.ndarray) -> np.ndarray:
-    # interleaved (p0, q0, p1, q1, ...): each vertex accumulates in edge order
-    return np.bincount(t.endpoints.ravel(), weights=np.repeat(w, 2), minlength=t.n)

@@ -131,12 +131,18 @@ def cost_E(R: np.ndarray, U: np.ndarray, eps1: float, eps2: float) -> float:
 
     G = U^T R U, D its diagonal part, s+ = 1 + eps1, s- = 1 - eps2.
     """
+    R, U = _square_pair(R, U)
+    G = U.T @ R @ U
+    return _band_cost(G, np.diag(G.diagonal()), eps1, eps2)
+
+
+def _square_pair(R, U) -> tuple[np.ndarray, np.ndarray]:
+    """R and U as float arrays, checked to be square and of one shape."""
     R = np.asarray(R, dtype=float)
     U = np.asarray(U, dtype=float)
     if R.shape != U.shape or R.ndim != 2 or R.shape[0] != R.shape[1]:
         raise InvalidDimensionError(f"shape mismatch: R {R.shape}, U {U.shape}")
-    G = U.T @ R @ U
-    return _band_cost(G, np.diag(G.diagonal()), eps1, eps2)
+    return R, U
 
 
 def _band_cost(G: np.ndarray, D: np.ndarray, eps1: float, eps2: float) -> float:
@@ -167,10 +173,7 @@ def grad_E_wrt_U(
     G = U^T R U and D its diagonal part; certified against central finite
     differences of cost_E.  formula accepts only "canonical".
     """
-    R = np.asarray(R, dtype=float)
-    U = np.asarray(U, dtype=float)
-    if R.shape != U.shape or R.ndim != 2 or R.shape[0] != R.shape[1]:
-        raise InvalidDimensionError(f"shape mismatch: R {R.shape}, U {U.shape}")
+    R, U = _square_pair(R, U)
     if formula != "canonical":
         raise InvalidInputError(f"unknown formula {formula!r}")
     G = U.T @ R @ U
@@ -237,6 +240,8 @@ def grad_EN_wrt_w(g: WeightedGraph, R: np.ndarray, hp: HyperParams) -> np.ndarra
     return _edge_trace(P, Q, sp, GE) + 2.0 * hp.beta * g.w
 
 
+# an overflow shows as a non-finite cost or gradient, which raises DivergenceError
+@np.errstate(over="ignore", invalid="ignore")
 def optimize(R: np.ndarray, t: Topology, hp: HyperParams) -> PrecogResult:
     """Gradient descent over edge weights toward a well-conditioned transform.
 

@@ -21,8 +21,6 @@ from .errors import (
 
 DEFAULT_SHIFT_MARGIN = 0.05
 
-SPARSITY_PRESETS = (5 / 6, 2 / 3, 1 / 2, 1 / 3, 1 / 5)
-
 
 def hilbert(n: int, alpha: float = 0.0) -> np.ndarray:
     """Hilbert matrix H(i, j) = 1 / (i + j - 1) (one-based), plus alpha * I."""
@@ -41,8 +39,7 @@ def ar1_autocorr(n: int, rho: float) -> np.ndarray:
         raise InvalidDimensionError(f"n must be positive, got {n}")
     if not 0.0 <= rho < 1.0:
         raise InvalidInputError(f"rho must be in [0, 1), got {rho}")
-    idx = np.arange(n)
-    return rho ** np.abs(idx[:, None] - idx[None, :])
+    return _toeplitz_pow(n, rho)
 
 
 def ar2_coefficients(rho1: float, rho2: float) -> tuple[float, float]:
@@ -124,15 +121,12 @@ def random_sparse_pd(
     if shift_margin <= 0:
         raise InvalidInputError(f"shift_margin must be positive, got {shift_margin}")
     rng = np.random.default_rng(seed)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    m = int(round(density * len(pairs)))
+    I, J = np.triu_indices(n, 1)  # the vertex pairs in lexicographic order
+    m = int(round(density * I.size))
     A = np.zeros((n, n))
     if m > 0:
-        chosen = rng.choice(len(pairs), size=m, replace=False)
-        values = rng.standard_normal(m)
-        for k, p in enumerate(chosen):
-            i, j = pairs[p]
-            A[i, j] = A[j, i] = values[k]
+        chosen = rng.choice(I.size, size=m, replace=False)
+        A[I[chosen], J[chosen]] = A[J[chosen], I[chosen]] = rng.standard_normal(m)
     lmin = float(np.linalg.eigvalsh(A)[0])
     return A + (abs(lmin) + shift_margin) * np.eye(n)
 

@@ -30,21 +30,17 @@ from .spectral import ORTHONORMALITY_TOL, orthonormality_error
 # arrays; 16-step blocks ran as fast as 32 and faster than 8
 _BLOCK = 16
 _CHUNK = 32 * _BLOCK
+# transform-domain power estimate: exponential window and floor
+_GAMMA = 0.99
+_DELTA = 1e-6
 
 
 @dataclass(frozen=True)
 class FilterConfig:
-    """Tap count, step size, power-estimator constants, optional transform.
-
-    transform=None means plain LMS.  gamma_pow is the exponential window of
-    the per-bin power estimate, delta_pow its floor; both only matter in
-    the transform-domain path.
-    """
+    """Tap count, step size and optional transform; transform=None means plain LMS."""
 
     taps: int
     step: float
-    gamma_pow: float = 0.99
-    delta_pow: float = 1e-6
     transform: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -52,10 +48,6 @@ class FilterConfig:
             raise InvalidDimensionError(f"taps must be positive, got {self.taps}")
         if not 0.0 < self.step < np.inf:  # nan fails too
             raise InvalidInputError(f"step must be positive and finite, got {self.step}")
-        if not 0.0 < self.gamma_pow < 1.0:
-            raise InvalidInputError(f"gamma_pow must be in (0, 1), got {self.gamma_pow}")
-        if self.delta_pow <= 0.0:
-            raise InvalidInputError(f"delta_pow must be positive, got {self.delta_pow}")
         if self.transform is not None:
             T = np.asarray(self.transform, dtype=float)
             if T.shape != (self.taps, self.taps):
@@ -99,9 +91,9 @@ def tdlms_step(
     if cfg.transform is None:
         raise InvalidInputError("tdlms_step needs a transform in the config")
     v = np.asarray(cfg.transform).T @ x_vec
-    state.power = cfg.gamma_pow * state.power + (1.0 - cfg.gamma_pow) * v * v
+    state.power = _GAMMA * state.power + (1.0 - _GAMMA) * v * v
     e = float(d - state.weights @ v)
-    state.weights = state.weights + cfg.step * e * v / (state.power + cfg.delta_pow)
+    state.weights = state.weights + cfg.step * e * v / (state.power + _DELTA)
     return state, e
 
 
@@ -144,7 +136,7 @@ def _gain_blocks(
     if cfg.transform is None:
         return cfg.step * V, p
     K, B, _ = V.shape
-    gamma = cfg.gamma_pow
+    gamma = _GAMMA
     lag = np.subtract.outer(np.arange(B), np.arange(B))
     P = np.where(lag >= 0, (1.0 - gamma) * gamma ** np.abs(lag), 0.0) @ (V * V)
     # p_in of block b: gamma^(bB) p + sum_{j<b} gamma^((b-1-j)B) (block j's own last power)
@@ -152,7 +144,7 @@ def _gain_blocks(
     p_in = (np.where(lag > 0, gamma ** (B * np.abs(lag - 1)), 0.0) @ P[:, -1]
             + gamma ** (B * np.arange(K))[:, None] * p)
     P += gamma ** np.arange(1, B + 1)[:, None] * p_in[:, None, :]
-    return cfg.step * V / (P + cfg.delta_pow), P[-1, -1]
+    return cfg.step * V / (P + _DELTA), P[-1, -1]
 
 
 def _block_lms(V: np.ndarray, d: np.ndarray, Z: np.ndarray, w: np.ndarray):

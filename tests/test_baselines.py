@@ -288,6 +288,15 @@ class TestPreconditionerType:
         assert np.allclose(p.apply_inverse(A), np.linalg.solve(p.payload, A),
                            rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("make", LEFT_FACTORIES,
+                             ids=["jacobi", "gauss-seidel", "sor", "ssor", "ilu0"])
+    def test_vector_keeps_its_shape(self, make, rng):
+        A = random_sparse_pd(9, 0.5, 1)
+        b = rng.standard_normal(9)
+        x = make(A).apply_inverse(b)
+        assert x.shape == (9,)
+        assert x.tobytes() == make(A).apply_inverse(b[:, None])[:, 0].tobytes()
+
     def test_singular_left_payload_rejected(self):
         with pytest.raises(NumericallySingularError):
             Preconditioner(payload=np.zeros((3, 3)))

@@ -23,6 +23,10 @@ def assert_usage_error(code, err, needle):
     assert needle in err
 
 
+# exactly symmetric and positive definite, but optimize overflows on it
+BIG200 = "3\n2e200 1e200 0\n1e200 2e200 1e200\n0 1e200 2e200\n"
+
+
 def csv_rows(path):
     header, *lines = path.read_text().splitlines()
     return [dict(zip(header.split(","), line.split(","))) for line in lines]
@@ -180,6 +184,21 @@ class TestBench:
         assert by_method["ilu0"][cols.index("status")] == "IluBreakdownError"
         assert by_method["ilu0"][cols.index("cond_method")] == ""
         assert by_method["none"][cols.index("status")] == "ok"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_diverging_precog_is_a_status_row(self, tmp_path, capsys):
+        big = tmp_path / "big200.txt"
+        big.write_text(BIG200)
+        out = tmp_path / "r.csv"
+        code, _, err = run(capsys, "bench", "--matrix", str(big), "--max-iter", "20",
+                           "--out", str(out))
+        assert code == 0 and err == ""
+        rows = {r["method"]: r for r in csv_rows(out)}
+        assert rows["precog"]["status"] == "DivergenceError"
+        assert all(rows["precog"][k] == "" for k in
+                   ("cond_method", "condition_ratio", "log10_ratio"))
+        baselines = [r for m, r in rows.items() if m != "precog"]
+        assert len(baselines) == 8 and all(r["status"] == "ok" for r in baselines)
 
     def test_failed_matrix_gets_status_rows(self, tmp_path, capsys, matrix_file):
         # hilbert(14) has a negative eigenvalue in floating point
@@ -529,6 +548,20 @@ def test_non_spd_family_is_still_numerical_failure(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_memory_error_is_one_error_line(tmp_path, capsys, monkeypatch):
+    # a mocked allocation failure: the real one would need tens of GiB
+    def too_big(n, rho):
+        raise MemoryError(f"Unable to allocate array with shape ({n}, {n})")
+
+    monkeypatch.setitem(FAMILIES, "ar1", (too_big, ("rho",), False))
+    out = tmp_path / "m.txt"
+    code, _, err = run(capsys, "gen", "--family", "ar1", "--n", "100000", "--out", str(out))
+    assert code == 1
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "100000" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, flags, needle", [
     pytest.param("gen", [], "gen needs --family", id="gen"),
     pytest.param("precondition", [], "precondition needs --matrix or --family",
@@ -608,6 +641,17 @@ class TestPrecondition:
         )
         assert code == 1
         assert "eigenvalue" in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_divergence_is_one_error_line(self, tmp_path, capsys):
+        big = tmp_path / "big200.txt"
+        big.write_text(BIG200)
+        out_u = tmp_path / "u.txt"
+        code, _, err = run(capsys, "precondition", "--matrix", str(big), "--max-iter", "20",
+                           "--out-u", str(out_u))
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("error: non-finite cost")
+        assert not out_u.exists()
 
     def test_missing_matrix_file_is_usage_error(self, tmp_path, capsys):
         out_u = tmp_path / "u.txt"

@@ -11,9 +11,7 @@ from precog.graph import (
     WeightedGraph,
     banded_topology,
     full_topology,
-    incidence_matrix,
     laplacian,
-    signed_degree_vector,
     theta,
 )
 
@@ -36,6 +34,7 @@ def laplacian_loop(g):
 
 
 def incidence_loop(t):
+    """Oracle: the n x |edges| incidence matrix, +1 at the smaller vertex of each edge."""
     B = np.zeros((t.n, t.n_edges))
     for e, (i, j) in enumerate(t.edges):
         B[i, e] = 1.0
@@ -125,23 +124,27 @@ class TestTopologies:
 
 
 class TestIncidence:
+    # the oracle behind the B diag(w) B^T checks below
     def test_single_edge(self):
-        B = incidence_matrix(Topology(2, ((0, 1),)))
+        B = incidence_loop(Topology(2, ((0, 1),)))
         assert np.array_equal(B, np.array([[1.0], [-1.0]]))
 
     def test_path(self):
-        B = incidence_matrix(Topology(3, ((0, 1), (1, 2))))
+        B = incidence_loop(Topology(3, ((0, 1), (1, 2))))
         assert np.array_equal(B[:, 0], [1.0, -1.0, 0.0])
         assert np.array_equal(B[:, 1], [0.0, 1.0, -1.0])
 
     @given(large_weighted_graphs())
     @settings(max_examples=20, deadline=None)
-    def test_matches_edge_loop(self, g):
-        assert np.array_equal(incidence_matrix(g.topology), incidence_loop(g.topology))
+    def test_unit_weight_laplacian_is_incidence_gram(self, g):
+        # entries of B B^T are small integers, so the product is exact
+        B = incidence_loop(g.topology)
+        unit = WeightedGraph(g.topology, np.ones(g.topology.n_edges))
+        assert np.array_equal(laplacian(unit), B @ B.T)
 
     @given(weighted_graphs())
     def test_columns_sum_to_zero(self, g):
-        B = incidence_matrix(g.topology)
+        B = incidence_loop(g.topology)
         assert np.all(B.sum(axis=0) == 0.0)
 
 
@@ -162,7 +165,7 @@ class TestLaplacian:
     @given(weighted_graphs())
     def test_matches_incidence_product(self, g):
         L = laplacian(g)
-        B = incidence_matrix(g.topology)
+        B = incidence_loop(g.topology)
         assert np.allclose(L, B @ np.diag(g.w) @ B.T, atol=1e-12)
 
     def test_elementwise_construction_all_graphs_n_le_5(self):
@@ -177,7 +180,7 @@ class TestLaplacian:
                     expected = np.zeros((n, n))
                     for e, (p, q) in enumerate(edges):
                         expected[p, q] = expected[q, p] = -w[e]
-                    np.fill_diagonal(expected, signed_degree_vector(g))
+                    np.fill_diagonal(expected, degree_loop(g))
                     assert np.allclose(laplacian(g), expected, atol=1e-12)
 
     @given(weighted_graphs(nonnegative=True))
@@ -230,7 +233,7 @@ class TestTheta:
     def test_invariant_under_incidence_sign_flip(self, g):
         # theta_e equals b_e b_e^T for column e; flipping the column sign
         # (or any per-column signs) leaves the outer product unchanged
-        B = incidence_matrix(g.topology)
+        B = incidence_loop(g.topology)
         rng = np.random.default_rng(0)
         signs = rng.choice([-1.0, 1.0], size=g.topology.n_edges)
         for e in range(g.topology.n_edges):
@@ -241,26 +244,27 @@ class TestTheta:
 
 
 class TestDegrees:
+    # the Laplacian diagonal is the signed degree vector
     def test_single_edge(self):
         g = graph_from(2, [(0, 1)], [3.0])
-        assert np.array_equal(signed_degree_vector(g), [3.0, 3.0])
+        assert np.array_equal(laplacian(g).diagonal(), [3.0, 3.0])
 
     def test_path(self):
         g = graph_from(3, [(0, 1), (1, 2)], [1.0, 2.0])
-        assert np.array_equal(signed_degree_vector(g), [1.0, 3.0, 2.0])
+        assert np.array_equal(laplacian(g).diagonal(), [1.0, 3.0, 2.0])
 
     def test_negative_weight_absolute_convention(self):
         g = graph_from(2, [(0, 1)], [-1.0])
-        assert np.array_equal(signed_degree_vector(g), [-1.0, -1.0])
+        assert np.array_equal(laplacian(g).diagonal(), [-1.0, -1.0])
 
     @given(weighted_graphs())
     def test_oracle_direct_summation(self, g):
-        assert np.allclose(signed_degree_vector(g), degree_loop(g), atol=0)
+        assert np.allclose(laplacian(g).diagonal(), degree_loop(g), atol=0)
 
     @given(large_weighted_graphs())
     @settings(max_examples=30, deadline=None)
     def test_bitwise_equal_to_edge_loop(self, g):
-        assert signed_degree_vector(g).tobytes() == degree_loop(g).tobytes()
+        assert laplacian(g).diagonal().tobytes() == degree_loop(g).tobytes()
 
     def test_endpoints_cached_and_read_only(self):
         t = banded_topology(5, 2)

@@ -34,7 +34,7 @@ from precog.learn import (
     is_degenerate,
     optimize,
 )
-from precog.matgen import ar1_autocorr, hilbert
+from precog.matgen import ar1_autocorr, hilbert, random_pd
 from precog.spectral import (
     cond_spd,
     orthonormality_error,
@@ -452,6 +452,11 @@ class TestOptimize:
         b = optimize(R, banded_topology(8, 2), hp)
         assert a.U.tobytes() == b.U.tobytes()
         assert [r.cost for r in a.history] == [r.cost for r in b.history]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_is_divergence_without_warnings(self):
+        with pytest.raises(DivergenceError):
+            optimize(1e200 * random_pd(6, 0, 0.1), full_topology(6), HyperParams())
 
     def test_rejects_non_spd(self):
         with pytest.raises(NotPositiveDefiniteError):

@@ -10,8 +10,8 @@ from precog.errors import (
     InvalidInputError,
 )
 from precog.matgen import (
+    DEFAULT_SHIFT_MARGIN,
     FAMILIES,
-    SPARSITY_PRESETS,
     MatrixSpec,
     SignalSpec,
     ar1_autocorr,
@@ -27,6 +27,33 @@ from precog.matgen import (
     save_matrix,
 )
 from precog.spectral import cond_spd, power_normalize
+
+# the off-diagonal densities of the README's sparsity sweep
+SPARSITY_PRESETS = (5 / 6, 2 / 3, 1 / 2, 1 / 3, 1 / 5)
+ORACLE_SIZES = (1, 2, 12, 40)
+
+
+def ar1_autocorr_expr(n, rho):
+    """Oracle: rho^|i-j| from broadcast index differences."""
+    idx = np.arange(n)
+    return rho ** np.abs(idx[:, None] - idx[None, :])
+
+
+def sparse_pd_loop(n, density, seed, shift_margin=DEFAULT_SHIFT_MARGIN):
+    """Oracle: random_sparse_pd over a Python list of vertex pairs, one pair at a time."""
+    rng = np.random.default_rng(seed)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    m = int(round(density * len(pairs)))
+    A = np.zeros((n, n))
+    if m > 0:
+        chosen = rng.choice(len(pairs), size=m, replace=False)
+        values = rng.standard_normal(m)
+        for k, p in enumerate(chosen):
+            i, j = pairs[p]
+            A[i, j] = A[j, i] = values[k]
+    lmin = float(np.linalg.eigvalsh(A)[0])
+    return A + (abs(lmin) + shift_margin) * np.eye(n)
+
 
 AR2_PAIRS = [
     (0.015, 0.01),
@@ -83,6 +110,14 @@ class TestAr1:
         S = power_normalize(ar1_autocorr(64, 0.95)).S
         target = (1.95 / 0.05) ** 2
         assert 0.7 * target <= cond_spd(S) <= 1.3 * target
+
+    @pytest.mark.parametrize("n", ORACLE_SIZES)
+    def test_bitwise_equal_to_broadcast_expression(self, n):
+        for rho in (0.0, 0.3, 0.5, 0.9, 0.95, 0.999):
+            assert ar1_autocorr(n, rho).tobytes() == ar1_autocorr_expr(n, rho).tobytes()
+
+    def test_integer_rho_gives_float(self):
+        assert ar1_autocorr(4, 0).dtype == np.float64
 
 
 class TestAr2:
@@ -163,6 +198,13 @@ class TestRandomSparsePd:
         off_nonzeros = np.count_nonzero(M - np.diag(np.diag(M)))
         target = d * n * (n - 1)
         assert abs(off_nonzeros - target) <= 2.0  # one symmetric pair
+
+    @pytest.mark.parametrize("n", ORACLE_SIZES)
+    @pytest.mark.parametrize("d", SPARSITY_PRESETS)
+    def test_bitwise_equal_to_pair_loop(self, d, n):
+        for seed in range(3):
+            M = random_sparse_pd(n, d, seed)
+            assert M.tobytes() == sparse_pd_loop(n, d, seed).tobytes()
 
     def test_density_helper(self):
         assert density(np.eye(4)) == 0.25

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -51,13 +53,14 @@ def sysid_loop(plant, input_spec, noise_db, cfg, run_len, seed):
 
 
 class TestConfig:
+    def test_settable_fields(self):
+        assert [f.name for f in fields(FilterConfig)] == ["taps", "step", "transform"]
+
     def test_validation(self):
         with pytest.raises(InvalidDimensionError):
             FilterConfig(taps=0, step=0.1)
         with pytest.raises(InvalidInputError):
             FilterConfig(taps=4, step=0.0)
-        with pytest.raises(InvalidInputError):
-            FilterConfig(taps=4, step=0.1, gamma_pow=1.0)
         with pytest.raises(InvalidDimensionError):
             FilterConfig(taps=4, step=0.1, transform=np.eye(3))
         with pytest.raises(InvalidInputError):
@@ -104,7 +107,7 @@ class TestTdlmsStep:
         assert np.max(dev) <= 1e-10
 
     def test_identity_transform_behaves_as_normalized_lms(self, rng):
-        cfg = FilterConfig(taps=4, step=0.2, transform=np.eye(4), delta_pow=1e-12)
+        cfg = FilterConfig(taps=4, step=0.2, transform=np.eye(4))
         state = FilterState(cfg)
         # converge the power estimate on unit-power input first
         x = np.ones(4) * 0.5
@@ -113,8 +116,8 @@ class TestTdlmsStep:
         state.weights = np.zeros(4)
         p_converged = state.power.copy()
         state, e = tdlms_step(state, x, 1.0, cfg)
-        expected = cfg.step * 1.0 * x / (p_converged * cfg.gamma_pow
-                                         + (1 - cfg.gamma_pow) * x * x + cfg.delta_pow)
+        gamma, delta = tdlms._GAMMA, tdlms._DELTA
+        expected = cfg.step * 1.0 * x / (p_converged * gamma + (1 - gamma) * x * x + delta)
         assert np.allclose(state.weights, expected)
 
     def test_requires_transform(self):
