@@ -50,6 +50,19 @@ class Topology:
         ends.flags.writeable = False
         return ends
 
+    @cached_property
+    def flat_index(self) -> np.ndarray:
+        """Read-only (4, n_edges) flat indices into an n x n array: rows pp, qq, pq, qp.
+
+        Rows pq and qp place the off-diagonal Laplacian entries in one
+        scatter; all four rows gather an edge's S[p,p], S[q,q], S[p,q], S[q,p].
+        """
+        P, Q = self.endpoints.T
+        n = self.n
+        flat = np.stack((P * (n + 1), Q * (n + 1), P * n + Q, Q * n + P))
+        flat.flags.writeable = False
+        return flat
+
 
 @dataclass
 class WeightedGraph:
@@ -99,11 +112,12 @@ def laplacian(g: WeightedGraph) -> np.ndarray:
 
 def _laplacian(t: Topology, w: np.ndarray) -> np.ndarray:
     # unchecked core of laplacian; exactly symmetric by construction
-    P, Q = t.endpoints.T
+    n = t.n
+    L = np.zeros(n * n)
     # interleaved (p0, q0, p1, q1, ...): each vertex accumulates in edge order
-    L = np.diag(np.bincount(t.endpoints.ravel(), weights=np.repeat(w, 2), minlength=t.n))
-    L[P, Q] = L[Q, P] = 0.0 - w  # not -w: a zero weight stays +0.0
-    return L
+    L[:: n + 1] = np.bincount(t.endpoints.ravel(), weights=np.repeat(w, 2), minlength=n)
+    L[t.flat_index[2:]] = 0.0 - w  # both triangles at once; not -w: a zero weight stays +0.0
+    return L.reshape(n, n)
 
 
 def theta(g: WeightedGraph, edge_index: int) -> np.ndarray:

@@ -13,6 +13,12 @@ cost_E deliberately accepts any square U, orthonormal or not: the ambient
 gradient is certified by finite differences over raw matrix entries, which
 steps off the orthonormal manifold.  The score, cost_E and dE/dU all read
 G = U^T R U; optimize computes it once per iteration and shares it.
+
+optimize scores off the descent path.  The weight update reads only the
+gradient, and split_cond feeds only the history, the best U and the
+opt-in band_exit stop, so when an iterate is scored does not change the
+trajectory.  optimize therefore holds iterates and scores a window of them
+at once; see its docstring for why every output stays bitwise unchanged.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from .errors import (
     DivergenceError,
     InvalidDimensionError,
     InvalidInputError,
+    PrecogError,
 )
 from .graph import Topology, WeightedGraph, _laplacian, laplacian
 from .spectral import (
@@ -41,6 +48,7 @@ from .spectral import (
 MAX_CONSECUTIVE_JITTERS = 5
 JITTER_SCALE = 1e-6
 DEGENERACY_GAP = 1e-8  # smallest eigen-gap the perturbation gradient resolves
+SCORE_WINDOW_BYTES = 2**18  # optimize holds about this much of G's and U's per score window
 
 
 def is_degenerate(gamma: np.ndarray) -> bool:
@@ -71,6 +79,10 @@ class HyperParams:
     band_exit: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("max_iter", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise InvalidInputError(f"{name} must be an integer, got {value!r}")
         if not 0.0 < self.mu < 1.0:
             raise InvalidInputError(f"mu must be in (0, 1), got {self.mu}")
         if self.beta < 0.0:
@@ -209,25 +221,26 @@ def dL_du(sp: SpectralPair, k: int, l: int) -> np.ndarray:
 
 def _inverse_gaps(gamma: np.ndarray) -> np.ndarray:
     # entry (b, a) = 1 / (gamma_a - gamma_b), zero on the diagonal
-    # .flat[::step] is np.fill_diagonal without its argument checks
+    # .ravel()[::step] is np.fill_diagonal without its argument checks
     step = gamma.shape[0] + 1
     diff = gamma[None, :] - gamma[:, None]
-    diff.flat[::step] = 1.0  # keeps 1 / 0 off the diagonal
+    diff.ravel()[::step] = 1.0  # keeps 1 / 0 off the diagonal
     inv = 1.0 / diff
-    inv.flat[::step] = 0.0
+    inv.ravel()[::step] = 0.0
     return inv
 
 
-def _edge_trace(P: np.ndarray, Q: np.ndarray, sp: SpectralPair, GE: np.ndarray) -> np.ndarray:
-    """Per-edge trace term Tr((dE/dU)^T dU/dw_i) of edges (P, Q); GE is dE/dU.
+def _edge_trace(t: Topology, sp: SpectralPair, GE: np.ndarray) -> np.ndarray:
+    """Per-edge trace term Tr((dE/dU)^T dU/dw_i) of t's edges; GE is dE/dU.
 
     With W = (U^T GE) * _inverse_gaps, edge (p, q) gets
-    S[p,p] + S[q,q] - S[p,q] - S[q,p] for S = U W U^T.  The spectrum must
-    be simple (not is_degenerate); callers check it.
+    S[p,p] + S[q,q] - S[p,q] - S[q,p] for S = U W U^T, read in one gather
+    through t.flat_index.  The spectrum must be simple (not is_degenerate);
+    callers check it.
     """
     W = (sp.U.T @ GE) * _inverse_gaps(sp.gamma)
-    S = sp.U @ W @ sp.U.T
-    return S[P, P] + S[Q, Q] - S[P, Q] - S[Q, P]
+    S = (sp.U @ W @ sp.U.T).take(t.flat_index)
+    return S[0] + S[1] - S[2] - S[3]
 
 
 def grad_EN_wrt_w(g: WeightedGraph, R: np.ndarray, hp: HyperParams) -> np.ndarray:
@@ -236,8 +249,69 @@ def grad_EN_wrt_w(g: WeightedGraph, R: np.ndarray, hp: HyperParams) -> np.ndarra
     if is_degenerate(sp.gamma):
         raise DegenerateSpectrumError(f"minimum eigen-gap below {DEGENERACY_GAP:g}")
     GE = grad_E_wrt_U(R, sp.U, hp.eps1, hp.eps2)
-    P, Q = g.topology.endpoints.T
-    return _edge_trace(P, Q, sp, GE) + 2.0 * hp.beta * g.w
+    return _edge_trace(g.topology, sp, GE) + 2.0 * hp.beta * g.w
+
+
+def _spectra_each(Gs) -> list[np.ndarray]:
+    # one power_normalize and eigvalsh per G, in order: the earliest failure raises
+    return [np.linalg.eigvalsh(power_normalize(G).S) for G in Gs]
+
+
+def _normalized_spectra(Gs: list[np.ndarray]):
+    """Ascending eigenvalues of each G's power normalization, one row per G.
+
+    One stacked normalization and one stacked eigvalsh, bitwise equal to
+    the per-matrix calls.  When either fails, the G's are scored one by
+    one, so the earliest failing G raises what it raises on its own.
+    """
+    try:
+        return np.linalg.eigvalsh(power_normalize(np.stack(Gs)).S)
+    except (PrecogError, np.linalg.LinAlgError):
+        return _spectra_each(Gs)
+
+
+class _ScoreWindow:
+    """An optimize run's iterates awaiting their score, and its records so far.
+
+    add() holds an iterate's (G, U, cost, grad_norm); the window is scored
+    when size iterates are held and by flush().  Records and the best-U
+    update follow iteration order, so they are those of scoring each
+    iterate in its own iteration.
+    """
+
+    def __init__(self, size: int) -> None:
+        self.size = size
+        self.pending: list[tuple[int, np.ndarray, np.ndarray, float, float]] = []
+        self.history: list[IterationRecord] = []
+        self.best_cond = np.inf
+        self.best_U: np.ndarray | None = None
+
+    def add(self, it: int, G, U, cost: float, grad_norm: float):
+        """Hold one iterate; when the window is full, return flush()."""
+        self.pending.append((it, G, U, cost, grad_norm))
+        return self.flush() if len(self.pending) == self.size else None
+
+    def flush(self):
+        """Score and record every held iterate; return the last one's eigenvalues."""
+        pending, self.pending = self.pending, []
+        if not pending:
+            return None
+        for (it, _, U, cost, grad_norm), s_ev in zip(
+            pending, _normalized_spectra([p[1] for p in pending])
+        ):
+            split_cond = float(s_ev[-1] / s_ev[0])
+            self.history.append(
+                IterationRecord(t=it, cost=cost, split_cond=split_cond, grad_norm=grad_norm)
+            )
+            if split_cond < self.best_cond:
+                self.best_cond = split_cond
+                self.best_U = U
+        return s_ev
+
+    def raise_held_failure(self) -> None:
+        """Score the held iterates one by one; the earliest that fails raises."""
+        pending, self.pending = self.pending, []
+        _spectra_each(p[1] for p in pending)
 
 
 # an overflow shows as a non-finite cost or gradient, which raises DivergenceError
@@ -252,85 +326,94 @@ def optimize(R: np.ndarray, t: Topology, hp: HyperParams) -> PrecogResult:
     all normalized eigenvalues inside [1 - eps2, 1 + eps1].  Near-degenerate
     spectra get a one-time weight jitter; five consecutive jitters abort.
 
-    The result is bitwise equal to the public-function loop in
-    tests/test_learn.py.  L is exactly symmetric by construction, so only
-    w and L's diagonal are checked (for finiteness), and the degeneracy
-    test runs once per iteration.
+    Iterates are scored in windows of about SCORE_WINDOW_BYTES of G's and
+    U's (163 iterates at n=10, 4 at n=64, 1 at n=128; 1 under band_exit,
+    whose stop reads the score), by one stacked power normalization and
+    one stacked eigvalsh.  The update never reads the score, so the
+    trajectory is the same whenever an iterate is scored; the stacked calls
+    are bitwise the per-matrix ones, and records and the best U follow
+    iteration order, so the result is bitwise equal to the public-function
+    loop in tests/test_learn.py.  Before an error leaves, the held iterates
+    are scored one by one, so the earliest failure is the one raised.
+
+    L is exactly symmetric by construction, and w @ w (which the cost needs
+    anyway) is finite only when w and L's diagonal are, so those are
+    checked only when it is not.  The degeneracy test runs once per
+    iteration.
     """
     R = np.asarray(R, dtype=float)
     cond_spd(R)  # rejects asymmetric or non-positive-definite input
+    if R.shape[0] != t.n:
+        raise InvalidDimensionError(f"R is {R.shape[0]} x {R.shape[0]}, topology has n={t.n}")
     rng = np.random.default_rng(hp.seed)
     w = rng.standard_normal(t.n_edges)
-    P, Q = t.endpoints.T
     R4 = 4.0 * R
     coef = _diag_coef(hp.eps1, hp.eps2)
     shrink = 1.0 - 2.0 * hp.beta
-    history: list[IterationRecord] = []
-    best_cond = np.inf
-    best_U: np.ndarray | None = None
+    scores = _ScoreWindow(1 if hp.band_exit else max(1, SCORE_WINDOW_BYTES // (16 * t.n * t.n)))
     prev_cost: float | None = None
     consecutive_jitters = 0
     max_unitarity = 0.0
     reason = "max_iter"
 
-    for it in range(hp.max_iter):
-        if not np.isfinite(w).all():
-            raise InvalidInputError("edge weights must be finite")
-        L = _laplacian(t, w)
-        if not np.isfinite(L.diagonal()).all():  # a degree sum can overflow
-            raise InvalidInputError("matrix has non-finite entries")
-        sp = _eig(L)
-        if is_degenerate(sp.gamma):
-            if consecutive_jitters >= MAX_CONSECUTIVE_JITTERS:
-                raise DegenerateSpectrumError(
-                    f"spectrum stayed degenerate after {consecutive_jitters} jitters "
-                    f"at iteration {it}"
-                )
-            w = w + JITTER_SCALE * np.linalg.norm(w) * rng.standard_normal(w.shape)
-            consecutive_jitters += 1
-            continue
-        consecutive_jitters = 0
+    try:
+        for it in range(hp.max_iter):
+            ww = float(w @ w)
+            # every |w_i| is below 1.34e154 when w @ w is finite, so no degree sum overflows
+            ww_finite = math.isfinite(ww)
+            if not ww_finite and not np.isfinite(w).all():
+                raise InvalidInputError("edge weights must be finite")
+            L = _laplacian(t, w)
+            if not ww_finite and not np.isfinite(L.diagonal()).all():
+                raise InvalidInputError("matrix has non-finite entries")
+            sp = _eig(L)
+            if is_degenerate(sp.gamma):
+                if consecutive_jitters >= MAX_CONSECUTIVE_JITTERS:
+                    raise DegenerateSpectrumError(
+                        f"spectrum stayed degenerate after {consecutive_jitters} jitters "
+                        f"at iteration {it}"
+                    )
+                w = w + JITTER_SCALE * math.sqrt(ww) * rng.standard_normal(w.shape)
+                consecutive_jitters += 1
+                continue
+            consecutive_jitters = 0
 
-        U = sp.U
-        max_unitarity = max(max_unitarity, orthonormality_error(U))
-        G = U.T @ R @ U  # shared by the score, the cost and the gradient
-        D = np.diag(G.diagonal())  # shared by the cost and the gradient
-        s_ev = np.linalg.eigvalsh(power_normalize(G).S)
-        split_cond = float(s_ev[-1] / s_ev[0])
-        cost = _band_cost(G, D, hp.eps1, hp.eps2) + hp.beta * (float(w @ w) - 1.0)
-        grad_core = _edge_trace(P, Q, sp, _grad_E_canonical(R4, U, G, D, coef))
-        grad_full = grad_core + 2.0 * hp.beta * w
-        if not np.isfinite(cost) or not np.isfinite(grad_core).all():
-            raise DivergenceError(f"non-finite cost or gradient at iteration {it}")
+            U = sp.U
+            max_unitarity = max(max_unitarity, orthonormality_error(U))
+            G = U.T @ R @ U  # shared by the score, the cost and the gradient
+            D = np.diag(G.diagonal())  # shared by the cost and the gradient
+            cost = _band_cost(G, D, hp.eps1, hp.eps2) + hp.beta * (ww - 1.0)
+            grad_core = _edge_trace(t, sp, _grad_E_canonical(R4, U, G, D, coef))
+            grad_full = grad_core + 2.0 * hp.beta * w
+            gg = float(grad_full @ grad_full)
+            # held before the divergence test: this iterate's score failure outranks it
+            s_ev = scores.add(it, G, U, cost, math.sqrt(gg))
+            # a finite gg means a finite grad_full, and so a finite grad_core
+            if not math.isfinite(cost) or (
+                not math.isfinite(gg) and not np.isfinite(grad_core).all()
+            ):
+                raise DivergenceError(f"non-finite cost or gradient at iteration {it}")
 
-        history.append(
-            IterationRecord(
-                t=it,
-                cost=cost,
-                split_cond=split_cond,
-                grad_norm=float(np.linalg.norm(grad_full)),
-            )
-        )
-        if split_cond < best_cond:
-            best_cond = split_cond
-            best_U = U.copy()
+            if hp.band_exit and s_ev[0] >= 1.0 - hp.eps2 and s_ev[-1] <= 1.0 + hp.eps1:
+                reason = "band"
+                break
+            if prev_cost is not None and abs(cost - prev_cost) < hp.tol:
+                reason = "tol"
+                break
+            prev_cost = cost
 
-        if hp.band_exit and s_ev[0] >= 1.0 - hp.eps2 and s_ev[-1] <= 1.0 + hp.eps1:
-            reason = "band"
-            break
-        if prev_cost is not None and abs(cost - prev_cost) < hp.tol:
-            reason = "tol"
-            break
-        prev_cost = cost
+            w = w * shrink - hp.mu * grad_core
+        scores.flush()
+    except Exception:
+        scores.raise_held_failure()
+        raise
 
-        w = w * shrink - hp.mu * grad_core
-
-    if best_U is None:
+    if scores.best_U is None:
         raise DegenerateSpectrumError("no non-degenerate iterate was reached")
     return PrecogResult(
-        U=best_U,
+        U=scores.best_U,
         w_final=w,
-        history=history,
+        history=scores.history,
         reason=reason,
         max_unitarity_error=max_unitarity,
     )

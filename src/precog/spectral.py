@@ -9,6 +9,7 @@ continuous eigenvector selection away from degeneracies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,21 +36,27 @@ class SpectralPair:
 
 @dataclass(frozen=True)
 class NormalizedAutocorr:
-    """Unit-diagonal matrix S = delta^{-1/2} R delta^{-1/2} plus the source diagonal."""
+    """Unit-diagonal matrix S = delta^{-1/2} R delta^{-1/2} plus the source diagonal.
+
+    For a (..., n, n) stack of R's, S and delta are stacked the same way.
+    """
 
     S: np.ndarray
     delta: np.ndarray
 
 
-def _check_symmetric(M: np.ndarray, what: str = "matrix") -> np.ndarray:
+def _check_symmetric(M: np.ndarray, what: str = "matrix", stack: bool = False) -> np.ndarray:
+    # with stack, M may be a (..., n, n) stack and each matrix is checked on its own
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    if (M.ndim < 2 if stack else M.ndim != 2) or M.shape[-1] != M.shape[-2]:
         raise InvalidInputError(f"{what} must be square, got shape {M.shape}")
     if not np.isfinite(M).all():
         raise InvalidInputError(f"{what} has non-finite entries")
     # relative to max|M| above 1: a congruence U^T R U is symmetric only to rounding of R
-    asym = np.abs(M - M.T).max(initial=0.0)
-    if asym > SYMMETRY_TOL and asym > SYMMETRY_TOL * max(1.0, np.max(np.abs(M))):
+    asym = np.abs(M - M.swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+    if (asym > SYMMETRY_TOL).any() and (
+        asym > SYMMETRY_TOL * np.maximum(1.0, np.abs(M).max(axis=(-2, -1)))
+    ).any():
         raise SymmetryError(f"{what} is not symmetric to {SYMMETRY_TOL:g} times max(1, max|M|)")
     return M
 
@@ -103,25 +110,32 @@ def cond_general(M: np.ndarray) -> float:
 
 
 def power_normalize(R: np.ndarray) -> NormalizedAutocorr:
-    """Symmetric diagonal scaling to unit diagonal: delta^{-1/2} R delta^{-1/2}."""
-    R = _check_symmetric(R)
-    delta = R.diagonal().copy()
+    """Symmetric diagonal scaling to unit diagonal: delta^{-1/2} R delta^{-1/2}.
+
+    R may be a (..., n, n) stack; each S is then bitwise the S of its R
+    alone, because every operation is elementwise.  A stack fails when any
+    of its matrices would.
+    """
+    R = _check_symmetric(R, stack=True)
+    delta = R.diagonal(axis1=-2, axis2=-1).copy()
     if (delta <= 0.0).any():
-        bad = int(np.argmin(delta))
+        bad = np.unravel_index(np.argmin(delta), delta.shape)
+        where = int(bad[0]) if delta.ndim == 1 else tuple(map(int, bad))
         raise NormalizationDomainError(
-            f"diagonal entry {bad} is {delta[bad]:g}, must be positive"
+            f"diagonal entry {where} is {delta[bad]:g}, must be positive"
         )
     inv_sqrt = 1.0 / np.sqrt(delta)
-    S = R * (inv_sqrt[:, None] * inv_sqrt)  # the outer product, without np.outer's ravels
+    # the outer product, without np.outer's ravels
+    S = R * (inv_sqrt[..., :, None] * inv_sqrt[..., None, :])
     return NormalizedAutocorr(S=S, delta=delta)
 
 
 def orthonormality_error(U: np.ndarray) -> float:
     """Frobenius norm of U^T U - I."""
     U = np.asarray(U, dtype=float)
-    E = U.T @ U
-    E.flat[:: E.shape[0] + 1] -= 1.0  # E - I without building I
-    return float(np.linalg.norm(E))
+    e = (U.T @ U).ravel()
+    e[:: U.shape[1] + 1] -= 1.0  # U^T U - I without building I
+    return math.sqrt(e @ e)  # the expression np.linalg.norm evaluates
 
 
 def split_preconditioned_cond(R: np.ndarray, U: np.ndarray) -> float:

@@ -272,3 +272,12 @@ class TestDegrees:
         assert np.array_equal(t.endpoints, np.array(t.edges))
         with pytest.raises(ValueError):
             t.endpoints[0, 0] = 3
+
+    def test_flat_index_cached_read_only_and_in_edge_order(self):
+        t = banded_topology(5, 2)
+        assert t.flat_index is t.flat_index
+        M = np.arange(25.0).reshape(5, 5)
+        P, Q = t.endpoints.T
+        assert np.array_equal(M.take(t.flat_index), [M[P, P], M[Q, Q], M[P, Q], M[Q, P]])
+        with pytest.raises(ValueError):
+            t.flat_index[0, 0] = 3

@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_orthonormal, rand_spd
+from precog import learn
 from precog.errors import (
     DegenerateSpectrumError,
     DivergenceError,
@@ -370,8 +373,7 @@ class TestGradW:
         g = WeightedGraph(topo, nondegenerate_weights(topo, rng))
         sp = sym_eig(laplacian(g))
         hp = HyperParams(eps1=0.2, eps2=0.1)
-        P, Q = topo.endpoints.T
-        fast = _edge_trace(P, Q, sp, grad_E_wrt_U(R, sp.U, hp.eps1, hp.eps2))
+        fast = _edge_trace(topo, sp, grad_E_wrt_U(R, sp.U, hp.eps1, hp.eps2))
         slow = grad_core_loop(g, R, sp, hp)
         assert np.linalg.norm(fast - slow) <= 1e-12 * np.linalg.norm(slow)
 
@@ -401,6 +403,18 @@ class TestHyperParams:
             HyperParams(tol=0.0)
         with pytest.raises(InvalidInputError):
             HyperParams(max_iter=0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("max_iter", 10.0), ("max_iter", "10"), ("max_iter", True), ("seed", 1.5), ("seed", 2.0),
+    ])
+    def test_rejects_non_integer_counts(self, name, value):
+        with pytest.raises(InvalidInputError, match=name):
+            HyperParams(**{name: value})
+
+    def test_numpy_integer_counts_pass(self):
+        hp = HyperParams(max_iter=np.int64(3), seed=np.uint64(2**63))
+        res = optimize(ar1_autocorr(4, 0.5), banded_topology(4, 2), hp)
+        assert [rec.t for rec in res.history] == [0, 1, 2]
 
     @pytest.mark.parametrize("name", ["mu", "beta", "eps1", "eps2", "tol"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -457,6 +471,10 @@ class TestOptimize:
     def test_overflow_is_divergence_without_warnings(self):
         with pytest.raises(DivergenceError):
             optimize(1e200 * random_pd(6, 0, 0.1), full_topology(6), HyperParams())
+
+    def test_rejects_topology_of_another_size(self):
+        with pytest.raises(InvalidDimensionError, match="n=4"):
+            optimize(np.eye(5), full_topology(4), HyperParams(max_iter=3))
 
     def test_rejects_non_spd(self):
         with pytest.raises(NotPositiveDefiniteError):
@@ -515,6 +533,125 @@ def test_optimize_bitwise_equals_public_function_loop(R, make, hp, reason):
     assert got.U.tobytes() == want.U.tobytes()
     assert got.w_final.tobytes() == want.w_final.tobytes()
     assert got.max_unitarity_error == want.max_unitarity_error
+
+
+def assert_bitwise_equal(got, want):
+    assert got.reason == want.reason
+    assert got.history == want.history
+    assert got.U.tobytes() == want.U.tobytes()
+    assert got.w_final.tobytes() == want.w_final.tobytes()
+    assert got.max_unitarity_error == want.max_unitarity_error
+
+
+# iterates per score window; None keeps the size optimize derives from n
+WINDOWS = [1, 5, 64, None]
+
+
+def set_window(monkeypatch, n, k):
+    if k is not None:
+        monkeypatch.setattr(learn, "SCORE_WINDOW_BYTES", 16 * n * n * k)
+
+
+IS_DEGENERATE = is_degenerate  # the unpatched test
+
+
+def degenerate_from_call(calls):
+    """is_degenerate that also calls the spectrum degenerate on the given call numbers.
+
+    optimize and optimize_reference test once per iteration, so a call
+    number is an iteration number; each run needs a fresh one.
+    """
+    count = itertools.count()
+    return lambda gamma: next(count) in calls or IS_DEGENERATE(gamma)
+
+
+def run_with_degeneracy(monkeypatch, run, calls, *args):
+    fake = degenerate_from_call(calls)
+    monkeypatch.setattr(learn, "is_degenerate", fake)
+    monkeypatch.setitem(globals(), "is_degenerate", fake)
+    return run(*args)
+
+
+@pytest.mark.parametrize("k", WINDOWS)
+def test_tol_stop_inside_a_window_is_bitwise(monkeypatch, k):
+    # stops at iteration 262: 3 iterates into a 5-window, 7 into a 64-window
+    R, t = random_pd(6, 0, 0.1), full_topology(6)
+    hp = HyperParams(max_iter=300, tol=1e-4, seed=1)
+    set_window(monkeypatch, t.n, k)
+    got = optimize(R, t, hp)
+    assert got.reason == "tol" and len(got.history) == 263
+    assert_bitwise_equal(got, optimize_reference(R, t, hp))
+
+
+@pytest.mark.parametrize("k", WINDOWS)
+def test_jitters_inside_a_window_are_bitwise(monkeypatch, k):
+    R, t = hilbert(10, 1e-4), full_topology(10)
+    hp = HyperParams(max_iter=40, seed=1)
+    set_window(monkeypatch, t.n, k)
+    jitters = {3, 7, 8, 9, 31}
+    got, want = [run_with_degeneracy(monkeypatch, run, jitters, R, t, hp)
+                 for run in (optimize, optimize_reference)]
+    assert [rec.t for rec in got.history] == [i for i in range(40) if i not in jitters]
+    assert_bitwise_equal(got, want)
+
+
+def raised(run, *args) -> Exception:
+    with pytest.raises(Exception) as info:
+        run(*args)
+    return info.value
+
+
+# beta = 1000 shrinks w by -1999 per step: w @ w and so the cost overflow at iteration 47
+DIVERGING = (ar1_autocorr(6, 0.9), banded_topology(6, 2), HyperParams(max_iter=300, beta=1e3))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # optimize_reference overflows
+@pytest.mark.parametrize("k", WINDOWS)
+def test_divergence_after_a_partly_filled_window(monkeypatch, k):
+    set_window(monkeypatch, 6, k)
+    errors = [raised(run, *DIVERGING) for run in (optimize, optimize_reference)]
+    assert all(type(e) is DivergenceError for e in errors)
+    assert [str(e) for e in errors] == ["non-finite cost or gradient at iteration 47"] * 2
+
+
+def normalized_matrix_at(iteration, monkeypatch, run, *args) -> bytes:
+    """Bytes of the matrix the score passes to eigvalsh at a (non-jitter) iteration."""
+    seen, real = [], np.linalg.eigvalsh
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "eigvalsh", lambda a: seen.append(a.tobytes()) or real(a))
+        try:
+            run(*args)
+        except DivergenceError:
+            pass
+    return seen[1 + iteration]  # call 0 is cond_spd(R)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # optimize_reference overflows
+@pytest.mark.parametrize("k", WINDOWS)
+@pytest.mark.parametrize("fail_at, later", [
+    (40, "divergence"), (47, "divergence"), (10, "jitters"),
+])
+def test_score_failure_outranks_a_later_error(monkeypatch, k, fail_at, later):
+    """A score that fails at fail_at raises, not the error a later iteration raises."""
+    if later == "divergence":
+        args, jitters = DIVERGING, set()
+    else:  # five jitters from fail_at + 2 on raise DegenerateSpectrumError at fail_at + 7
+        args = (ar1_autocorr(6, 0.9), banded_topology(6, 2), HyperParams(max_iter=60))
+        jitters = set(range(fail_at + 2, 60))
+    poison = normalized_matrix_at(fail_at, monkeypatch, optimize_reference, *args)
+    real = np.linalg.eigvalsh
+
+    def failing_eigvalsh(a):
+        if any(m.tobytes() == poison for m in a.reshape(-1, *a.shape[-2:])):
+            raise np.linalg.LinAlgError(f"injected at iteration {fail_at}")
+        return real(a)
+
+    set_window(monkeypatch, 6, k)
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing_eigvalsh)
+    errors = [raised(run_with_degeneracy, monkeypatch, run, jitters, *args)
+              for run in (optimize, optimize_reference)]
+    assert all(type(e) is np.linalg.LinAlgError for e in errors)
+    assert [str(e) for e in errors] == [f"injected at iteration {fail_at}"] * 2
 
 
 class TestJitter:

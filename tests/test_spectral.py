@@ -205,6 +205,44 @@ class TestPowerNormalize:
         with pytest.raises(NormalizationDomainError):
             power_normalize(np.diag([1.0, -2.0]))
 
+    @pytest.mark.parametrize("n", [2, 3, 10, 33, 64, 128])
+    def test_stack_is_bitwise_the_per_matrix_calls(self, n):
+        # congruences U^T R U are symmetric only to rounding, like optimize's G's
+        rng = np.random.default_rng(n)
+        R = rand_spd(n, rng)
+        Gs = np.stack([U.T @ R @ U for U in (rand_orthonormal(n, rng) for _ in range(3))])
+        stacked = power_normalize(Gs)
+        ev = np.linalg.eigvalsh(stacked.S)
+        for i, G in enumerate(Gs):
+            one = power_normalize(G)
+            assert stacked.S[i].tobytes() == one.S.tobytes()
+            assert stacked.delta[i].tobytes() == one.delta.tobytes()
+            assert ev[i].tobytes() == np.linalg.eigvalsh(one.S).tobytes()
+
+    def test_stack_checks_each_matrix_against_its_own_scale(self):
+        big = 1e6 * np.eye(3)
+        big[0, 1] += 1e-6  # 1e-12 relative: passes on its own
+        small = np.eye(3)
+        small[0, 1] += 1e-9  # fails on its own, and must not pass under big's scale
+        power_normalize(big)
+        with pytest.raises(SymmetryError):
+            power_normalize(small)
+        with pytest.raises(SymmetryError):
+            power_normalize(np.stack([big, small]))
+
+    def test_stack_reports_the_failing_entry(self):
+        with pytest.raises(NormalizationDomainError, match=r"entry \(1, 1\) is -1"):
+            power_normalize(np.stack([np.eye(2), np.diag([1.0, -1.0])]))
+
+    def test_only_power_normalize_takes_stacks(self):
+        stack = np.stack([np.eye(3), 2.0 * np.eye(3)])
+        with pytest.raises(InvalidInputError, match="square"):
+            cond_spd(stack)
+        with pytest.raises(InvalidInputError, match="square"):
+            sym_eig(stack)
+        with pytest.raises(InvalidInputError, match="square"):
+            power_normalize(np.ones(3))
+
     @given(st.integers(min_value=2, max_value=10), st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=40)
     def test_unit_diagonal_invariant(self, n, seed):
@@ -238,3 +276,9 @@ class TestSplitPreconditionedCond:
             signs = rng.choice([-1.0, 1.0], size=6)
             V = U[:, perm] * signs
             assert abs(split_preconditioned_cond(R, V) - ref) <= 1e-9 * ref
+
+
+@pytest.mark.parametrize("n", [1, 4, 17])
+def test_orthonormality_error_is_bitwise_the_frobenius_norm(rng, n):
+    U = rand_orthonormal(n, rng) + 1e-9 * rng.standard_normal((n, n))
+    assert orthonormality_error(U) == float(np.linalg.norm(U.T @ U - np.eye(n)))
