@@ -17,7 +17,9 @@ from .errors import (
     InvalidInputError,
     NumericallySingularError,
 )
-from .spectral import cond_general, cond_spd, power_normalize, split_preconditioned_cond
+from .spectral import (
+    _spd_spectrum, cond_general, cond_spd, power_normalize, split_preconditioned_cond
+)
 
 DEFAULT_OMEGA = 1.5
 
@@ -100,7 +102,8 @@ def dft_split_cond(R: np.ndarray) -> float:
 
     Complex arithmetic stays internal: the Hermitian congruence F^H R F is
     power-normalized with its real positive diagonal and the extreme
-    eigenvalue ratio is returned.
+    eigenvalue ratio is returned; a spectrum that is not positive raises
+    NotPositiveDefiniteError, as in cond_spd.
     """
     R = np.asarray(R, dtype=float)
     n = R.shape[0]
@@ -110,8 +113,7 @@ def dft_split_cond(R: np.ndarray) -> float:
     if np.any(d <= 0.0):
         raise NumericallySingularError("transformed diagonal is not positive; R not SPD?")
     inv_sqrt = 1.0 / np.sqrt(d)
-    S = Rt * np.outer(inv_sqrt, inv_sqrt)
-    ev = np.linalg.eigvalsh(S)
+    ev = _spd_spectrum(Rt * np.outer(inv_sqrt, inv_sqrt))
     return float(ev[-1] / ev[0])
 
 

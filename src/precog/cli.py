@@ -44,7 +44,7 @@ from .matgen import (
     random_pd,
     save_matrix,
 )
-from .spectral import cond_spd, split_preconditioned_cond
+from .spectral import cond_spd
 from .tdlms import FilterConfig, check_run, system_id_experiment
 
 BENCH_HEADER = (
@@ -243,8 +243,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         if cond_raw is not None:
             try:
                 result = optimize(R, topo, hp)
-                precog_cond = split_preconditioned_cond(R, result.U)
-                precog_iters = len(result.history)
+                precog_cond, precog_iters = result.best_cond, len(result.history)
             except PrecogError as exc:
                 precog_status = type(exc).__name__
         precog_ms = 1000.0 * (time.perf_counter() - t0)
@@ -326,7 +325,6 @@ def cmd_precondition(args: argparse.Namespace) -> int:
     hp = _hyperparams_from_args(args, seed)
     topo = _topology_from_args(args, R.shape[0])
     result = optimize(R, topo, hp)
-    learned = split_preconditioned_cond(R, result.U)
     baseline = none_cond(R)
     save_matrix(result.U, args.out_u)
     if args.history:
@@ -335,7 +333,7 @@ def cmd_precondition(args: argparse.Namespace) -> int:
             lines.append(f"{rec.t},{rec.cost!r},{rec.split_cond!r},{rec.grad_norm!r}")
         Path(args.history).write_text("\n".join(lines) + "\n")
     print(
-        f"{spec.label()}: power-normalized cond={baseline!r} learned cond={learned!r} "
+        f"{spec.label()}: power-normalized cond={baseline!r} learned cond={result.best_cond!r} "
         f"iterations={len(result.history)} stop={result.reason}"
     )
     return 0

@@ -33,15 +33,14 @@ from .errors import (
     DivergenceError,
     InvalidDimensionError,
     InvalidInputError,
-    PrecogError,
 )
 from .graph import Topology, WeightedGraph, _laplacian, laplacian
 from .spectral import (
     SpectralPair,
     _eig,
+    _normalized_spectra,
     cond_spd,
     orthonormality_error,
-    power_normalize,
     sym_eig,
 )
 
@@ -252,24 +251,6 @@ def grad_EN_wrt_w(g: WeightedGraph, R: np.ndarray, hp: HyperParams) -> np.ndarra
     return _edge_trace(g.topology, sp, GE) + 2.0 * hp.beta * g.w
 
 
-def _spectra_each(Gs) -> list[np.ndarray]:
-    # one power_normalize and eigvalsh per G, in order: the earliest failure raises
-    return [np.linalg.eigvalsh(power_normalize(G).S) for G in Gs]
-
-
-def _normalized_spectra(Gs: list[np.ndarray]):
-    """Ascending eigenvalues of each G's power normalization, one row per G.
-
-    One stacked normalization and one stacked eigvalsh, bitwise equal to
-    the per-matrix calls.  When either fails, the G's are scored one by
-    one, so the earliest failing G raises what it raises on its own.
-    """
-    try:
-        return np.linalg.eigvalsh(power_normalize(np.stack(Gs)).S)
-    except (PrecogError, np.linalg.LinAlgError):
-        return _spectra_each(Gs)
-
-
 class _ScoreWindow:
     """An optimize run's iterates awaiting their score, and its records so far.
 
@@ -308,11 +289,6 @@ class _ScoreWindow:
                 self.best_U = U
         return s_ev
 
-    def raise_held_failure(self) -> None:
-        """Score the held iterates one by one; the earliest that fails raises."""
-        pending, self.pending = self.pending, []
-        _spectra_each(p[1] for p in pending)
-
 
 # an overflow shows as a non-finite cost or gradient, which raises DivergenceError
 @np.errstate(over="ignore", invalid="ignore")
@@ -326,15 +302,16 @@ def optimize(R: np.ndarray, t: Topology, hp: HyperParams) -> PrecogResult:
     all normalized eigenvalues inside [1 - eps2, 1 + eps1].  Near-degenerate
     spectra get a one-time weight jitter; five consecutive jitters abort.
 
+    Each record is the public score split_preconditioned_cond(R, U) of its
+    U and fails where that fails, so best_cond is the score of result.U.
     Iterates are scored in windows of about SCORE_WINDOW_BYTES of G's and
     U's (163 iterates at n=10, 4 at n=64, 1 at n=128; 1 under band_exit,
-    whose stop reads the score), by one stacked power normalization and
-    one stacked eigvalsh.  The update never reads the score, so the
-    trajectory is the same whenever an iterate is scored; the stacked calls
-    are bitwise the per-matrix ones, and records and the best U follow
-    iteration order, so the result is bitwise equal to the public-function
-    loop in tests/test_learn.py.  Before an error leaves, the held iterates
-    are scored one by one, so the earliest failure is the one raised.
+    whose stop reads the score), by one stacked call.  The update never
+    reads the score, so the trajectory is the same whenever an iterate is
+    scored; the stacked calls are bitwise the per-matrix ones, and records
+    and the best U follow iteration order, so a returned result is bitwise
+    equal to the public-function loop in tests/test_learn.py.  Before an error
+    leaves, the held iterates are scored, so the earliest failure raises.
 
     L is exactly symmetric by construction, and w @ w (which the cost needs
     anyway) is finite only when w and L's diagonal are, so those are
@@ -405,7 +382,7 @@ def optimize(R: np.ndarray, t: Topology, hp: HyperParams) -> PrecogResult:
             w = w * shrink - hp.mu * grad_core
         scores.flush()
     except Exception:
-        scores.raise_held_failure()
+        scores.flush()  # a held iterate that fails to score outranks this error
         raise
 
     if scores.best_U is None:

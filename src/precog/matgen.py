@@ -17,7 +17,9 @@ from .errors import (
     DegenerateParametersError,
     InvalidDimensionError,
     InvalidInputError,
+    NotPositiveDefiniteError,
 )
+from .spectral import _spd_spectrum
 
 DEFAULT_SHIFT_MARGIN = 0.05
 
@@ -69,11 +71,11 @@ def ar2_autocorr(n: int, rho1: float, rho2: float) -> np.ndarray:
         raise InvalidDimensionError(f"n must be positive, got {n}")
     c1, c2 = ar2_coefficients(rho1, rho2)
     R = c1 * _toeplitz_pow(n, rho1) + c2 * _toeplitz_pow(n, rho2)
-    lmin = np.linalg.eigvalsh(R)[0]
-    if lmin <= 0.0:
+    try:
+        _spd_spectrum(R)
+    except NotPositiveDefiniteError as exc:
         warnings.warn(
-            f"ar2_autocorr(n={n}, rho1={rho1}, rho2={rho2}) is not positive "
-            f"definite (lambda_min={lmin:g})",
+            f"ar2_autocorr(n={n}, rho1={rho1}, rho2={rho2}) is not positive definite ({exc})",
             RuntimeWarning,
             stacklevel=2,
         )

@@ -19,6 +19,7 @@ from .errors import (
     NormalizationDomainError,
     NotPositiveDefiniteError,
     NumericallySingularError,
+    PrecogError,
     SymmetryError,
 )
 
@@ -83,12 +84,17 @@ def _eig(M: np.ndarray) -> SpectralPair:
     return SpectralPair(U=U, gamma=gamma)
 
 
+def _spd_spectrum(S: np.ndarray) -> np.ndarray:
+    # ascending eigenvalues of a checked symmetric (or Hermitian) S, or of each in a stack
+    ev = np.linalg.eigvalsh(S)
+    if (ev[..., 0] <= 0.0).any():
+        raise NotPositiveDefiniteError(f"smallest eigenvalue is {ev[..., 0].min():g}")
+    return ev
+
+
 def cond_spd(M: np.ndarray) -> float:
     """lambda_max / lambda_min of a symmetric positive definite matrix."""
-    M = _check_symmetric(M)
-    ev = np.linalg.eigvalsh(M)
-    if ev[0] <= 0.0:
-        raise NotPositiveDefiniteError(f"smallest eigenvalue is {ev[0]:g}")
+    ev = _spd_spectrum(_check_symmetric(M))
     return float(ev[-1] / ev[0])
 
 
@@ -148,3 +154,15 @@ def split_preconditioned_cond(R: np.ndarray, U: np.ndarray) -> float:
     if orthonormality_error(U) > ORTHONORMALITY_TOL:
         raise InvalidInputError("U is not orthonormal to 1e-8")
     return cond_spd(power_normalize(U.T @ np.asarray(R, dtype=float) @ U).S)
+
+
+def _normalized_spectra(Gs: list[np.ndarray]):
+    """The spectrum cond_spd(power_normalize(G).S) reads, one row per G.
+
+    One stacked call, bitwise the per-matrix ones; when it fails, the G's
+    are scored one by one, so the earliest failing G raises its own error.
+    """
+    try:
+        return _spd_spectrum(_check_symmetric(power_normalize(np.stack(Gs)).S, stack=True))
+    except (PrecogError, np.linalg.LinAlgError):
+        return [_spd_spectrum(_check_symmetric(power_normalize(G).S)) for G in Gs]

@@ -23,11 +23,12 @@ from precog.baselines import (
 from precog.errors import (
     IluBreakdownError,
     InvalidInputError,
+    NotPositiveDefiniteError,
     NumericallySingularError,
     PrecogError,
 )
 from precog.matgen import ar1_autocorr, hilbert, random_sparse_pd
-from precog.spectral import orthonormality_error, split_preconditioned_cond
+from precog.spectral import cond_spd, orthonormality_error, split_preconditioned_cond
 
 LEFT_FACTORIES = [
     jacobi_precond,
@@ -71,6 +72,12 @@ class TestDft:
     def test_markov_near_asymptote(self):
         cond = dft_split_cond(ar1_autocorr(64, 0.9))
         assert 10.0 <= cond <= 30.0
+
+    def test_nonpositive_spectrum_raises(self):
+        # hilbert(13) passes cond_spd; its normalized DFT congruence has a negative eigenvalue
+        cond_spd(hilbert(13))
+        with pytest.raises(NotPositiveDefiniteError, match="smallest eigenvalue is -"):
+            dft_split_cond(hilbert(13))
 
     def test_scaled_identity(self):
         assert np.isclose(dft_split_cond(3.7 * np.eye(12)), 1.0)

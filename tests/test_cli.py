@@ -225,6 +225,18 @@ class TestBench:
         assert code == 1
         assert len(only.read_text().splitlines()) == 3
 
+    def test_nonpositive_dft_spectrum_is_a_status_row(self, tmp_path, capsys):
+        # hilbert(13) is positive definite in floating point; its DFT congruence is not
+        out = tmp_path / "h13.csv"
+        code, _, err = run(capsys, "bench", "--family", "hilbert", "--n", "13", "--max-iter",
+                           "1", "--methods", "dft,none", "--out", str(out))
+        assert code == 0 and err == ""
+        rows = {r["method"]: r for r in csv_rows(out)}
+        assert rows["dft"]["status"] == "NotPositiveDefiniteError"
+        assert all(rows["dft"][k] == "" for k in
+                   ("cond_method", "condition_ratio", "log10_ratio"))
+        assert rows["none"]["status"] == rows["precog"]["status"] == "ok"
+
     def test_env_var_default_seed(self, tmp_path, capsys, monkeypatch, matrix_file):
         monkeypatch.setenv("PRECOG_SEED", "17")
         out = tmp_path / "env.csv"

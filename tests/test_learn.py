@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -449,7 +450,7 @@ class TestOptimize:
             )
             res = optimize(R, banded_topology(10, 2), hp)
             assert res.best_cond < baseline_cond
-            assert np.isclose(split_preconditioned_cond(R, res.U), res.best_cond)
+            assert split_preconditioned_cond(R, res.U) == res.best_cond
 
     def test_best_so_far_is_monotone(self):
         R = hilbert(10, 1e-4)
@@ -652,6 +653,34 @@ def test_score_failure_outranks_a_later_error(monkeypatch, k, fail_at, later):
               for run in (optimize, optimize_reference)]
     assert all(type(e) is np.linalg.LinAlgError for e in errors)
     assert [str(e) for e in errors] == [f"injected at iteration {fail_at}"] * 2
+
+
+def first_nonpositive_spectrum(monkeypatch, R, t, hp) -> tuple[int, float]:
+    """Iteration and smallest eigenvalue of the reference loop's first non-positive score."""
+    spectra, real = [], np.linalg.eigvalsh
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "eigvalsh", lambda a: spectra.append(real(a)) or spectra[-1])
+        ref = optimize_reference(R, t, hp)
+    # call 0 is cond_spd(R), then one call per recorded iterate
+    i = next(i for i, ev in enumerate(spectra[1:]) if ev[0] <= 0.0)
+    return ref.history[i].t, spectra[1 + i][0]
+
+
+# hilbert(13) passes cond_spd, but 41 of these 100 iterates' normalized spectra are not positive
+NOT_POSITIVE = (hilbert(13), full_topology(13), HyperParams(max_iter=100))
+
+
+@pytest.mark.parametrize("k", WINDOWS)
+def test_nonpositive_score_raises_at_its_iterate(monkeypatch, k):
+    R, t, hp = NOT_POSITIVE
+    it, low = first_nonpositive_spectrum(monkeypatch, R, t, hp)
+    set_window(monkeypatch, t.n, k)
+    with pytest.raises(NotPositiveDefiniteError) as info:
+        optimize(R, t, hp)
+    assert str(info.value) == f"smallest eigenvalue is {low:g}"
+    # every iterate before it scores, as in the reference loop
+    before = replace(hp, max_iter=it)
+    assert_bitwise_equal(optimize(R, t, before), optimize_reference(R, t, before))
 
 
 class TestJitter:

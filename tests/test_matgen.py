@@ -138,6 +138,12 @@ class TestAr2:
             R = ar2_autocorr(10, rho1, rho2)
         assert np.max(np.abs(np.diag(R) - 1.0)) <= 1e-12
 
+    def test_warns_when_not_positive_definite(self):
+        # close poles at n=50 give a negative eigenvalue in floating point
+        with pytest.warns(RuntimeWarning,
+                          match=r"not positive definite \(smallest eigenvalue is -"):
+            ar2_autocorr(50, 0.99999, 0.99998)
+
     def test_second_pole_zero_reduces_to_ar1(self):
         c1, c2 = ar2_coefficients(0.6, 0.0)
         assert c1 == 1.0 and c2 == 0.0

@@ -16,6 +16,7 @@ from precog.graph import banded_topology
 from precog.learn import HyperParams, is_degenerate, optimize
 from precog.matgen import ar1_autocorr
 from precog.spectral import (
+    _normalized_spectra,
     canonical_sign,
     cond_general,
     cond_spd,
@@ -250,6 +251,30 @@ class TestPowerNormalize:
         out = power_normalize(R)
         assert np.max(np.abs(np.diag(out.S) - 1.0)) <= 1e-12
         assert np.max(np.abs(out.S - out.S.T)) <= 1e-12
+
+
+class TestNormalizedSpectra:
+    def test_rows_score_as_split_preconditioned_cond(self, rng):
+        R = rand_spd(6, rng)
+        Us = [rand_orthonormal(6, rng) for _ in range(3)]
+        ev = _normalized_spectra([U.T @ R @ U for U in Us])
+        assert [float(e[-1] / e[0]) for e in ev] == [split_preconditioned_cond(R, U)
+                                                      for U in Us]
+
+    def test_checks_the_normalized_matrix(self):
+        # G's asymmetry is 1e-11 of max|G|, but 1e-5 in S, whose scale is 1
+        G = np.array([[1e6, 0.5], [0.50001, 1e-6]])
+        power_normalize(G)
+        with pytest.raises(SymmetryError):
+            _normalized_spectra([np.eye(2), G])
+
+    def test_earliest_failure_raises(self):
+        asym = np.array([[1.0, 0.5], [0.4, 1.0]])
+        indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(NotPositiveDefiniteError, match="smallest eigenvalue is -1"):
+            _normalized_spectra([np.eye(2), indefinite, asym])
+        with pytest.raises(SymmetryError):
+            _normalized_spectra([np.eye(2), asym, indefinite])
 
 
 class TestSplitPreconditionedCond:
