@@ -149,13 +149,14 @@ def ar1_signal(length: int, rho: float, seed: int) -> np.ndarray:
         raise InvalidDimensionError(f"length must be positive, got {length}")
     if not 0.0 <= rho < 1.0:
         raise InvalidInputError(f"rho must be in [0, 1), got {rho}")
-    rng = np.random.default_rng(seed)
-    # the recursion runs on Python floats: same IEEE operations, no numpy scalars
-    x = rng.standard_normal(length).tolist()
+    nu = np.random.default_rng(seed).standard_normal(length)
     rho = float(rho)
-    c = float(np.sqrt(1.0 - rho * rho))
+    # innovations scaled in one multiply, bitwise the per-sample c * nu(k); the recursion
+    # runs on Python floats (same IEEE operations, no numpy scalars) with x(k-1) in a local
+    x = (float(np.sqrt(1.0 - rho * rho)) * nu).tolist()
+    prev = x[0] = float(nu[0])
     for k in range(1, length):
-        x[k] = rho * x[k - 1] + c * x[k]
+        prev = x[k] = rho * prev + x[k]
     return np.array(x)
 
 
@@ -181,9 +182,11 @@ def ar2_signal(length: int, rho1: float, rho2: float, seed: int) -> np.ndarray:
     total = length + burn
     x = (sigma * rng.standard_normal(total)).tolist()
     a1, a2 = float(a1), float(a2)
-    x[1] = a1 * x[0] + x[1]
+    prev2, prev = x[0], a1 * x[0] + x[1]
+    x[1] = prev
     for k in range(2, total):
-        x[k] = a1 * x[k - 1] + a2 * x[k - 2] + x[k]
+        prev2, prev = prev, a1 * prev + a2 * prev2 + x[k]
+        x[k] = prev
     return np.array(x[burn:])
 
 

@@ -144,15 +144,23 @@ def orthonormality_error(U: np.ndarray) -> float:
     return math.sqrt(e @ e)  # the expression np.linalg.norm evaluates
 
 
+def _check_orthonormal(U: np.ndarray, what: str = "U") -> np.ndarray:
+    # finiteness first: a nan orthonormality error compares False against any tolerance
+    U = np.asarray(U, dtype=float)
+    if not np.isfinite(U).all():
+        raise InvalidInputError(f"{what} has non-finite entries")
+    if orthonormality_error(U) > ORTHONORMALITY_TOL:
+        raise InvalidInputError(f"{what} is not orthonormal to 1e-8")
+    return U
+
+
 def split_preconditioned_cond(R: np.ndarray, U: np.ndarray) -> float:
     """Condition number of the power-normalized congruence U^T R U.
 
     This is the score of an orthonormal U acting as a unitary split
     preconditioner on a symmetric positive definite R.
     """
-    U = np.asarray(U, dtype=float)
-    if orthonormality_error(U) > ORTHONORMALITY_TOL:
-        raise InvalidInputError("U is not orthonormal to 1e-8")
+    U = _check_orthonormal(U)
     return cond_spd(power_normalize(U.T @ np.asarray(R, dtype=float) @ U).S)
 
 

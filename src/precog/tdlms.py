@@ -12,11 +12,21 @@ fast exact least mean square adaptive algorithm", IEEE TSP 1992): within a
 block of B steps the a-priori errors solve one unit lower-triangular
 system, so only one n x n affine weight map per block stays sequential.
 Its results match the per-step recursion to rounding, not bit for bit.
+
+Each piece of work is done once.  The decay matrices of the power
+estimate, whose entries depend only on a lag, are built once for a full
+chunk at import, and a shorter last chunk reads their leading slices.  The
+excitation of a run (tap-delay windows and desired signal) is kept for the
+next call with the same plant, signal, noise level, length and seed, so
+plain, DCT and learned filters compared on one plant build it once.  Both
+are the same IEEE operations on the same operands as building them per
+chunk and per call, so every trace is bitwise what it was.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,7 +34,7 @@ import numpy as np
 
 from .errors import DivergenceError, InvalidDimensionError, InvalidInputError
 from .matgen import SignalSpec
-from .spectral import ORTHONORMALITY_TOL, orthonormality_error
+from .spectral import _check_orthonormal
 
 # steps per block system, and steps per chunk, which bounds the transient
 # arrays; 16-step blocks ran as fast as 32 and faster than 8
@@ -33,6 +43,28 @@ _CHUNK = 32 * _BLOCK
 # transform-domain power estimate: exponential window and floor
 _GAMMA = 0.99
 _DELTA = 1e-6
+
+
+def _lags(m: int) -> np.ndarray:
+    return np.subtract.outer(np.arange(m), np.arange(m))
+
+
+# _gain_blocks' decay factors for a full chunk of _CHUNK // _BLOCK blocks: the power
+# estimate's step weights inside a block, the carry from earlier blocks' last powers,
+# and the decay of the power each block starts from
+_IN_BLOCK = np.where(_lags(_BLOCK) >= 0, (1.0 - _GAMMA) * _GAMMA ** np.abs(_lags(_BLOCK)), 0.0)
+_CARRY = np.where(_lags(_CHUNK // _BLOCK) > 0,
+                  _GAMMA ** (_BLOCK * np.abs(_lags(_CHUNK // _BLOCK) - 1)), 0.0)
+_START = _GAMMA ** (_BLOCK * np.arange(_CHUNK // _BLOCK))[:, None]
+_DECAY = _GAMMA ** np.arange(1, _BLOCK + 1)[:, None]
+_TRI = np.tri(_BLOCK)
+
+
+def _check_integer(name: str, value) -> None:
+    # bool is an int subclass, and a float count would pass the range checks and then
+    # fail inside numpy
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -44,18 +76,18 @@ class FilterConfig:
     transform: np.ndarray | None = None
 
     def __post_init__(self) -> None:
+        _check_integer("taps", self.taps)
         if self.taps < 1:
             raise InvalidDimensionError(f"taps must be positive, got {self.taps}")
         if not 0.0 < self.step < np.inf:  # nan fails too
             raise InvalidInputError(f"step must be positive and finite, got {self.step}")
         if self.transform is not None:
-            T = np.asarray(self.transform, dtype=float)
-            if T.shape != (self.taps, self.taps):
+            shape = np.shape(self.transform)
+            if shape != (self.taps, self.taps):
                 raise InvalidDimensionError(
-                    f"transform shape {T.shape} does not match taps={self.taps}"
+                    f"transform shape {shape} does not match taps={self.taps}"
                 )
-            if orthonormality_error(T) > ORTHONORMALITY_TOL:
-                raise InvalidInputError("transform is not orthonormal")
+            _check_orthonormal(self.transform, "transform")
 
 
 @dataclass
@@ -130,20 +162,17 @@ def _gain_blocks(
 
     Plain LMS: z_k = step v_k.  Transform domain: z_k = step v_k / (p_k + delta)
     with p_k = gamma p_{k-1} + (1 - gamma) v_k^2 and p_{-1} = p, summed per
-    block with a B x B Toeplitz matrix of powers of gamma, plus the power
-    each block starts from, gamma^(a+1) p_in.
+    block with the B x B Toeplitz matrix _IN_BLOCK of powers of gamma, plus
+    the power each block starts from, gamma^(a+1) p_in.  K blocks read the
+    leading K of the full chunk's factors.
     """
     if cfg.transform is None:
         return cfg.step * V, p
-    K, B, _ = V.shape
-    gamma = _GAMMA
-    lag = np.subtract.outer(np.arange(B), np.arange(B))
-    P = np.where(lag >= 0, (1.0 - gamma) * gamma ** np.abs(lag), 0.0) @ (V * V)
+    K = len(V)
+    P = _IN_BLOCK @ (V * V)
     # p_in of block b: gamma^(bB) p + sum_{j<b} gamma^((b-1-j)B) (block j's own last power)
-    lag = np.subtract.outer(np.arange(K), np.arange(K))
-    p_in = (np.where(lag > 0, gamma ** (B * np.abs(lag - 1)), 0.0) @ P[:, -1]
-            + gamma ** (B * np.arange(K))[:, None] * p)
-    P += gamma ** np.arange(1, B + 1)[:, None] * p_in[:, None, :]
+    p_in = _CARRY[:K, :K] @ P[:, -1] + _START[:K] * p
+    P += _DECAY * p_in[:, None, :]
     return cfg.step * V / (P + _DELTA), P[-1, -1]
 
 
@@ -163,7 +192,9 @@ def _block_lms(V: np.ndarray, d: np.ndarray, Z: np.ndarray, w: np.ndarray):
     for j in range(1, B):
         sol[:, j] -= (L[:, j, None, :j] @ sol[:, :j])[:, 0]
     a, M = sol[..., 0], sol[..., 1:]
-    F = np.eye(n) - Z.transpose(0, 2, 1) @ M
+    # I - Z^T M without building I: 0 - x is eye's off-diagonal, and (0 - x) + 1 is 1 - x
+    F = 0.0 - Z.transpose(0, 2, 1) @ M
+    F.reshape(len(F), -1)[:, :: n + 1] += 1.0
     c = (a[:, None, :] @ Z)[:, 0]
     W0 = []
     for Fb, cb in zip(F, c):
@@ -171,16 +202,44 @@ def _block_lms(V: np.ndarray, d: np.ndarray, Z: np.ndarray, w: np.ndarray):
         w = Fb @ w + cb
     W0 = np.array(W0)
     e = a - (M @ W0[..., None])[..., 0]
-    W = W0[:, None, :] + (np.tri(B) * e[:, None, :]) @ Z
+    W = W0[:, None, :] + (_TRI * e[:, None, :]) @ Z
     return e, W, w
 
 
 def check_run(run_len: int, noise_db: float) -> None:
-    """Reject a run length below 1 or a non-finite signal-to-noise ratio."""
+    """Reject a run length that is not a positive integer, or a non-finite noise_db."""
+    _check_integer("run_len", run_len)
     if run_len < 1:
         raise InvalidDimensionError(f"run_len must be positive, got {run_len}")
     if not np.isfinite(noise_db):
         raise InvalidInputError(f"noise_db must be finite, got {noise_db}")
+
+
+@functools.lru_cache(maxsize=1, typed=True)
+def _excitation(
+    plant_bytes: bytes, input_spec: SignalSpec, noise_db: float, run_len: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only tap-delay windows (run_len, n) and desired signal d of one run.
+
+    The key is every input they read: the plant's bytes (which fix n), the
+    signal, noise_db, run_len and seed, each with its type, since a float32
+    noise_db computes in float32.  The one entry kept is the last run's, so
+    calls that differ only in the filter share one excitation.
+    """
+    plant = np.frombuffer(plant_bytes)
+    n = plant.size
+    sig_seed, noise_seed = np.random.SeedSequence(seed).spawn(2)
+    x = input_spec.generate(run_len + n, int(sig_seed.generate_state(1)[0]))
+    x.flags.writeable = False
+    noise_rng = np.random.default_rng(int(noise_seed.generate_state(1)[0]))
+
+    # tap-delay regressors: x_vec(k) = (x[k+n-1], ..., x[k])
+    windows = np.lib.stride_tricks.sliding_window_view(x, n)[:run_len, ::-1]
+    clean = windows @ plant
+    noise_var = float(np.var(clean)) * 10.0 ** (-noise_db / 10.0)
+    d = clean + np.sqrt(noise_var) * noise_rng.standard_normal(run_len)
+    d.flags.writeable = False
+    return windows, d
 
 
 def system_id_experiment(
@@ -198,6 +257,12 @@ def system_id_experiment(
     signal-to-noise ratio is noise_db.  Misalignment is measured against
     the true plant in the tap domain.  A run that overflows raises DivergenceError.
 
+    Every input is checked first.  The excitation is then read from a
+    one-entry memo keyed by the plant's bytes, the signal, noise_db, run_len
+    and seed: a second filter on the same plant and seed skips the signal
+    recursion, the plant output and the noise draw, and reads the same
+    arrays the first call built, so its trace is bitwise a cold call's.
+
     The filter is the recursion of lms_step / tdlms_step in its exact block
     form (_gain_blocks, _block_lms), run chunk by chunk with the weights and
     the power estimate carried across.  Results match the per-step
@@ -209,20 +274,17 @@ def system_id_experiment(
             f"plant length {plant.shape} does not match taps={cfg.taps}"
         )
     check_run(run_len, noise_db)
+    _check_integer("seed", seed)
+    if seed < 0:
+        raise InvalidInputError(f"seed must be nonnegative, got {seed}")
+    if not np.isfinite(plant).all():
+        raise InvalidInputError("plant has non-finite entries")
     plant_energy = float(plant @ plant)
     if not plant_energy > 0.0:
         raise InvalidInputError("plant must be nonzero: misalignment is relative to its energy")
+    windows, d = _excitation(plant.tobytes(), input_spec, noise_db, run_len, seed)
+
     n = cfg.taps
-    sig_seed, noise_seed = np.random.SeedSequence(seed).spawn(2)
-    x = input_spec.generate(run_len + n, int(sig_seed.generate_state(1)[0]))
-    noise_rng = np.random.default_rng(int(noise_seed.generate_state(1)[0]))
-
-    # tap-delay regressors: x_vec(k) = (x[k+n-1], ..., x[k])
-    windows = np.lib.stride_tricks.sliding_window_view(x, n)[:run_len, ::-1]
-    clean = windows @ plant
-    noise_var = float(np.var(clean)) * 10.0 ** (-noise_db / 10.0)
-    d = clean + np.sqrt(noise_var) * noise_rng.standard_normal(run_len)
-
     U = None if cfg.transform is None else np.asarray(cfg.transform, dtype=float)
     e = np.empty(run_len)
     mis = np.empty(run_len)
@@ -232,11 +294,15 @@ def system_id_experiment(
         for start in range(0, run_len, _CHUNK):
             stop = min(start + _CHUNK, run_len)
             m = stop - start
-            V = windows[start:stop] if U is None else windows[start:stop] @ U
-            # zero steps after the run's last one fill its last block; nothing reads them
-            pad = -m % _BLOCK
-            V = np.concatenate([V, np.zeros((pad, n))]).reshape(-1, _BLOCK, n)
-            dc = np.append(d[start:stop], np.zeros(pad)).reshape(-1, _BLOCK)
+            # contiguous like a padded V, so each product takes one path on any numpy
+            V = np.ascontiguousarray(windows[start:stop]) if U is None else windows[start:stop] @ U
+            dc = d[start:stop]
+            if m % _BLOCK:
+                # zero steps after the run's last one fill its last block; nothing reads them
+                pad = _BLOCK - m % _BLOCK
+                V = np.concatenate([V, np.zeros((pad, n))])
+                dc = np.append(dc, np.zeros(pad))
+            V, dc = V.reshape(-1, _BLOCK, n), dc.reshape(-1, _BLOCK)
             Z, p = _gain_blocks(V, cfg, p)
             ec, W, w = _block_lms(V, dc, Z, w)
             W = W.reshape(-1, n)[:m]

@@ -254,9 +254,11 @@ class TestSignals:
             expected = ar1_signal_loop(length, rho, seed)
             assert ar1_signal(length, rho, seed).tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("rho1, rho2", [(0.9, 0.5), (0.95, 0.1), (-0.5, 0.3)])
+    @pytest.mark.parametrize("rho1, rho2", [
+        (0.9, 0.5), (0.95, 0.1), (-0.5, 0.3), (0.99, 0.98), (0.5, -0.9), (0.3, 0.0),
+    ])
     def test_ar2_matches_loop_bitwise(self, rho1, rho2):
-        for seed, length in zip(range(3), (1, 3000, 20016)):
+        for seed, length in zip((0, 1, 2, 3, 2**40), (1, 2, 3000, 3001, 20016)):
             expected = ar2_signal_loop(length, rho1, rho2, seed)
             assert ar2_signal(length, rho1, rho2, seed).tobytes() == expected.tobytes()
 

@@ -292,6 +292,14 @@ class TestSplitPreconditionedCond:
         with pytest.raises(InvalidInputError):
             split_preconditioned_cond(np.eye(3), 2.0 * np.eye(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_u_rejected(self, bad):
+        # a nan orthonormality error passes a "> tol" test; U, not U^T R U, is the bad input
+        U = np.eye(3)
+        U[0, 1] = bad
+        with pytest.raises(InvalidInputError, match="U has non-finite entries"):
+            split_preconditioned_cond(np.eye(3), U)
+
     def test_invariant_under_signed_permutations(self, rng):
         R = rand_spd(6, rng)
         U = rand_orthonormal(6, rng)
