@@ -83,9 +83,9 @@ def dct_matrix(n: int) -> np.ndarray:
         raise InvalidInputError(f"n must be positive, got {n}")
     C = np.empty((n, n))
     j = np.arange(n)
+    k = np.arange(1, n)
     C[0, :] = 1.0 / np.sqrt(n)
-    for k in range(1, n):
-        C[k, :] = np.sqrt(2.0 / n) * np.cos(np.pi * (2 * j + 1) * k / (2 * n))
+    C[1:, :] = np.sqrt(2.0 / n) * np.cos(np.pi * (2 * j + 1) * k[:, None] / (2 * n))
     return C
 
 

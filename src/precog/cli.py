@@ -2,7 +2,7 @@
 
 Subcommands: gen (matrix files), bench (multi-method condition-ratio CSV),
 gradcheck (finite-difference certification), precondition (single-matrix
-learning run), lms (system-identification trace).
+learning run), lms (system-identification trace over one or more seeds).
 
 Exit codes: 0 success, 1 numerical failure, 2 usage error.  Reports are
 deterministic for a fixed config and seed; wall-clock timing is opt-in
@@ -88,13 +88,13 @@ def _list_of(kind):
 
 
 def _seeds(args: argparse.Namespace) -> list[int]:
-    """--seed, else PRECOG_SEED, else 0; each in [0, 2**64), and only bench takes several."""
+    """--seed, else PRECOG_SEED, else 0; each in [0, 2**64), and only bench and lms take a list."""
     source = "--seed" if args.seed is not None else "PRECOG_SEED"
     try:
         seeds = args.seed or _list_of(int)(os.environ.get("PRECOG_SEED", "0"))
     except argparse.ArgumentTypeError as exc:
         raise UsageError(f"PRECOG_SEED: {exc}") from None
-    if len(seeds) > 1 and args.command != "bench":
+    if len(seeds) > 1 and args.command not in ("bench", "lms"):
         raise UsageError(f"{args.command} takes one seed, got {len(seeds)} from {source}")
     if not all(0 <= seed < 2**64 for seed in seeds):
         raise UsageError(f"{source} values must lie in [0, 2**64), got {seeds}")
@@ -340,7 +340,6 @@ def cmd_precondition(args: argparse.Namespace) -> int:
 
 
 def cmd_lms(args: argparse.Namespace) -> int:
-    seed = args.seed[0]
     spec = SignalSpec(family=args.signal, rho=args.rho, rho1=args.rho1, rho2=args.rho2)
     # every flag is checked before a transform is learned or the filter runs
     cfg = _from_flags(FilterConfig, taps=args.taps, step=args.step)
@@ -349,21 +348,28 @@ def cmd_lms(args: argparse.Namespace) -> int:
 
     if args.transform == "dct":
         cfg = replace(cfg, transform=dct_matrix(args.taps).T)
-    elif args.transform == "precog":
-        hp = _hyperparams_from_args(args, seed)
+    elif args.transform == "precog":  # learned once, from the first seed's start
+        hp = _hyperparams_from_args(args, args.seed[0])
         topo = _topology_from_args(args, args.taps)
         cfg = replace(cfg, transform=optimize(R, topo, hp).U)
 
-    rng = np.random.default_rng(seed)
-    plant = rng.standard_normal(args.taps)
-    plant /= np.linalg.norm(plant)
-    trace = system_id_experiment(plant, spec, args.noise_db, cfg, args.run_len, seed)
-    trace.to_csv(args.out)
-    hit = trace.iterations_to_threshold(-20.0)
-    print(
-        f"lms transform={args.transform} signal={args.signal} "
-        f"iterations_to_-20dB={hit if hit is not None else 'never'} -> {args.out}"
-    )
+    first, hits = None, []
+    for seed in args.seed:  # each seed draws its own plant and excitation
+        rng = np.random.default_rng(seed)
+        plant = rng.standard_normal(args.taps)
+        plant /= np.linalg.norm(plant)
+        trace = system_id_experiment(plant, spec, args.noise_db, cfg, args.run_len, seed)
+        first = trace if first is None else first
+        hits.append(trace.iterations_to_threshold(-20.0))
+    first.to_csv(args.out)  # written once every seed has run, so a failed run writes nothing
+    head = f"lms transform={args.transform} signal={args.signal}"
+    if len(hits) == 1:
+        print(f"{head} iterations_to_-20dB={hits[0] if hits[0] is not None else 'never'} "
+              f"-> {args.out}")
+    else:  # a seed that never reaches -20 dB counts as run_len + 1
+        v = [args.run_len + 1 if hit is None else hit for hit in hits]
+        print(f"{head} seeds={len(v)} median_iterations_to_-20dB={int(np.median(v))} "
+              f"(min {min(v)}, max {max(v)}) -> {args.out}")
     return 0
 
 
@@ -410,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pre.add_argument("--history", default=None, help="optional history CSV")
     p_pre.set_defaults(func=cmd_precondition)
 
-    p_lms = sub.add_parser("lms", help="system-identification LMS run")
+    p_lms = sub.add_parser("lms", help="system-identification LMS runs (first seed's trace)")
     _add_hyper_flags(p_lms)
     p_lms.add_argument("--taps", type=int, default=16)
     p_lms.add_argument("--step", type=float, default=0.01)
@@ -425,7 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_lms.set_defaults(func=cmd_lms)
     for p in sub.choices.values():
         p.add_argument("--seed", type=_list_of(int), default=None,
-                       help="seed (bench: a comma-separated sweep); default $PRECOG_SEED, else 0")
+                       help="seed (bench, lms: a comma-separated list); "
+                            "default $PRECOG_SEED, else 0")
     return parser
 
 

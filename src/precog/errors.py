@@ -2,8 +2,13 @@
 
 Every numerical failure raises a distinct class so callers (and the CLI,
 which maps them to exit code 1) can tell input mistakes apart from genuine
-breakdowns inside an algorithm.
+breakdowns inside an algorithm.  The two type checks shared by the
+integer and real-valued arguments of several modules live here too.
 """
+
+import numbers
+
+import numpy as np
 
 
 class PrecogError(Exception):
@@ -48,3 +53,16 @@ class DivergenceError(PrecogError, ArithmeticError):
 
 class IluBreakdownError(PrecogError, ArithmeticError):
     """Incomplete LU hit a zero pivot."""
+
+
+def _check_integer(name: str, value) -> None:
+    # bool is an int subclass, and a float count would pass the range checks and then
+    # fail inside numpy
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_real(name: str, value) -> None:
+    # bool is an int subclass too: True would run as 1.0
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidInputError(f"{name} must be a real number, got {value!r}")

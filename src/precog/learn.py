@@ -33,6 +33,8 @@ from .errors import (
     DivergenceError,
     InvalidDimensionError,
     InvalidInputError,
+    _check_integer,
+    _check_real,
 )
 from .graph import Topology, WeightedGraph, _laplacian, laplacian
 from .spectral import (
@@ -79,9 +81,9 @@ class HyperParams:
 
     def __post_init__(self) -> None:
         for name in ("max_iter", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+            _check_integer(name, getattr(self, name))
+        for name in ("mu", "beta", "eps1", "eps2", "tol"):
+            _check_real(name, getattr(self, name))
         if not 0.0 < self.mu < 1.0:
             raise InvalidInputError(f"mu must be in (0, 1), got {self.mu}")
         if self.beta < 0.0:

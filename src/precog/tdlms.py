@@ -32,7 +32,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DivergenceError, InvalidDimensionError, InvalidInputError
+from .errors import (
+    DivergenceError,
+    InvalidDimensionError,
+    InvalidInputError,
+    _check_integer,
+    _check_real,
+)
 from .matgen import SignalSpec
 from .spectral import _check_orthonormal
 
@@ -60,13 +66,6 @@ _DECAY = _GAMMA ** np.arange(1, _BLOCK + 1)[:, None]
 _TRI = np.tri(_BLOCK)
 
 
-def _check_integer(name: str, value) -> None:
-    # bool is an int subclass, and a float count would pass the range checks and then
-    # fail inside numpy
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
-
-
 @dataclass(frozen=True)
 class FilterConfig:
     """Tap count, step size and optional transform; transform=None means plain LMS."""
@@ -79,6 +78,7 @@ class FilterConfig:
         _check_integer("taps", self.taps)
         if self.taps < 1:
             raise InvalidDimensionError(f"taps must be positive, got {self.taps}")
+        _check_real("step", self.step)
         if not 0.0 < self.step < np.inf:  # nan fails too
             raise InvalidInputError(f"step must be positive and finite, got {self.step}")
         if self.transform is not None:
@@ -207,10 +207,11 @@ def _block_lms(V: np.ndarray, d: np.ndarray, Z: np.ndarray, w: np.ndarray):
 
 
 def check_run(run_len: int, noise_db: float) -> None:
-    """Reject a run length that is not a positive integer, or a non-finite noise_db."""
+    """Reject a run length that is not a positive integer, or a noise_db that is not finite."""
     _check_integer("run_len", run_len)
     if run_len < 1:
         raise InvalidDimensionError(f"run_len must be positive, got {run_len}")
+    _check_real("noise_db", noise_db)
     if not np.isfinite(noise_db):
         raise InvalidInputError(f"noise_db must be finite, got {noise_db}")
 
@@ -279,9 +280,12 @@ def system_id_experiment(
         raise InvalidInputError(f"seed must be nonnegative, got {seed}")
     if not np.isfinite(plant).all():
         raise InvalidInputError("plant has non-finite entries")
-    plant_energy = float(plant @ plant)
+    with np.errstate(over="ignore"):
+        plant_energy = float(plant @ plant)
     if not plant_energy > 0.0:
         raise InvalidInputError("plant must be nonzero: misalignment is relative to its energy")
+    if plant_energy == np.inf:
+        raise InvalidInputError("plant energy overflows: misalignment is relative to it")
     windows, d = _excitation(plant.tobytes(), input_spec, noise_db, run_len, seed)
 
     n = cfg.taps

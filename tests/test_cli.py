@@ -4,11 +4,12 @@ import pytest
 from precog import cli
 from precog.baselines import METHOD_NAMES, baseline_cond, none_cond
 from precog.cli import BENCH_HEADER, main
-from precog.errors import IluBreakdownError
+from precog.errors import DivergenceError, IluBreakdownError
 from precog.graph import banded_topology
 from precog.learn import HyperParams, optimize
-from precog.matgen import FAMILIES, ar1_autocorr, hilbert, load_matrix, save_matrix
+from precog.matgen import FAMILIES, SignalSpec, ar1_autocorr, hilbert, load_matrix, save_matrix
 from precog.spectral import cond_spd, orthonormality_error, split_preconditioned_cond
+from precog.tdlms import FilterConfig, system_id_experiment
 
 
 def run(capsys, *argv):
@@ -543,7 +544,7 @@ def test_seed_out_of_range_is_usage_error(tmp_path, capsys, monkeypatch, command
     assert not any(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("command", [c for c in SEED_COMMANDS if c != "bench"])
+@pytest.mark.parametrize("command", [c for c in SEED_COMMANDS if c not in ("bench", "lms")])
 def test_seed_list_outside_bench_is_usage_error(tmp_path, capsys, monkeypatch, command):
     monkeypatch.chdir(tmp_path)
     code, _, err = run(capsys, *SEED_COMMANDS[command], "--seed", "0,1")
@@ -685,6 +686,62 @@ class TestLms:
         assert lines[0] == "k,e2,misalignment_db"
         assert len(lines) == 401
 
+    @pytest.mark.parametrize("transform", ["none", "dct", "precog"])
+    def test_each_transform_writes_one_trace(self, tmp_path, capsys, transform):
+        out = tmp_path / "trace.csv"
+        code, stdout, _ = run(capsys, "lms", "--transform", transform, "--taps", "6",
+                              "--max-iter", "10", "--run-len", "500", "--out", str(out))
+        assert code == 0
+        header, *rows = out.read_text().splitlines()
+        assert header == "k,e2,misalignment_db"
+        assert len(rows) == 500
+        assert stdout.startswith(f"lms transform={transform} signal=ar1 iterations_to_-20dB=")
+
+    def test_seed_list_writes_first_seed_trace(self, tmp_path, capsys):
+        flags = ["lms", "--transform", "dct", "--taps", "8", "--run-len", "400"]
+        one, two = tmp_path / "one.csv", tmp_path / "two.csv"
+        assert run(capsys, *flags, "--seed", "0", "--out", str(one))[0] == 0
+        assert run(capsys, *flags, "--seed", "0,1", "--out", str(two))[0] == 0
+        assert two.read_bytes() == one.read_bytes()
+
+    def test_seed_list_reports_median_min_max(self, tmp_path, capsys):
+        # at this length some seeds never reach -20 dB; each counts as run_len + 1
+        run_len, seeds = 600, range(6)
+        spec = SignalSpec("ar1", rho=0.9)
+        hits = []
+        for seed in seeds:
+            plant = np.random.default_rng(seed).standard_normal(8)
+            plant /= np.linalg.norm(plant)
+            trace = system_id_experiment(plant, spec, 30.0, FilterConfig(8, 0.05), run_len, seed)
+            hit = trace.iterations_to_threshold(-20.0)
+            hits.append(run_len + 1 if hit is None else hit)
+        assert run_len + 1 in hits and min(hits) < run_len
+        out = tmp_path / "trace.csv"
+        code, stdout, _ = run(capsys, "lms", "--taps", "8", "--step", "0.05",
+                              "--run-len", str(run_len), "--seed", ",".join(map(str, seeds)),
+                              "--out", str(out))
+        assert code == 0
+        assert stdout == (
+            f"lms transform=none signal=ar1 seeds=6 "
+            f"median_iterations_to_-20dB={int(np.median(hits))} "
+            f"(min {min(hits)}, max {max(hits)}) -> {out}\n")
+
+    def test_precog_learns_once_with_first_seed(self, tmp_path, capsys, monkeypatch):
+        learned = []
+
+        def spy(R, topo, hp):
+            learned.append(hp.seed)
+            return optimize(R, topo, hp)
+
+        monkeypatch.setattr(cli, "optimize", spy)
+        flags = ["lms", "--transform", "precog", "--taps", "6", "--max-iter", "10",
+                 "--run-len", "300"]
+        both, alone = tmp_path / "both.csv", tmp_path / "alone.csv"
+        assert run(capsys, *flags, "--seed", "3,0", "--out", str(both))[0] == 0
+        assert learned == [3]
+        assert run(capsys, *flags, "--seed", "3", "--out", str(alone))[0] == 0
+        assert both.read_bytes() == alone.read_bytes()
+
     def test_dct_transform_run(self, tmp_path, capsys):
         out = tmp_path / "trace.csv"
         code, _, _ = run(
@@ -725,6 +782,20 @@ class TestLms:
             capsys, "lms", "--taps", "8", "--step", "5", "--signal", "white",
             "--run-len", "400", "--seed", "2", "--out", str(out),
         )
+        assert code == 1
+        assert err.count("\n") == 1 and "diverged" in err
+        assert not out.exists()
+
+    def test_failing_later_seed_writes_no_trace(self, tmp_path, capsys, monkeypatch):
+        def fail_on_seed_1(*args):
+            if args[-1] == 1:
+                raise DivergenceError("filter diverged")
+            return system_id_experiment(*args)
+
+        monkeypatch.setattr(cli, "system_id_experiment", fail_on_seed_1)
+        out = tmp_path / "trace.csv"
+        code, _, err = run(capsys, "lms", "--taps", "4", "--run-len", "50", "--seed", "0,1",
+                           "--out", str(out))
         assert code == 1
         assert err.count("\n") == 1 and "diverged" in err
         assert not out.exists()

@@ -412,6 +412,13 @@ class TestHyperParams:
         with pytest.raises(InvalidInputError, match=name):
             HyperParams(**{name: value})
 
+    @pytest.mark.parametrize("name", ["mu", "beta", "eps1", "eps2", "tol"])
+    @pytest.mark.parametrize("value", [True, False, "0.5"])
+    def test_rejects_non_real_values(self, name, value):
+        # beta=True, eps1=True, tol=True and eps2=False passed as 1.0 and 0.0
+        with pytest.raises(InvalidInputError, match=f"{name} must be a real number"):
+            HyperParams(**{name: value})
+
     def test_numpy_integer_counts_pass(self):
         hp = HyperParams(max_iter=np.int64(3), seed=np.uint64(2**63))
         res = optimize(ar1_autocorr(4, 0.5), banded_topology(4, 2), hp)

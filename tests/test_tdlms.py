@@ -141,6 +141,12 @@ class TestConfig:
         with pytest.raises(InvalidInputError, match="taps must be an integer"):
             FilterConfig(taps=taps, step=0.1)
 
+    @pytest.mark.parametrize("step", [True, np.True_, "0.1"])
+    def test_non_real_step_rejected(self, step):
+        # True ran as a step of 1.0
+        with pytest.raises(InvalidInputError, match="step must be a real number"):
+            FilterConfig(taps=4, step=step)
+
     def test_numpy_integer_taps_accepted(self):
         cfg = FilterConfig(taps=np.int64(4), step=0.1, transform=dct_matrix(4).T)
         assert cfg.taps == 4
@@ -315,6 +321,21 @@ class TestSystemId:
             )
         with pytest.raises(InvalidInputError, match="run_len must be an integer"):
             tdlms.check_run(run_len, 30.0)
+
+    @pytest.mark.parametrize("noise_db", [True, False])
+    def test_bool_noise_rejected(self, noise_db):
+        with pytest.raises(InvalidInputError, match="noise_db must be a real number"):
+            tdlms.check_run(10, noise_db)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_plant_energy_rejected(self):
+        # finite entries whose energy overflows warned twice, then reported a divergence
+        spec = SignalSpec("white")
+        system_id_experiment(np.ones(4), spec, 30.0, plain_cfg(taps=4), 100, seed=0)
+        before = tdlms._excitation.cache_info()
+        with pytest.raises(InvalidInputError, match="plant energy overflows"):
+            system_id_experiment(np.full(4, 1e200), spec, 30.0, plain_cfg(taps=4), 100, seed=0)
+        assert tdlms._excitation.cache_info() == before  # checked before the memo is read
 
     @pytest.mark.parametrize("seed, match", [
         (-1, "seed must be nonnegative"),
