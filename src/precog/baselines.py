@@ -18,7 +18,8 @@ from .errors import (
     NumericallySingularError,
 )
 from .spectral import (
-    _spd_spectrum, cond_general, cond_spd, power_normalize, split_preconditioned_cond
+    _check_symmetric, _spd_spectrum, cond_general, cond_spd, power_normalize,
+    split_preconditioned_cond,
 )
 
 DEFAULT_OMEGA = 1.5
@@ -28,47 +29,38 @@ DEFAULT_OMEGA = 1.5
 class Preconditioner:
     """Left preconditioner: an invertible M, applied as M^{-1} A.
 
-    It may carry (L, U) factors so that applying M^{-1} goes through two
-    triangular solves instead of a dense inverse.
+    Its constructor may declare factors, (L, U) with M = L U or (M, None) for
+    a lower-triangular M, which M^{-1} A then solves through; a payload
+    without factors gets a dense solve.
     """
 
     payload: np.ndarray
-    factors: tuple[np.ndarray, np.ndarray] | None = None
+    factors: tuple[np.ndarray, np.ndarray | None] | None = None
 
     def __post_init__(self) -> None:
         cond_general(self.payload)  # raises NumericallySingularError if singular
 
     def apply_inverse(self, A: np.ndarray) -> np.ndarray:
         """M^{-1} A."""
-        if self.factors is not None:
-            Lf, Uf = self.factors
-            return _backward_solve(Uf, _forward_solve(Lf, A))
-        if np.array_equal(self.payload, np.tril(self.payload)):
-            return _forward_solve(self.payload, A)
-        return np.linalg.solve(self.payload, A)
+        if self.factors is None:
+            return np.linalg.solve(self.payload, A)
+        Lf, Uf = self.factors
+        X = _triangular_solve(Lf, A, lower=True)
+        return X if Uf is None else _triangular_solve(Uf, X, lower=False)
 
     def preconditioned_cond(self, A: np.ndarray) -> float:
         """Condition number of A after applying this preconditioner."""
         return cond_general(self.apply_inverse(A))
 
 
-def _forward_solve(L: np.ndarray, B: np.ndarray) -> np.ndarray:
-    n = L.shape[0]
+def _triangular_solve(T: np.ndarray, B: np.ndarray, lower: bool) -> np.ndarray:
+    # row by row; the first row's empty dot subtracts +0.0, which leaves x (and -0.0) as is
+    n = T.shape[0]
     X = np.array(B, dtype=float, copy=True)
-    for i in range(n):
-        if i:
-            X[i] -= L[i, :i] @ X[:i]
-        X[i] /= L[i, i]
-    return X
-
-
-def _backward_solve(U: np.ndarray, B: np.ndarray) -> np.ndarray:
-    n = U.shape[0]
-    X = np.array(B, dtype=float, copy=True)
-    for i in range(n - 1, -1, -1):
-        if i < n - 1:
-            X[i] -= U[i, i + 1:] @ X[i + 1:]
-        X[i] /= U[i, i]
+    for i in range(n) if lower else range(n - 1, -1, -1):
+        done = slice(0, i) if lower else slice(i + 1, n)
+        X[i] -= T[i, done] @ X[done]
+        X[i] /= T[i, i]
     return X
 
 
@@ -102,10 +94,11 @@ def dft_split_cond(R: np.ndarray) -> float:
 
     Complex arithmetic stays internal: the Hermitian congruence F^H R F is
     power-normalized with its real positive diagonal and the extreme
-    eigenvalue ratio is returned; a spectrum that is not positive raises
-    NotPositiveDefiniteError, as in cond_spd.
+    eigenvalue ratio is returned.  As in cond_spd, R must be square, finite
+    and symmetric, and a spectrum that is not positive raises
+    NotPositiveDefiniteError.
     """
-    R = np.asarray(R, dtype=float)
+    R = _check_symmetric(R, "R")
     n = R.shape[0]
     F = dft_matrix(n)
     Rt = F.conj().T @ R @ F
@@ -129,13 +122,15 @@ def _check_diag(A: np.ndarray, label: str) -> np.ndarray:
 def jacobi_precond(A: np.ndarray) -> Preconditioner:
     """Diagonal (Jacobi) preconditioner M = diag(A)."""
     A = _check_diag(A, "jacobi")
-    return Preconditioner(payload=np.diag(np.diag(A)))
+    M = np.diag(np.diag(A))
+    return Preconditioner(payload=M, factors=(M, None))
 
 
 def gauss_seidel_precond(A: np.ndarray) -> Preconditioner:
     """Gauss-Seidel preconditioner M = D + L (diagonal plus strict lower part)."""
     A = _check_diag(A, "gauss-seidel")
-    return Preconditioner(payload=np.tril(A))
+    M = np.tril(A)
+    return Preconditioner(payload=M, factors=(M, None))
 
 
 def check_omega(omega: float) -> None:
@@ -149,7 +144,7 @@ def sor_precond(A: np.ndarray, omega: float = DEFAULT_OMEGA) -> Preconditioner:
     check_omega(omega)
     A = _check_diag(A, "sor")
     M = np.tril(A, -1) + np.diag(np.diag(A)) / omega
-    return Preconditioner(payload=M)
+    return Preconditioner(payload=M, factors=(M, None))
 
 
 def ssor_precond(A: np.ndarray, omega: float = DEFAULT_OMEGA) -> Preconditioner:
@@ -159,7 +154,8 @@ def ssor_precond(A: np.ndarray, omega: float = DEFAULT_OMEGA) -> Preconditioner:
     D = np.diag(A)
     K = np.tril(A, -1) + np.diag(D) / omega
     M = (omega / (2.0 - omega)) * K @ np.diag(1.0 / D) @ K.T
-    return Preconditioner(payload=M)
+    # only a diagonal A gives a lower-triangular (diagonal) M
+    return Preconditioner(payload=M, factors=None if np.triu(M, 1).any() else (M, None))
 
 
 def ilu0_precond(A: np.ndarray) -> Preconditioner:

@@ -68,12 +68,27 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _fmt(x) -> str:
-    if x is None or x == "":
-        return ""
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+def _write_csv(path: str | None, header: str, rows) -> None:
+    """Write header and rows as CSV to path, or to stdout when path is empty.
+
+    A None cell is empty, a float (numpy's too) is repr(float(x)), anything else str(x).
+    """
+    text = "".join(
+        ",".join("" if x is None else repr(float(x)) if isinstance(x, (float, np.floating))
+                 else str(x) for x in row) + "\n"
+        for row in [[header], *rows])
+    if path:
+        Path(path).write_text(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _attempt(fn, *args):
+    """(fn(*args), "ok"), or (None, its class name) when fn raises a PrecogError."""
+    try:
+        return fn(*args), "ok"
+    except PrecogError as exc:
+        return None, type(exc).__name__
 
 
 def _list_of(kind):
@@ -225,7 +240,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     matrices = sorted([(matrix_id, spec, seed, _build_matrix(spec))
                        for matrix_id, (spec, seed) in zip(ids, specs)], key=lambda m: m[0])
 
-    lines = [BENCH_HEADER]
+    rows = []
     n_failed = 0
     for matrix_id, spec, seed, R in matrices:
         n = R.shape[0]
@@ -233,49 +248,36 @@ def cmd_bench(args: argparse.Namespace) -> int:
         hp = _hyperparams_from_args(args, seed)
         topo = _topology_from_args(args, n)
 
-        cond_raw = precog_cond = precog_iters = None
-        precog_status = "ok"
-        try:
-            cond_raw = cond_spd(R)
-        except PrecogError as exc:  # e.g. not SPD: every row of this matrix gets the status
-            precog_status = type(exc).__name__
+        # a matrix that fails (e.g. not SPD) gives every one of its rows the status
+        cond_raw, precog_status = _attempt(cond_spd, R)
+        result = precog_cond = precog_iters = None
         t0 = time.perf_counter()
         if cond_raw is not None:
-            try:
-                result = optimize(R, topo, hp)
-                precog_cond, precog_iters = result.best_cond, len(result.history)
-            except PrecogError as exc:
-                precog_status = type(exc).__name__
+            result, precog_status = _attempt(optimize, R, topo, hp)
         precog_ms = 1000.0 * (time.perf_counter() - t0)
+        if result is not None:
+            precog_cond, precog_iters = result.best_cond, len(result.history)
 
         for method in methods:
             t0 = time.perf_counter()
             if method == "precog" or cond_raw is None:
-                status, cond_method, iters = precog_status, precog_cond, precog_iters
+                cond_method, status, iters = precog_cond, precog_status, precog_iters
             else:
-                status, cond_method, iters = "ok", None, None
-                try:
-                    cond_method = baseline_cond(method, R, args.omega)
-                except PrecogError as exc:
-                    status = type(exc).__name__
+                (cond_method, status), iters = _attempt(baseline_cond, method, R, args.omega), None
             n_failed += status != "ok"
             wall_ms = precog_ms if method == "precog" else 1000.0 * (time.perf_counter() - t0)
             ratio = log_ratio = None
             if cond_method is not None and precog_cond is not None:
                 ratio = condition_ratio(cond_method, precog_cond)
-                log_ratio = float(np.log10(ratio))
-            lines.append(",".join(map(_fmt, [
+                log_ratio = np.log10(ratio)
+            rows.append([
                 matrix_id, n, spec.family, params_str, method, cond_raw, cond_method, ratio,
                 log_ratio, iters, wall_ms if args.timing else None, seed, hp.gradient_mode,
                 status, __version__,
-            ])))
+            ])
 
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
-    return 1 if n_failed == len(lines) - 1 else 0
+    _write_csv(args.out, BENCH_HEADER, rows)
+    return 1 if n_failed == len(rows) else 0
 
 
 def _central_diff(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -328,10 +330,8 @@ def cmd_precondition(args: argparse.Namespace) -> int:
     baseline = none_cond(R)
     save_matrix(result.U, args.out_u)
     if args.history:
-        lines = ["iteration,cost,split_cond,grad_norm"]
-        for rec in result.history:
-            lines.append(f"{rec.t},{rec.cost!r},{rec.split_cond!r},{rec.grad_norm!r}")
-        Path(args.history).write_text("\n".join(lines) + "\n")
+        _write_csv(args.history, "iteration,cost,split_cond,grad_norm",
+                   [(r.t, r.cost, r.split_cond, r.grad_norm) for r in result.history])
     print(
         f"{spec.label()}: power-normalized cond={baseline!r} learned cond={result.best_cond!r} "
         f"iterations={len(result.history)} stop={result.reason}"
@@ -340,6 +340,8 @@ def cmd_precondition(args: argparse.Namespace) -> int:
 
 
 def cmd_lms(args: argparse.Namespace) -> int:
+    if repeated := [seed for seed, count in Counter(args.seed).items() if count > 1]:
+        raise UsageError(f"lms seed {repeated[0]} is listed more than once")
     spec = SignalSpec(family=args.signal, rho=args.rho, rho1=args.rho1, rho2=args.rho2)
     # every flag is checked before a transform is learned or the filter runs
     cfg = _from_flags(FilterConfig, taps=args.taps, step=args.step)
@@ -361,7 +363,9 @@ def cmd_lms(args: argparse.Namespace) -> int:
         trace = system_id_experiment(plant, spec, args.noise_db, cfg, args.run_len, seed)
         first = trace if first is None else first
         hits.append(trace.iterations_to_threshold(-20.0))
-    first.to_csv(args.out)  # written once every seed has run, so a failed run writes nothing
+    # written once every seed has run, so a failed run writes nothing
+    _write_csv(args.out, "k,e2,misalignment_db",
+               zip(itertools.count(), first.e2, first.misalignment_db))
     head = f"lms transform={args.transform} signal={args.signal}"
     if len(hits) == 1:
         print(f"{head} iterations_to_-20dB={hits[0] if hits[0] is not None else 'never'} "

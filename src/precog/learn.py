@@ -382,10 +382,8 @@ def optimize(R: np.ndarray, t: Topology, hp: HyperParams) -> PrecogResult:
             prev_cost = cost
 
             w = w * shrink - hp.mu * grad_core
-        scores.flush()
-    except Exception:
-        scores.flush()  # a held iterate that fails to score outranks this error
-        raise
+    finally:
+        scores.flush()  # a held iterate that fails to score outranks an error raised after it
 
     if scores.best_U is None:
         raise DegenerateSpectrumError("no non-degenerate iterate was reached")

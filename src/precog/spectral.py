@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    InvalidDimensionError,
     InvalidInputError,
     NormalizationDomainError,
     NotPositiveDefiniteError,
@@ -145,8 +146,10 @@ def orthonormality_error(U: np.ndarray) -> float:
 
 
 def _check_orthonormal(U: np.ndarray, what: str = "U") -> np.ndarray:
-    # finiteness first: a nan orthonormality error compares False against any tolerance
+    # square and finite first: a nan orthonormality error compares False against any tolerance
     U = np.asarray(U, dtype=float)
+    if U.ndim != 2 or U.shape[0] != U.shape[1]:
+        raise InvalidDimensionError(f"{what} must be square, got shape {U.shape}")
     if not np.isfinite(U).all():
         raise InvalidInputError(f"{what} has non-finite entries")
     if orthonormality_error(U) > ORTHONORMALITY_TOL:

@@ -25,10 +25,8 @@ chunk and per call, so every trace is bitwise what it was.
 
 from __future__ import annotations
 
-import csv
 import functools
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -146,14 +144,6 @@ class MseTrace:
         hits = np.nonzero(self.misalignment <= 10.0 ** (db / 10.0))[0]
         return int(hits[0]) if hits.size else None
 
-    def to_csv(self, path: str | Path) -> None:
-        mdb = self.misalignment_db
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["k", "e2", "misalignment_db"])
-            for k in range(len(self.e2)):
-                writer.writerow([k, repr(float(self.e2[k])), repr(float(mdb[k]))])
-
 
 def _gain_blocks(
     V: np.ndarray, cfg: FilterConfig, p: np.ndarray
@@ -206,14 +196,19 @@ def _block_lms(V: np.ndarray, d: np.ndarray, Z: np.ndarray, w: np.ndarray):
     return e, W, w
 
 
+@np.errstate(over="raise")  # so that a numpy noise_db's overflowing power raises too
 def check_run(run_len: int, noise_db: float) -> None:
-    """Reject a run length that is not a positive integer, or a noise_db that is not finite."""
+    """Reject a non-integer or non-positive run_len, or a noise_db with no finite noise scale."""
     _check_integer("run_len", run_len)
     if run_len < 1:
         raise InvalidDimensionError(f"run_len must be positive, got {run_len}")
     _check_real("noise_db", noise_db)
-    if not np.isfinite(noise_db):
-        raise InvalidInputError(f"noise_db must be finite, got {noise_db}")
+    try:  # _excitation's scale, which overflows below about -3082.5 dB
+        finite = np.isfinite(noise_db) and np.isfinite(10.0 ** (-noise_db / 10.0))
+    except (OverflowError, FloatingPointError):
+        finite = False
+    if not finite:
+        raise InvalidInputError(f"noise_db must be finite, with a finite noise scale: {noise_db}")
 
 
 @functools.lru_cache(maxsize=1, typed=True)
@@ -236,8 +231,11 @@ def _excitation(
 
     # tap-delay regressors: x_vec(k) = (x[k+n-1], ..., x[k])
     windows = np.lib.stride_tricks.sliding_window_view(x, n)[:run_len, ::-1]
-    clean = windows @ plant
-    noise_var = float(np.var(clean)) * 10.0 ** (-noise_db / 10.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check below
+        clean = windows @ plant
+        noise_var = float(np.var(clean)) * 10.0 ** (-noise_db / 10.0)
+    if not np.isfinite(noise_var):
+        raise InvalidInputError("plant output or noise power overflows")
     d = clean + np.sqrt(noise_var) * noise_rng.standard_normal(run_len)
     d.flags.writeable = False
     return windows, d

@@ -20,12 +20,14 @@ from precog.baselines import (
     sor_precond,
     ssor_precond,
 )
+from precog.baselines import _triangular_solve
 from precog.errors import (
     IluBreakdownError,
     InvalidInputError,
     NotPositiveDefiniteError,
     NumericallySingularError,
     PrecogError,
+    SymmetryError,
 )
 from precog.matgen import ar1_autocorr, hilbert, random_sparse_pd
 from precog.spectral import cond_spd, orthonormality_error, split_preconditioned_cond
@@ -86,6 +88,16 @@ class TestDft:
     def test_markov_near_asymptote(self):
         cond = dft_split_cond(ar1_autocorr(64, 0.9))
         assert 10.0 <= cond <= 30.0
+
+    @pytest.mark.parametrize("R, error", [
+        (np.full((3, 3), np.nan), InvalidInputError),
+        (np.array([[2.0, 1.0], [0.0, 2.0]]), SymmetryError),
+        (np.ones(3), InvalidInputError),
+    ], ids=["nan", "asymmetric", "1-d"])
+    def test_malformed_input_rejected(self, R, error):
+        # these raised LinAlgError, NotPositiveDefiniteError and NumericallySingularError
+        with pytest.raises(error):
+            dft_split_cond(R)
 
     def test_nonpositive_spectrum_raises(self):
         # hilbert(13) passes cond_spd; its normalized DFT congruence has a negative eigenvalue
@@ -268,6 +280,93 @@ class TestIlu0:
         A = np.array([[1.0, 2.0], [2.0, 4.0]])  # exactly singular under LU
         with pytest.raises(IluBreakdownError, match="index 1"):
             ilu0_precond(A)
+
+
+# the two substitution loops that _triangular_solve replaced, kept as its oracles
+def forward_solve_loop(L, B):
+    n = L.shape[0]
+    X = np.array(B, dtype=float, copy=True)
+    for i in range(n):
+        if i:
+            X[i] -= L[i, :i] @ X[:i]
+        X[i] /= L[i, i]
+    return X
+
+
+def backward_solve_loop(U, B):
+    n = U.shape[0]
+    X = np.array(B, dtype=float, copy=True)
+    for i in range(n - 1, -1, -1):
+        if i < n - 1:
+            X[i] -= U[i, i + 1:] @ X[i + 1:]
+        X[i] /= U[i, i]
+    return X
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@st.composite
+def triangular_systems(draw):
+    """A lower or upper T and a vector or matrix right-hand side, with planted -0.0's.
+
+    Integer-valued entries cancel exactly, which yields signed zeros in the solution.
+    """
+    n = draw(st.integers(min_value=1, max_value=30))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    lower = draw(st.booleans())
+    shape = (n,) if draw(st.booleans()) else (n, draw(st.integers(min_value=1, max_value=4)))
+    if draw(st.booleans()):
+        T, B = np.round(rng.standard_normal((n, n)) * 2.0), np.round(rng.standard_normal(shape))
+        np.fill_diagonal(T, rng.choice([-2.0, -1.0, 1.0, 2.0], n))
+    else:
+        T = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-3, 4, (n, n))
+        B = rng.standard_normal(shape)
+    T = np.tril(T) if lower else np.triu(T)
+    T[(rng.random((n, n)) < 0.2) & ~np.eye(n, dtype=bool)] = -0.0
+    B[rng.random(shape) < 0.2] = -0.0
+    return T, B, lower
+
+
+def probing_apply_inverse(p, B):
+    """apply_inverse before the constructors declared their factors: it probed every payload.
+
+    ILU(0) solved with L, then U; a lower-triangular payload (Jacobi, Gauss-Seidel, SOR,
+    and SSOR of a diagonal A) got a forward solve; any other (SSOR) a dense solve.
+    """
+    if p.factors is not None and p.factors[1] is not None:
+        return backward_solve_loop(p.factors[1], forward_solve_loop(p.factors[0], B))
+    if np.array_equal(p.payload, np.tril(p.payload)):
+        return forward_solve_loop(p.payload, B)
+    return np.linalg.solve(p.payload, B)
+
+
+class TestTriangularSolve:
+    @given(triangular_systems())
+    @settings(max_examples=300, deadline=None)
+    def test_bitwise_equal_to_the_two_loops(self, system):
+        T, B, lower = system
+        want = (forward_solve_loop if lower else backward_solve_loop)(T, B)
+        assert_same_bits(_triangular_solve(T, B, lower), want)
+
+    @pytest.mark.parametrize("make", LEFT_FACTORIES,
+                             ids=["jacobi", "gauss-seidel", "sor", "ssor", "ilu0"])
+    @pytest.mark.parametrize("A", [
+        ar1_autocorr(16, 0.9), hilbert(10, 1e-4), random_sparse_pd(12, 0.5, 0),
+        np.diag(np.linspace(0.5, 7.0, 9)),
+    ], ids=["ar1", "hilbert", "sparse-pd", "diagonal"])
+    def test_apply_inverse_matches_the_probing_route(self, make, A):
+        p = make(A)
+        for B in (A, A[:, 0], -0.0 * A):
+            assert_same_bits(p.apply_inverse(B), probing_apply_inverse(p, B))
+
+    def test_payload_without_factors_gets_a_dense_solve(self, rng):
+        M = np.tril(rand_spd(6, rng))
+        A = rand_spd(6, rng)
+        assert_same_bits(Preconditioner(payload=M).apply_inverse(A), np.linalg.solve(M, A))
 
 
 class TestConditionRatio:

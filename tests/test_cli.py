@@ -9,7 +9,7 @@ from precog.graph import banded_topology
 from precog.learn import HyperParams, optimize
 from precog.matgen import FAMILIES, SignalSpec, ar1_autocorr, hilbert, load_matrix, save_matrix
 from precog.spectral import cond_spd, orthonormality_error, split_preconditioned_cond
-from precog.tdlms import FilterConfig, system_id_experiment
+from precog.tdlms import FilterConfig, MseTrace, system_id_experiment
 
 
 def run(capsys, *argv):
@@ -763,6 +763,10 @@ class TestLms:
         pytest.param(["--noise-db", "nan"], "noise_db", id="noise-db-nan"),
         pytest.param(["--noise-db", "inf"], "noise_db", id="noise-db-inf"),
         pytest.param(["--noise-db=-inf"], "noise_db", id="noise-db-minus-inf"),
+        # 10^(-noise_db/10) overflowed with an OverflowError traceback
+        pytest.param(["--noise-db=-4000"], "noise_db", id="noise-db-scale-overflow"),
+        # a repeated seed was run and counted twice in the median
+        pytest.param(["--seed", "0,3,0"], "seed 0", id="repeated-seed"),
     ])
     def test_bad_flag_is_usage_error_before_learning(self, tmp_path, capsys, monkeypatch,
                                                      flags, needle):
@@ -775,6 +779,17 @@ class TestLms:
                            "--run-len", "400", *flags, "--out", str(out))
         assert_usage_error(code, err, needle)
         assert not out.exists()
+
+    def test_trace_csv_bytes(self, tmp_path, capsys, monkeypatch):
+        # header, then k and repr(float) cells; zero misalignment is -inf dB
+        trace = MseTrace(e2=np.array([1.0, 0.25, 1e-300]),
+                         misalignment=np.array([1.0, 0.1, 0.0]))
+        monkeypatch.setattr(cli, "system_id_experiment", lambda *args: trace)
+        out = tmp_path / "trace.csv"
+        code, _, _ = run(capsys, "lms", "--taps", "4", "--run-len", "3", "--out", str(out))
+        assert code == 0
+        assert out.read_bytes() == (
+            b"k,e2,misalignment_db\n0,1.0,0.0\n1,0.25,-10.0\n2,1e-300,-inf\n")
 
     def test_divergent_step_exits_1_without_trace(self, tmp_path, capsys):
         out = tmp_path / "trace.csv"
@@ -799,3 +814,13 @@ class TestLms:
         assert code == 1
         assert err.count("\n") == 1 and "diverged" in err
         assert not out.exists()
+
+
+def test_write_csv_cells(tmp_path, capsys):
+    # repr(np.float64(0.1)) is "np.float64(0.1)" under numpy 2 and "0.1" under numpy 1
+    out = tmp_path / "t.csv"
+    cli._write_csv(str(out), "a,b,c,d",
+                   [(np.float64(0.1), 1.5, None, 3), ("x", np.float64(-np.inf), "", np.int64(2))])
+    assert out.read_text() == "a,b,c,d\n0.1,1.5,,3\nx,-inf,,2\n"
+    cli._write_csv("", "a", [(np.float32(0.5),)])
+    assert capsys.readouterr().out == "a\n0.5\n"

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import rand_orthonormal, rand_spd
 from precog.errors import (
+    InvalidDimensionError,
     InvalidInputError,
     NormalizationDomainError,
     NotPositiveDefiniteError,
@@ -291,6 +292,13 @@ class TestSplitPreconditionedCond:
     def test_non_orthonormal_rejected(self, rng):
         with pytest.raises(InvalidInputError):
             split_preconditioned_cond(np.eye(3), 2.0 * np.eye(3))
+
+    @pytest.mark.parametrize("U", [dct_matrix(6).T[:, :5], dct_matrix(6)[0]],
+                             ids=["tall", "1-d"])
+    def test_non_square_u_rejected(self, U):
+        # a tall U with orthonormal columns used to score as 1.49
+        with pytest.raises(InvalidDimensionError, match="U must be square"):
+            split_preconditioned_cond(ar1_autocorr(6, 0.9), U)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_u_rejected(self, bad):

@@ -231,15 +231,6 @@ class TestTrace:
         assert trace.iterations_to_threshold(-20.0) == 2
         assert trace.iterations_to_threshold(-40.0) is None
 
-    def test_csv_export(self, tmp_path):
-        trace = MseTrace(e2=np.array([1.0, 0.25]), misalignment=np.array([1.0, 0.1]))
-        out = tmp_path / "trace.csv"
-        trace.to_csv(out)
-        lines = out.read_text().splitlines()
-        assert lines[0] == "k,e2,misalignment_db"
-        assert lines[1].startswith("0,1.0,")
-        assert len(lines) == 3
-
 
 class TestSystemId:
     def test_noise_free_white_converges_deep(self):
@@ -336,6 +327,28 @@ class TestSystemId:
         with pytest.raises(InvalidInputError, match="plant energy overflows"):
             system_id_experiment(np.full(4, 1e200), spec, 30.0, plain_cfg(taps=4), 100, seed=0)
         assert tdlms._excitation.cache_info() == before  # checked before the memo is read
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale, noise_db", [(1e153, 30.0), (1e5, -3000.0)],
+                             ids=["output", "noise"])
+    def test_overflowing_plant_output_rejected(self, scale, noise_db):
+        # a finite plant energy whose output variance (or the noise power scaled from it)
+        # overflows warned, then reported a divergence
+        with pytest.raises(InvalidInputError, match="plant output or noise power overflows"):
+            system_id_experiment(np.full(4, scale), SignalSpec("ar1", rho=0.9), noise_db,
+                                 plain_cfg(taps=4), 100, seed=0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("noise_db", [-4000.0, np.float64(-4000.0), np.float32(-400.0)],
+                             ids=["float", "float64", "float32"])
+    def test_overflowing_noise_scale_rejected(self, noise_db):
+        # 10^(-noise_db/10) overflows: a Python float raised OverflowError, numpy's warned
+        with pytest.raises(InvalidInputError, match="noise_db"):
+            tdlms.check_run(100, noise_db)
+        with pytest.raises(InvalidInputError, match="noise_db"):
+            system_id_experiment(
+                np.ones(4), SignalSpec("white"), noise_db, plain_cfg(taps=4), 100, seed=0
+            )
 
     @pytest.mark.parametrize("seed, match", [
         (-1, "seed must be nonnegative"),
