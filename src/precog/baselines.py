@@ -16,10 +16,12 @@ from .errors import (
     IluBreakdownError,
     InvalidInputError,
     NumericallySingularError,
+    _check_count,
+    _check_real,
 )
 from .spectral import (
-    _check_symmetric, _spd_spectrum, cond_general, cond_spd, power_normalize,
-    split_preconditioned_cond,
+    _check_square, _check_symmetric, _spd_spectrum, _unit_diagonal, cond_general, cond_spd,
+    power_normalize, split_preconditioned_cond,
 )
 
 DEFAULT_OMEGA = 1.5
@@ -71,8 +73,7 @@ def dct_matrix(n: int) -> np.ndarray:
     To score it as a split preconditioner pass the transpose, so the basis
     vectors become columns (the U^T A U convention).
     """
-    if n < 1:
-        raise InvalidInputError(f"n must be positive, got {n}")
+    _check_count("n", n)
     C = np.empty((n, n))
     j = np.arange(n)
     k = np.arange(1, n)
@@ -83,8 +84,7 @@ def dct_matrix(n: int) -> np.ndarray:
 
 def dft_matrix(n: int) -> np.ndarray:
     """Unitary DFT matrix with entries exp(-2 pi i jk / n) / sqrt(n)."""
-    if n < 1:
-        raise InvalidInputError(f"n must be positive, got {n}")
+    _check_count("n", n)
     jk = np.outer(np.arange(n), np.arange(n))
     return np.exp(-2j * np.pi * jk / n) / np.sqrt(n)
 
@@ -93,25 +93,20 @@ def dft_split_cond(R: np.ndarray) -> float:
     """Split-preconditioned condition number under the unitary DFT.
 
     Complex arithmetic stays internal: the Hermitian congruence F^H R F is
-    power-normalized with its real positive diagonal and the extreme
-    eigenvalue ratio is returned.  As in cond_spd, R must be square, finite
-    and symmetric, and a spectrum that is not positive raises
-    NotPositiveDefiniteError.
+    power-normalized with its real diagonal and the extreme eigenvalue ratio
+    is returned.  As in split_preconditioned_cond, R must be square, finite and
+    symmetric, a diagonal that is not positive raises NormalizationDomainError
+    and a spectrum that is not positive NotPositiveDefiniteError.
     """
     R = _check_symmetric(R, "R")
-    n = R.shape[0]
-    F = dft_matrix(n)
+    F = dft_matrix(R.shape[0])
     Rt = F.conj().T @ R @ F
-    d = np.real(np.diag(Rt))
-    if np.any(d <= 0.0):
-        raise NumericallySingularError("transformed diagonal is not positive; R not SPD?")
-    inv_sqrt = 1.0 / np.sqrt(d)
-    ev = _spd_spectrum(Rt * np.outer(inv_sqrt, inv_sqrt))
+    ev = _spd_spectrum(_unit_diagonal(Rt, np.real(np.diag(Rt))))
     return float(ev[-1] / ev[0])
 
 
 def _check_diag(A: np.ndarray, label: str) -> np.ndarray:
-    A = np.asarray(A, dtype=float)
+    A = _check_square(A, "A")
     d = np.diag(A)
     if np.any(d == 0.0):
         bad = int(np.argmin(np.abs(d)))
@@ -174,7 +169,7 @@ def ilu0_precond(A: np.ndarray) -> Preconditioner:
     factors are bitwise equal to that loop's and the first zero pivot is
     reported at the same index.
     """
-    A = np.asarray(A, dtype=float)
+    A = _check_square(A, "A")
     n = A.shape[0]
     pattern = A != 0.0
     LU = A.copy()
@@ -219,6 +214,8 @@ def baseline_cond(method: str, R: np.ndarray, omega: float = DEFAULT_OMEGA) -> f
 
 def condition_ratio(cond_method: float, cond_precog: float) -> float:
     """cond_method / cond_precog; values above 1 favor the learned transform."""
+    _check_real("cond_method", cond_method)
+    _check_real("cond_precog", cond_precog)
     if cond_method <= 0.0 or cond_precog <= 0.0:
         raise InvalidInputError("condition numbers must be positive")
     return float(cond_method / cond_precog)

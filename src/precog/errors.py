@@ -2,10 +2,11 @@
 
 Every numerical failure raises a distinct class so callers (and the CLI,
 which maps them to exit code 1) can tell input mistakes apart from genuine
-breakdowns inside an algorithm.  The two type checks shared by the
-integer and real-valued arguments of several modules live here too.
+breakdowns inside an algorithm.  The scalar checks live here too:
+_check_count (an integer count, size or seed) and _check_real (a finite real).
 """
 
+import math
 import numbers
 
 import numpy as np
@@ -15,12 +16,12 @@ class PrecogError(Exception):
     """Base class for all package errors."""
 
 
-class InvalidDimensionError(PrecogError, ValueError):
-    """A size or index argument is out of its allowed range."""
-
-
 class InvalidInputError(PrecogError, ValueError):
     """An input value is malformed (non-finite entries, bad parameters)."""
+
+
+class InvalidDimensionError(InvalidInputError):
+    """A size or index argument is out of its allowed range."""
 
 
 class SymmetryError(PrecogError, ValueError):
@@ -55,14 +56,23 @@ class IluBreakdownError(PrecogError, ArithmeticError):
     """Incomplete LU hit a zero pivot."""
 
 
-def _check_integer(name: str, value) -> None:
+def _check_count(name: str, value, minimum: int = 1) -> None:
     # bool is an int subclass, and a float count would pass the range checks and then
     # fail inside numpy
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        bound = {0: "nonnegative", 1: "positive"}.get(minimum, f"at least {minimum}")
+        raise InvalidDimensionError(f"{name} must be {bound}, got {value}")
 
 
 def _check_real(name: str, value) -> None:
     # bool is an int subclass too: True would run as 1.0
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise InvalidInputError(f"{name} must be a real number, got {value!r}")
+    try:  # nan passes one-sided range tests; an int too large for a float overflows here
+        finite = math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise InvalidInputError(f"{name} must be finite, got {value}")

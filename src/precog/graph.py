@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidDimensionError, InvalidInputError
+from .errors import InvalidDimensionError, InvalidInputError, _check_count
 
 
 @dataclass(frozen=True)
@@ -28,8 +28,7 @@ class Topology:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise InvalidDimensionError(f"need at least 2 vertices, got n={self.n}")
+        _check_count("n", self.n, 2)
         P, Q = self.endpoints.T
         bad = np.flatnonzero((P < 0) | (P >= Q) | (Q >= self.n))
         if bad.size:
@@ -88,8 +87,8 @@ def banded_topology(n: int, band: int) -> Topology:
     With band=2 this is the fixed regular topology used for tap-delayed
     signals: it preserves temporal order and has 2n - 3 edges for n >= 3.
     """
-    if band < 1:
-        raise InvalidDimensionError(f"band must be positive, got {band}")
+    _check_count("n", n, 2)
+    _check_count("band", band)
     edges = tuple(
         (i, j) for i in range(n) for j in range(i + 1, min(i + band, n - 1) + 1)
     )
@@ -98,6 +97,7 @@ def banded_topology(n: int, band: int) -> Topology:
 
 def full_topology(n: int) -> Topology:
     """Fully connected topology: n(n-1)/2 edges in lexicographic order."""
+    _check_count("n", n, 2)
     return Topology(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)))
 
 

@@ -33,7 +33,7 @@ from .errors import (
     DivergenceError,
     InvalidDimensionError,
     InvalidInputError,
-    _check_integer,
+    _check_count,
     _check_real,
 )
 from .graph import Topology, WeightedGraph, _laplacian, laplacian
@@ -41,6 +41,7 @@ from .spectral import (
     SpectralPair,
     _eig,
     _normalized_spectra,
+    _square_pair,
     cond_spd,
     orthonormality_error,
     sym_eig,
@@ -80,8 +81,8 @@ class HyperParams:
     band_exit: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("max_iter", "seed"):
-            _check_integer(name, getattr(self, name))
+        _check_count("max_iter", self.max_iter)
+        _check_count("seed", self.seed, 0)
         for name in ("mu", "beta", "eps1", "eps2", "tol"):
             _check_real(name, getattr(self, name))
         if not 0.0 < self.mu < 1.0:
@@ -92,18 +93,12 @@ class HyperParams:
             raise InvalidInputError(f"eps1 must be nonnegative, got {self.eps1}")
         if not 0.0 <= self.eps2 < 1.0:
             raise InvalidInputError(f"eps2 must be in [0, 1), got {self.eps2}")
-        if self.max_iter < 1:
-            raise InvalidInputError(f"max_iter must be positive, got {self.max_iter}")
         if self.tol <= 0.0:
             raise InvalidInputError(f"tol must be positive, got {self.tol}")
-        if self.seed < 0 or self.seed >= 2**64:
+        if self.seed >= 2**64:
             raise InvalidInputError("seed must fit in 64 unsigned bits")
         if self.gradient_mode != "perturbation":
             raise InvalidInputError(f"unknown gradient mode {self.gradient_mode!r}")
-        # nan passes the one-sided tests above; mu and eps2 fail their ranges on nan and inf
-        for name in ("beta", "eps1", "tol"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidInputError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -147,15 +142,6 @@ def cost_E(R: np.ndarray, U: np.ndarray, eps1: float, eps2: float) -> float:
     R, U = _square_pair(R, U)
     G = U.T @ R @ U
     return _band_cost(G, np.diag(G.diagonal()), eps1, eps2)
-
-
-def _square_pair(R, U) -> tuple[np.ndarray, np.ndarray]:
-    """R and U as float arrays, checked to be square and of one shape."""
-    R = np.asarray(R, dtype=float)
-    U = np.asarray(U, dtype=float)
-    if R.shape != U.shape or R.ndim != 2 or R.shape[0] != R.shape[1]:
-        raise InvalidDimensionError(f"shape mismatch: R {R.shape}, U {U.shape}")
-    return R, U
 
 
 def _band_cost(G: np.ndarray, D: np.ndarray, eps1: float, eps2: float) -> float:

@@ -15,19 +15,20 @@ import numpy as np
 
 from .errors import (
     DegenerateParametersError,
-    InvalidDimensionError,
     InvalidInputError,
     NotPositiveDefiniteError,
+    _check_count,
+    _check_real,
 )
-from .spectral import _spd_spectrum
+from .spectral import _check_square, _spd_spectrum
 
 DEFAULT_SHIFT_MARGIN = 0.05
 
 
 def hilbert(n: int, alpha: float = 0.0) -> np.ndarray:
     """Hilbert matrix H(i, j) = 1 / (i + j - 1) (one-based), plus alpha * I."""
-    if n < 1:
-        raise InvalidDimensionError(f"n must be positive, got {n}")
+    _check_count("n", n)
+    _check_real("alpha", alpha)
     if alpha < 0:
         raise InvalidInputError(f"alpha must be nonnegative, got {alpha}")
     i = np.arange(1, n + 1)
@@ -37,8 +38,7 @@ def hilbert(n: int, alpha: float = 0.0) -> np.ndarray:
 
 def ar1_autocorr(n: int, rho: float) -> np.ndarray:
     """Unit-diagonal Toeplitz autocorrelation rho^|i-j| of a first-order Markov process."""
-    if n < 1:
-        raise InvalidDimensionError(f"n must be positive, got {n}")
+    _check_count("n", n)
     if not 0.0 <= rho < 1.0:
         raise InvalidInputError(f"rho must be in [0, 1), got {rho}")
     return _toeplitz_pow(n, rho)
@@ -67,8 +67,7 @@ def ar2_autocorr(n: int, rho1: float, rho2: float) -> np.ndarray:
     finite n, so the smallest eigenvalue is checked and a warning issued
     rather than failing silently.
     """
-    if n < 1:
-        raise InvalidDimensionError(f"n must be positive, got {n}")
+    _check_count("n", n)
     c1, c2 = ar2_coefficients(rho1, rho2)
     R = c1 * _toeplitz_pow(n, rho1) + c2 * _toeplitz_pow(n, rho2)
     try:
@@ -93,8 +92,9 @@ def _check_ar2_params(rho1: float, rho2: float) -> None:
 
 def random_pd(n: int, seed: int, reg: float = 0.0) -> np.ndarray:
     """Seeded Gram matrix G^T G / n + reg * I with standard-normal G."""
-    if n < 1:
-        raise InvalidDimensionError(f"n must be positive, got {n}")
+    _check_count("n", n)
+    _check_count("seed", seed, 0)
+    _check_real("reg", reg)
     if reg < 0:
         raise InvalidInputError(f"reg must be nonnegative, got {reg}")
     rng = np.random.default_rng(seed)
@@ -116,10 +116,11 @@ def random_sparse_pd(
     positive definiteness.  The shift inflates the (otherwise zero)
     diagonal; use density() on the result to read the achieved level.
     """
-    if n < 1:
-        raise InvalidDimensionError(f"n must be positive, got {n}")
+    _check_count("n", n)
     if not 0.0 < density <= 1.0:
         raise InvalidInputError(f"density must be in (0, 1], got {density}")
+    _check_count("seed", seed, 0)
+    _check_real("shift_margin", shift_margin)
     if shift_margin <= 0:
         raise InvalidInputError(f"shift_margin must be positive, got {shift_margin}")
     rng = np.random.default_rng(seed)
@@ -145,8 +146,7 @@ def ar1_signal(length: int, rho: float, seed: int) -> np.ndarray:
     x(0) ~ N(0, 1) and x(k) = rho x(k-1) + sqrt(1 - rho^2) nu(k), so the
     process is stationary from the first sample; no burn-in needed.
     """
-    if length < 1:
-        raise InvalidDimensionError(f"length must be positive, got {length}")
+    _check_count("length", length)
     if not 0.0 <= rho < 1.0:
         raise InvalidInputError(f"rho must be in [0, 1), got {rho}")
     nu = np.random.default_rng(seed).standard_normal(length)
@@ -168,8 +168,7 @@ def ar2_signal(length: int, rho1: float, rho2: float, seed: int) -> np.ndarray:
     the output has unit variance.  Ten time constants of the slowest pole
     are generated and discarded as burn-in.
     """
-    if length < 1:
-        raise InvalidDimensionError(f"length must be positive, got {length}")
+    _check_count("length", length)
     _check_ar2_params(rho1, rho2)
     a1 = rho1 + rho2
     a2 = -rho1 * rho2
@@ -243,6 +242,9 @@ class MatrixSpec:
     def __post_init__(self) -> None:
         if self.family != "file" and self.family not in FAMILIES:
             raise InvalidInputError(f"unknown matrix family {self.family!r}")
+        names = FAMILIES[self.family][1] if self.family != "file" else ()
+        if unknown := [k for k in self.params if k not in names]:
+            raise InvalidInputError(f"{self.family} parameters are {names}, got {unknown[0]!r}")
 
     def build(self) -> np.ndarray:
         if self.family == "file":
@@ -265,10 +267,8 @@ class MatrixSpec:
 
 
 def save_matrix(M: np.ndarray, path: str | Path) -> None:
-    """Write a square matrix in the plain text format (exact round-trip)."""
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise InvalidDimensionError(f"matrix must be square, got shape {M.shape}")
+    """Write a finite square matrix in the plain text format (exact round-trip)."""
+    M = _check_square(M)
     lines = [str(M.shape[0])]
     for row in M:
         lines.append(" ".join(f"{x:.17e}" for x in row))

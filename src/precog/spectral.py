@@ -5,6 +5,8 @@ and in each column the entry of largest absolute value is made positive
 (first such index on exact magnitude ties).  The convention makes repeated
 decompositions bit-identical and gives finite-difference oracles a locally
 continuous eigenvector selection away from degeneracies.
+
+Matrix arguments are checked by _check_square; unit-diagonal scaling is _unit_diagonal.
 """
 
 from __future__ import annotations
@@ -47,13 +49,27 @@ class NormalizedAutocorr:
     delta: np.ndarray
 
 
-def _check_symmetric(M: np.ndarray, what: str = "matrix", stack: bool = False) -> np.ndarray:
-    # with stack, M may be a (..., n, n) stack and each matrix is checked on its own
+def _check_square(M, what: str = "matrix", stack: bool = False) -> np.ndarray:
+    # M as a finite, square float array; with stack, a (..., n, n) stack of them
     M = np.asarray(M, dtype=float)
     if (M.ndim < 2 if stack else M.ndim != 2) or M.shape[-1] != M.shape[-2]:
-        raise InvalidInputError(f"{what} must be square, got shape {M.shape}")
+        raise InvalidDimensionError(f"{what} must be square, got shape {M.shape}")
     if not np.isfinite(M).all():
         raise InvalidInputError(f"{what} has non-finite entries")
+    return M
+
+
+def _square_pair(R, U) -> tuple[np.ndarray, np.ndarray]:
+    """R and U as finite float arrays, checked to be square and of one shape."""
+    R, U = _check_square(R, "R"), _check_square(U, "U")
+    if R.shape != U.shape:
+        raise InvalidDimensionError(f"shape mismatch: R {R.shape}, U {U.shape}")
+    return R, U
+
+
+def _check_symmetric(M: np.ndarray, what: str = "matrix", stack: bool = False) -> np.ndarray:
+    # with stack, M may be a (..., n, n) stack and each matrix is checked on its own
+    M = _check_square(M, what, stack)
     # relative to max|M| above 1: a congruence U^T R U is symmetric only to rounding of R
     asym = np.abs(M - M.swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
     if (asym > SYMMETRY_TOL).any() and (
@@ -105,10 +121,7 @@ def cond_general(M: np.ndarray) -> float:
     Singular values instead of eigenvalue moduli: left-preconditioned
     products are generally nonnormal.
     """
-    M = np.asarray(M, dtype=float)
-    if not np.all(np.isfinite(M)):
-        raise InvalidInputError("matrix has non-finite entries")
-    s = np.linalg.svd(M, compute_uv=False)
+    s = np.linalg.svd(_check_square(M), compute_uv=False)
     if s[-1] <= 1e-14 * s[0]:
         raise NumericallySingularError(
             f"sigma_min/sigma_max = {s[-1] / s[0] if s[0] else 0.0:g}"
@@ -125,6 +138,11 @@ def power_normalize(R: np.ndarray) -> NormalizedAutocorr:
     """
     R = _check_symmetric(R, stack=True)
     delta = R.diagonal(axis1=-2, axis2=-1).copy()
+    return NormalizedAutocorr(S=_unit_diagonal(R, delta), delta=delta)
+
+
+def _unit_diagonal(M: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    # M (or a stack) times delta^{-1/2} on both sides; delta is M's real diagonal
     if (delta <= 0.0).any():
         bad = np.unravel_index(np.argmin(delta), delta.shape)
         where = int(bad[0]) if delta.ndim == 1 else tuple(map(int, bad))
@@ -132,9 +150,8 @@ def power_normalize(R: np.ndarray) -> NormalizedAutocorr:
             f"diagonal entry {where} is {delta[bad]:g}, must be positive"
         )
     inv_sqrt = 1.0 / np.sqrt(delta)
-    # the outer product, without np.outer's ravels
-    S = R * (inv_sqrt[..., :, None] * inv_sqrt[..., None, :])
-    return NormalizedAutocorr(S=S, delta=delta)
+    # the outer product, without np.outer's ravels; the same multiplies
+    return M * (inv_sqrt[..., :, None] * inv_sqrt[..., None, :])
 
 
 def orthonormality_error(U: np.ndarray) -> float:
@@ -147,11 +164,7 @@ def orthonormality_error(U: np.ndarray) -> float:
 
 def _check_orthonormal(U: np.ndarray, what: str = "U") -> np.ndarray:
     # square and finite first: a nan orthonormality error compares False against any tolerance
-    U = np.asarray(U, dtype=float)
-    if U.ndim != 2 or U.shape[0] != U.shape[1]:
-        raise InvalidDimensionError(f"{what} must be square, got shape {U.shape}")
-    if not np.isfinite(U).all():
-        raise InvalidInputError(f"{what} has non-finite entries")
+    U = _check_square(U, what)
     if orthonormality_error(U) > ORTHONORMALITY_TOL:
         raise InvalidInputError(f"{what} is not orthonormal to 1e-8")
     return U
@@ -163,8 +176,9 @@ def split_preconditioned_cond(R: np.ndarray, U: np.ndarray) -> float:
     This is the score of an orthonormal U acting as a unitary split
     preconditioner on a symmetric positive definite R.
     """
-    U = _check_orthonormal(U)
-    return cond_spd(power_normalize(U.T @ np.asarray(R, dtype=float) @ U).S)
+    R, U = _square_pair(R, U)
+    _check_orthonormal(U)
+    return cond_spd(power_normalize(U.T @ R @ U).S)
 
 
 def _normalized_spectra(Gs: list[np.ndarray]):

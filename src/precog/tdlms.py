@@ -34,7 +34,7 @@ from .errors import (
     DivergenceError,
     InvalidDimensionError,
     InvalidInputError,
-    _check_integer,
+    _check_count,
     _check_real,
 )
 from .matgen import SignalSpec
@@ -73,12 +73,10 @@ class FilterConfig:
     transform: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        _check_integer("taps", self.taps)
-        if self.taps < 1:
-            raise InvalidDimensionError(f"taps must be positive, got {self.taps}")
+        _check_count("taps", self.taps)
         _check_real("step", self.step)
-        if not 0.0 < self.step < np.inf:  # nan fails too
-            raise InvalidInputError(f"step must be positive and finite, got {self.step}")
+        if self.step <= 0.0:
+            raise InvalidInputError(f"step must be positive, got {self.step}")
         if self.transform is not None:
             shape = np.shape(self.transform)
             if shape != (self.taps, self.taps):
@@ -199,16 +197,12 @@ def _block_lms(V: np.ndarray, d: np.ndarray, Z: np.ndarray, w: np.ndarray):
 @np.errstate(over="raise")  # so that a numpy noise_db's overflowing power raises too
 def check_run(run_len: int, noise_db: float) -> None:
     """Reject a non-integer or non-positive run_len, or a noise_db with no finite noise scale."""
-    _check_integer("run_len", run_len)
-    if run_len < 1:
-        raise InvalidDimensionError(f"run_len must be positive, got {run_len}")
+    _check_count("run_len", run_len)
     _check_real("noise_db", noise_db)
     try:  # _excitation's scale, which overflows below about -3082.5 dB
-        finite = np.isfinite(noise_db) and np.isfinite(10.0 ** (-noise_db / 10.0))
+        10.0 ** (-noise_db / 10.0)
     except (OverflowError, FloatingPointError):
-        finite = False
-    if not finite:
-        raise InvalidInputError(f"noise_db must be finite, with a finite noise scale: {noise_db}")
+        raise InvalidInputError(f"noise_db={noise_db} overflows the noise scale") from None
 
 
 @functools.lru_cache(maxsize=1, typed=True)
@@ -273,9 +267,7 @@ def system_id_experiment(
             f"plant length {plant.shape} does not match taps={cfg.taps}"
         )
     check_run(run_len, noise_db)
-    _check_integer("seed", seed)
-    if seed < 0:
-        raise InvalidInputError(f"seed must be nonnegative, got {seed}")
+    _check_count("seed", seed, 0)
     if not np.isfinite(plant).all():
         raise InvalidInputError("plant has non-finite entries")
     with np.errstate(over="ignore"):

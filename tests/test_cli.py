@@ -481,10 +481,17 @@ MATRIX_FLAG_CASES = {
     "hilbert-alpha": (["--family", "hilbert", "--alpha", "-5"], "alpha"),
     "random-pd-reg": (["--family", "random-pd", "--reg", "-1"], "reg"),
     "ar2-rho1": (["--family", "ar2", "--rho1", "1.0"], "poles"),
+    "hilbert-alpha-nan": (["--family", "hilbert", "--n", "4", "--alpha", "nan"],
+                          "alpha must be finite"),
+    "random-pd-reg-inf": (["--family", "random-pd", "--n", "4", "--reg", "inf"],
+                          "reg must be finite"),
+    "sparse-pd-shift-margin-nan": (["--family", "sparse-pd", "--n", "4", "--shift-margin", "nan"],
+                                   "shift_margin must be finite"),
 }
 OUT_FLAG = {"gen": "--out", "bench": "--out", "precondition": "--out-u"}
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command, flags, needle", [
     pytest.param(command, flags, needle, id=f"{command}-{name}")
     for command in OUT_FLAG
