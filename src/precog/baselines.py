@@ -130,8 +130,7 @@ def gauss_seidel_precond(A: np.ndarray) -> Preconditioner:
 
 def check_omega(omega: float) -> None:
     """Reject a relaxation factor outside (0, 2), where SOR and SSOR are defined."""
-    if not 0.0 < omega < 2.0:
-        raise InvalidInputError(f"omega must be in (0, 2), got {omega}")
+    _check_real("omega", omega, gt=0, lt=2)
 
 
 def sor_precond(A: np.ndarray, omega: float = DEFAULT_OMEGA) -> Preconditioner:
@@ -214,8 +213,6 @@ def baseline_cond(method: str, R: np.ndarray, omega: float = DEFAULT_OMEGA) -> f
 
 def condition_ratio(cond_method: float, cond_precog: float) -> float:
     """cond_method / cond_precog; values above 1 favor the learned transform."""
-    _check_real("cond_method", cond_method)
-    _check_real("cond_precog", cond_precog)
-    if cond_method <= 0.0 or cond_precog <= 0.0:
-        raise InvalidInputError("condition numbers must be positive")
+    _check_real("cond_method", cond_method, gt=0)
+    _check_real("cond_precog", cond_precog, gt=0)
     return float(cond_method / cond_precog)

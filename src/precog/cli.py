@@ -119,7 +119,7 @@ def _seeds(args: argparse.Namespace) -> list[int]:
 def _add_matrix_flags(p: argparse.ArgumentParser, with_files: bool = False) -> None:
     if with_files:
         p.add_argument("--matrix", action="append", default=[], metavar="PATH",
-                       help="matrix text file (repeatable)")
+                       help="matrix text file (bench: repeatable)")
     p.add_argument("--family", choices=list(FAMILIES),
                    help="generate a matrix family instead of reading files")
     p.add_argument("--n", type=int, default=8, help="matrix dimension")
@@ -165,18 +165,26 @@ def _family_specs(args: argparse.Namespace, seed: int) -> list[MatrixSpec]:
     ]
 
 
+def _matrix_specs(args: argparse.Namespace, seeds: list[int]) -> list[tuple[MatrixSpec, int]]:
+    """(spec, seed) for every --matrix file, then every family combination, seed by seed."""
+    files = [MatrixSpec(family="file", path=path) for path in getattr(args, "matrix", ())]
+    return [(spec, seed) for seed in seeds
+            for spec in files + ([] if args.family is None else _family_specs(args, seed))]
+
+
 def _one_matrix_spec(args: argparse.Namespace, seed: int) -> MatrixSpec:
-    """The single matrix of gen or precondition: --matrix, or one value per family flag."""
+    """The single matrix of gen or precondition: one --matrix, or one value per family flag."""
     for name in itertools.chain.from_iterable(names for _, names, _ in FAMILIES.values()):
         if len(values := getattr(args, name)) > 1:
             raise UsageError(f"{args.command} takes one value per family flag, "
                              f"got {len(values)} for --{name.replace('_', '-')}")
-    if getattr(args, "matrix", None):
-        return MatrixSpec(family="file", path=args.matrix)
-    if args.family is None:
+    specs = _matrix_specs(args, [seed])
+    if not specs:
         source = "--matrix or --family" if "matrix" in args else "--family"
         raise UsageError(f"{args.command} needs {source}")
-    return _family_specs(args, seed)[0]
+    if len(specs) > 1:
+        raise UsageError(f"{args.command} takes one matrix, got {len(specs)}")
+    return specs[0][0]
 
 
 def _from_flags(make, *a, **kw):
@@ -223,12 +231,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         if m not in METHOD_NAMES:
             raise UsageError(f"unknown method {m!r}; choose from {METHOD_NAMES}")
 
-    specs: list[tuple[MatrixSpec, int]] = []
-    for seed in args.seed:
-        for path in args.matrix:
-            specs.append((MatrixSpec(family="file", path=path), seed))
-        if args.family is not None:
-            specs.extend((spec, seed) for spec in _family_specs(args, seed))
+    specs = _matrix_specs(args, args.seed)
     if not specs:
         raise UsageError("bench needs --matrix and/or --family")
     ids = [spec.label() if len(args.seed) == 1 else f"{spec.label()}#s{seed}"
@@ -413,9 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_grad.set_defaults(func=cmd_gradcheck)
 
     p_pre = sub.add_parser("precondition", help="learn a transform for one matrix")
-    _add_matrix_flags(p_pre)
+    _add_matrix_flags(p_pre, with_files=True)
     _add_hyper_flags(p_pre)
-    p_pre.add_argument("--matrix", default=None, help="matrix text file")
     p_pre.add_argument("--out-u", required=True, help="output file for the learned U")
     p_pre.add_argument("--history", default=None, help="optional history CSV")
     p_pre.set_defaults(func=cmd_precondition)

@@ -3,7 +3,8 @@
 Every numerical failure raises a distinct class so callers (and the CLI,
 which maps them to exit code 1) can tell input mistakes apart from genuine
 breakdowns inside an algorithm.  The scalar checks live here too:
-_check_count (an integer count, size or seed) and _check_real (a finite real).
+_check_count (an integer count, size or index in [minimum, below)), _check_seed
+(an integer in [0, 2**64)) and _check_real (a finite real, bounded by gt/ge/lt/le).
 """
 
 import math
@@ -20,7 +21,7 @@ class InvalidInputError(PrecogError, ValueError):
     """An input value is malformed (non-finite entries, bad parameters)."""
 
 
-class InvalidDimensionError(InvalidInputError):
+class InvalidDimensionError(InvalidInputError, IndexError):
     """A size or index argument is out of its allowed range."""
 
 
@@ -56,7 +57,7 @@ class IluBreakdownError(PrecogError, ArithmeticError):
     """Incomplete LU hit a zero pivot."""
 
 
-def _check_count(name: str, value, minimum: int = 1) -> None:
+def _check_count(name: str, value, minimum: int = 1, below: int | None = None) -> None:
     # bool is an int subclass, and a float count would pass the range checks and then
     # fail inside numpy
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -64,9 +65,17 @@ def _check_count(name: str, value, minimum: int = 1) -> None:
     if value < minimum:
         bound = {0: "nonnegative", 1: "positive"}.get(minimum, f"at least {minimum}")
         raise InvalidDimensionError(f"{name} must be {bound}, got {value}")
+    if below is not None and value >= below:
+        raise InvalidDimensionError(f"{name} must lie in [{minimum}, {below}), got {value}")
 
 
-def _check_real(name: str, value) -> None:
+def _check_seed(value) -> None:
+    _check_count("seed", value, 0)
+    if value >= 2**64:
+        raise InvalidDimensionError(f"seed must lie in [0, 2**64), got {value}")
+
+
+def _check_real(name: str, value, *, gt=None, ge=None, lt=None, le=None) -> None:
     # bool is an int subclass too: True would run as 1.0
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise InvalidInputError(f"{name} must be a real number, got {value!r}")
@@ -76,3 +85,10 @@ def _check_real(name: str, value) -> None:
         finite = False
     if not finite:
         raise InvalidInputError(f"{name} must be finite, got {value}")
+    if ((gt is not None and not value > gt) or (ge is not None and not value >= ge)
+            or (lt is not None and not value < lt) or (le is not None and not value <= le)):
+        lo, opening = (ge, "[") if gt is None else (gt, "(")
+        hi, closing = (le, "]") if lt is None else (lt, ")")
+        bound = (("positive" if opening == "(" else "nonnegative") if hi is None and lo == 0
+                 else f"in {opening}{lo}, {hi}{closing}")
+        raise InvalidInputError(f"{name} must be {bound}, got {value}")

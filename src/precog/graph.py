@@ -45,7 +45,10 @@ class Topology:
     @cached_property
     def endpoints(self) -> np.ndarray:
         """Read-only (n_edges, 2) index array; ``P, Q = t.endpoints.T``."""
-        ends = np.array(self.edges, dtype=np.intp).reshape(len(self.edges), 2)
+        ends = np.array(self.edges).reshape(len(self.edges), 2)
+        if ends.size and ends.dtype.kind not in "iu":  # no edges gives a float64 array
+            raise InvalidInputError(f"edge endpoints must be integers, got {ends.dtype}")
+        ends = ends.astype(np.intp)
         ends.flags.writeable = False
         return ends
 
@@ -126,10 +129,7 @@ def theta(g: WeightedGraph, edge_index: int) -> np.ndarray:
     For edge (p, q) the matrix has exactly four nonzeros:
     (p,p) = (q,q) = +1 and (p,q) = (q,p) = -1.  Independent of w.
     """
-    if not 0 <= edge_index < g.topology.n_edges:
-        raise IndexError(
-            f"edge index {edge_index} out of range for {g.topology.n_edges} edges"
-        )
+    _check_count("edge_index", edge_index, 0, g.topology.n_edges)
     p, q = g.topology.edges[edge_index]
     T = np.zeros((g.topology.n, g.topology.n))
     T[p, p] = T[q, q] = 1.0

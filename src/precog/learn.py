@@ -35,6 +35,7 @@ from .errors import (
     InvalidInputError,
     _check_count,
     _check_real,
+    _check_seed,
 )
 from .graph import Topology, WeightedGraph, _laplacian, laplacian
 from .spectral import (
@@ -82,21 +83,12 @@ class HyperParams:
 
     def __post_init__(self) -> None:
         _check_count("max_iter", self.max_iter)
-        _check_count("seed", self.seed, 0)
-        for name in ("mu", "beta", "eps1", "eps2", "tol"):
-            _check_real(name, getattr(self, name))
-        if not 0.0 < self.mu < 1.0:
-            raise InvalidInputError(f"mu must be in (0, 1), got {self.mu}")
-        if self.beta < 0.0:
-            raise InvalidInputError(f"beta must be nonnegative, got {self.beta}")
-        if self.eps1 < 0.0:
-            raise InvalidInputError(f"eps1 must be nonnegative, got {self.eps1}")
-        if not 0.0 <= self.eps2 < 1.0:
-            raise InvalidInputError(f"eps2 must be in [0, 1), got {self.eps2}")
-        if self.tol <= 0.0:
-            raise InvalidInputError(f"tol must be positive, got {self.tol}")
-        if self.seed >= 2**64:
-            raise InvalidInputError("seed must fit in 64 unsigned bits")
+        _check_seed(self.seed)
+        _check_real("mu", self.mu, gt=0, lt=1)
+        _check_real("beta", self.beta, ge=0)
+        _check_real("eps1", self.eps1, ge=0)
+        _check_real("eps2", self.eps2, ge=0, lt=1)
+        _check_real("tol", self.tol, gt=0)
         if self.gradient_mode != "perturbation":
             raise InvalidInputError(f"unknown gradient mode {self.gradient_mode!r}")
 
@@ -197,8 +189,8 @@ def dL_du(sp: SpectralPair, k: int, l: int) -> np.ndarray:
     2n - 1 entries are nonzero.
     """
     n = sp.gamma.shape[0]
-    if not (0 <= k < n and 0 <= l < n):
-        raise IndexError(f"indices ({k}, {l}) out of range for n={n}")
+    _check_count("k", k, 0, n)
+    _check_count("l", l, 0, n)
     a = sp.gamma[k] * sp.U[:, k]
     M = np.zeros((n, n))
     M[:, l] += a

@@ -19,6 +19,7 @@ from .errors import (
     NotPositiveDefiniteError,
     _check_count,
     _check_real,
+    _check_seed,
 )
 from .spectral import _check_square, _spd_spectrum
 
@@ -28,9 +29,7 @@ DEFAULT_SHIFT_MARGIN = 0.05
 def hilbert(n: int, alpha: float = 0.0) -> np.ndarray:
     """Hilbert matrix H(i, j) = 1 / (i + j - 1) (one-based), plus alpha * I."""
     _check_count("n", n)
-    _check_real("alpha", alpha)
-    if alpha < 0:
-        raise InvalidInputError(f"alpha must be nonnegative, got {alpha}")
+    _check_real("alpha", alpha, ge=0)
     i = np.arange(1, n + 1)
     H = 1.0 / (i[:, None] + i[None, :] - 1.0)
     return H + alpha * np.eye(n)
@@ -39,8 +38,7 @@ def hilbert(n: int, alpha: float = 0.0) -> np.ndarray:
 def ar1_autocorr(n: int, rho: float) -> np.ndarray:
     """Unit-diagonal Toeplitz autocorrelation rho^|i-j| of a first-order Markov process."""
     _check_count("n", n)
-    if not 0.0 <= rho < 1.0:
-        raise InvalidInputError(f"rho must be in [0, 1), got {rho}")
+    _check_real("rho", rho, ge=0, lt=1)
     return _toeplitz_pow(n, rho)
 
 
@@ -93,10 +91,8 @@ def _check_ar2_params(rho1: float, rho2: float) -> None:
 def random_pd(n: int, seed: int, reg: float = 0.0) -> np.ndarray:
     """Seeded Gram matrix G^T G / n + reg * I with standard-normal G."""
     _check_count("n", n)
-    _check_count("seed", seed, 0)
-    _check_real("reg", reg)
-    if reg < 0:
-        raise InvalidInputError(f"reg must be nonnegative, got {reg}")
+    _check_seed(seed)
+    _check_real("reg", reg, ge=0)
     rng = np.random.default_rng(seed)
     G = rng.standard_normal((n, n))
     return G.T @ G / n + reg * np.eye(n)
@@ -117,12 +113,9 @@ def random_sparse_pd(
     diagonal; use density() on the result to read the achieved level.
     """
     _check_count("n", n)
-    if not 0.0 < density <= 1.0:
-        raise InvalidInputError(f"density must be in (0, 1], got {density}")
-    _check_count("seed", seed, 0)
-    _check_real("shift_margin", shift_margin)
-    if shift_margin <= 0:
-        raise InvalidInputError(f"shift_margin must be positive, got {shift_margin}")
+    _check_real("density", density, gt=0, le=1)
+    _check_seed(seed)
+    _check_real("shift_margin", shift_margin, gt=0)
     rng = np.random.default_rng(seed)
     I, J = np.triu_indices(n, 1)  # the vertex pairs in lexicographic order
     m = int(round(density * I.size))
@@ -147,8 +140,8 @@ def ar1_signal(length: int, rho: float, seed: int) -> np.ndarray:
     process is stationary from the first sample; no burn-in needed.
     """
     _check_count("length", length)
-    if not 0.0 <= rho < 1.0:
-        raise InvalidInputError(f"rho must be in [0, 1), got {rho}")
+    _check_real("rho", rho, ge=0, lt=1)
+    _check_seed(seed)
     nu = np.random.default_rng(seed).standard_normal(length)
     rho = float(rho)
     # innovations scaled in one multiply, bitwise the per-sample c * nu(k); the recursion
@@ -170,6 +163,7 @@ def ar2_signal(length: int, rho1: float, rho2: float, seed: int) -> np.ndarray:
     """
     _check_count("length", length)
     _check_ar2_params(rho1, rho2)
+    _check_seed(seed)
     a1 = rho1 + rho2
     a2 = -rho1 * rho2
     # stationary variance of AR(2): (1 - a2) / ((1 + a2)((1 - a2)^2 - a1^2))

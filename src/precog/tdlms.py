@@ -36,6 +36,7 @@ from .errors import (
     InvalidInputError,
     _check_count,
     _check_real,
+    _check_seed,
 )
 from .matgen import SignalSpec
 from .spectral import _check_orthonormal
@@ -74,9 +75,7 @@ class FilterConfig:
 
     def __post_init__(self) -> None:
         _check_count("taps", self.taps)
-        _check_real("step", self.step)
-        if self.step <= 0.0:
-            raise InvalidInputError(f"step must be positive, got {self.step}")
+        _check_real("step", self.step, gt=0)
         if self.transform is not None:
             shape = np.shape(self.transform)
             if shape != (self.taps, self.taps):
@@ -263,11 +262,9 @@ def system_id_experiment(
     """
     plant = np.asarray(plant, dtype=float)
     if plant.shape != (cfg.taps,):
-        raise InvalidDimensionError(
-            f"plant length {plant.shape} does not match taps={cfg.taps}"
-        )
+        raise InvalidDimensionError(f"plant length {plant.shape} does not match taps={cfg.taps}")
     check_run(run_len, noise_db)
-    _check_count("seed", seed, 0)
+    _check_seed(seed)
     if not np.isfinite(plant).all():
         raise InvalidInputError("plant has non-finite entries")
     with np.errstate(over="ignore"):

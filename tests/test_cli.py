@@ -593,9 +593,17 @@ def test_memory_error_is_one_error_line(tmp_path, capsys, monkeypatch):
                  id="precondition-list"),
     pytest.param("precondition", ["--family", "sparse-pd", "--shift-margin", "0.1,0.2"],
                  "--shift-margin", id="precondition-other-family-list"),
+    # precondition builds one matrix, so two sources are one too many
+    pytest.param("precondition", ["--matrix", "{m}", "--matrix", "{m}"],
+                 "precondition takes one matrix, got 2", id="precondition-two-files"),
+    pytest.param("precondition", ["--matrix", "{m}", "--family", "hilbert"],
+                 "precondition takes one matrix, got 2", id="precondition-file-and-family"),
 ])
 def test_matrix_source_is_usage_error(tmp_path, capsys, command, flags, needle):
+    matrix = tmp_path / "m.txt"
+    save_matrix(ar1_autocorr(4, 0.5), matrix)
     out = tmp_path / "out.txt"
+    flags = [flag.format(m=matrix) for flag in flags]
     code, _, err = run(capsys, command, *flags, OUT_FLAG[command], str(out))
     assert_usage_error(code, err, needle)
     assert not out.exists()

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from precog.baselines import (
+    baseline_cond,
     condition_ratio,
     dct_matrix,
     dft_matrix,
@@ -22,22 +23,26 @@ from precog.errors import (
     InvalidInputError,
     NormalizationDomainError,
 )
-from precog.graph import Topology, banded_topology, full_topology
-from precog.learn import HyperParams, cost_E
+from precog.graph import Topology, WeightedGraph, banded_topology, full_topology, theta
+from precog.learn import HyperParams, cost_E, dL_du
 from precog.matgen import (
     MatrixSpec,
+    SignalSpec,
     ar1_autocorr,
     ar1_signal,
     ar2_autocorr,
+    ar2_signal,
     hilbert,
     random_pd,
     random_sparse_pd,
     save_matrix,
 )
-from precog.spectral import cond_general, cond_spd, split_preconditioned_cond
-from precog.tdlms import check_run
+from precog.spectral import cond_general, cond_spd, split_preconditioned_cond, sym_eig
+from precog.tdlms import FilterConfig, check_run, system_id_experiment
 
 NON_SQUARE = np.ones((2, 3))
+GRAPH = WeightedGraph(banded_topology(3, 1), np.ones(2))
+PAIR = sym_eig(np.diag([1.0, 2.0, 3.0]))
 
 # (callable, arguments, expected class, message needle)
 MALFORMED = {
@@ -56,6 +61,31 @@ MALFORMED = {
                                 "seed must be nonnegative"),
     "random_sparse_pd-negative-seed": (random_sparse_pd, (4, 0.5, -1), InvalidDimensionError,
                                        "seed must be nonnegative"),
+    # seeds
+    "random_pd-seed-2**64": (random_pd, (3, 2**64), InvalidDimensionError,
+                             "seed must lie in [0, 2**64), got 18446744073709551616"),
+    "system_id-seed-2**64": (system_id_experiment, (np.ones(2), SignalSpec("white"), 30.0,
+                                                    FilterConfig(2, 0.01), 10, 2**64),
+                             InvalidDimensionError, "seed must lie in [0, 2**64)"),
+    "ar1_signal-negative-seed": (ar1_signal, (10, 0.5, -1), InvalidDimensionError,
+                                 "seed must be nonnegative"),
+    "ar2_signal-negative-seed": (ar2_signal, (10, 0.5, 0.2, -1), InvalidDimensionError,
+                                 "seed must be nonnegative"),
+    "ar1_signal-float-seed": (ar1_signal, (10, 0.5, 1.5), InvalidInputError,
+                              "seed must be an integer"),
+    # indices
+    "theta-float-index": (theta, (GRAPH, 1.5), InvalidInputError,
+                          "edge_index must be an integer"),
+    "theta-bool-index": (theta, (GRAPH, True), InvalidInputError,
+                         "edge_index must be an integer"),
+    "dL_du-float-index": (dL_du, (PAIR, 1.5, 0), InvalidInputError, "k must be an integer"),
+    "topology-float-endpoint": (Topology, (3, ((0, 1.5),)), InvalidInputError,
+                                "edge endpoints must be integers"),
+    # bounded reals
+    "random_sparse_pd-bool-density": (random_sparse_pd, (4, True, 0), InvalidInputError,
+                                      "density must be a real number"),
+    "baseline_cond-bool-omega": (baseline_cond, ("sor", ar1_autocorr(4, 0.5), True),
+                                 InvalidInputError, "omega must be a real number"),
     # finite reals
     "hyperparams-huge-int-beta": (lambda: HyperParams(beta=10**400), (), InvalidInputError,
                                   "beta must be finite"),
@@ -103,6 +133,10 @@ def test_malformed_input_raises_its_precog_error(fn, args, error, needle):
 
 def test_a_bad_size_is_malformed_input():
     assert issubclass(InvalidDimensionError, InvalidInputError)
+
+
+def test_a_bad_index_is_an_index_error():
+    assert issubclass(InvalidDimensionError, IndexError)
 
 
 def _dft_split_cond_outer(R):
