@@ -32,7 +32,7 @@ from .baselines import (
     dct_matrix,
     none_cond,
 )
-from .errors import PrecogError
+from .errors import PrecogError, _check_seed
 from .graph import WeightedGraph, banded_topology, full_topology
 from .learn import HyperParams, cost_E, cost_EN, grad_E_wrt_U, grad_EN_wrt_w, optimize
 from .matgen import (
@@ -111,8 +111,11 @@ def _seeds(args: argparse.Namespace) -> list[int]:
         raise UsageError(f"PRECOG_SEED: {exc}") from None
     if len(seeds) > 1 and args.command not in ("bench", "lms"):
         raise UsageError(f"{args.command} takes one seed, got {len(seeds)} from {source}")
-    if not all(0 <= seed < 2**64 for seed in seeds):
-        raise UsageError(f"{source} values must lie in [0, 2**64), got {seeds}")
+    for seed in seeds:
+        try:
+            _check_seed(seed)
+        except PrecogError as exc:
+            raise UsageError(f"{source}: {exc}") from None
     return seeds
 
 

@@ -101,7 +101,7 @@ def banded_topology(n: int, band: int) -> Topology:
 def full_topology(n: int) -> Topology:
     """Fully connected topology: n(n-1)/2 edges in lexicographic order."""
     _check_count("n", n, 2)
-    return Topology(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)))
+    return banded_topology(n, n - 1)
 
 
 def laplacian(g: WeightedGraph) -> np.ndarray:

@@ -481,6 +481,7 @@ MATRIX_FLAG_CASES = {
     "hilbert-alpha": (["--family", "hilbert", "--alpha", "-5"], "alpha"),
     "random-pd-reg": (["--family", "random-pd", "--reg", "-1"], "reg"),
     "ar2-rho1": (["--family", "ar2", "--rho1", "1.0"], "poles"),
+    "ar2-rho1-nan": (["--family", "ar2", "--n", "4", "--rho1", "nan"], "rho1 must be finite"),
     "hilbert-alpha-nan": (["--family", "hilbert", "--n", "4", "--alpha", "nan"],
                           "alpha must be finite"),
     "random-pd-reg-inf": (["--family", "random-pd", "--n", "4", "--reg", "inf"],
@@ -535,19 +536,19 @@ SEED_COMMANDS = {
 
 
 @pytest.mark.parametrize("command", SEED_COMMANDS)
-@pytest.mark.parametrize("flag_seed, env_seed", [
-    pytest.param("-1", None, id="flag-negative"),
-    pytest.param(str(2**64), None, id="flag-too-large"),
-    pytest.param(None, "-1", id="env-negative"),
+@pytest.mark.parametrize("flag_seed, env_seed, needle", [
+    pytest.param("-1", None, "--seed: seed must be nonnegative", id="flag-negative"),
+    pytest.param(str(2**64), None, "[0, 2**64)", id="flag-too-large"),
+    pytest.param(None, "-1", "PRECOG_SEED: seed must be nonnegative", id="env-negative"),
 ])
 def test_seed_out_of_range_is_usage_error(tmp_path, capsys, monkeypatch, command,
-                                          flag_seed, env_seed):
+                                          flag_seed, env_seed, needle):
     monkeypatch.chdir(tmp_path)
     if env_seed is not None:
         monkeypatch.setenv("PRECOG_SEED", env_seed)
     flags = [] if flag_seed is None else ["--seed", flag_seed]
     code, _, err = run(capsys, *SEED_COMMANDS[command], *flags)
-    assert_usage_error(code, err, "[0, 2**64)")
+    assert_usage_error(code, err, needle)
     assert not any(tmp_path.iterdir())
 
 
@@ -559,13 +560,45 @@ def test_seed_list_outside_bench_is_usage_error(tmp_path, capsys, monkeypatch, c
     assert not any(tmp_path.iterdir())
 
 
-def test_non_spd_family_is_still_numerical_failure(tmp_path, capsys):
-    # hilbert(14) builds, but its smallest eigenvalue is negative in floating point
+# matrices that build but whose smallest eigenvalue is negative in floating point; the tests
+# below turn warnings into errors, as pytest would otherwise keep a warning off stderr
+NON_SPD_FAMILIES = {
+    "hilbert14": ["--family", "hilbert", "--n", "14"],
+    "ar2-close-poles": ["--family", "ar2", "--rho1", "0.99999", "--rho2", "0.99998", "--n", "50"],
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["gen", "precondition"])
+@pytest.mark.parametrize("family", NON_SPD_FAMILIES)
+def test_non_spd_family_is_still_numerical_failure(tmp_path, capsys, command, family):
     out = tmp_path / "h.txt"
-    code, _, err = run(capsys, "gen", "--family", "hilbert", "--n", "14", "--out", str(out))
+    code, _, err = run(capsys, command, *NON_SPD_FAMILIES[family], OUT_FLAG[command], str(out))
     assert code == 1
-    assert err.startswith("error: ")
+    assert err.count("\n") == 1 and err.startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_non_spd_ar2_bench_writes_status_rows_without_stderr(tmp_path, capsys):
+    out = tmp_path / "b.csv"
+    code, _, err = run(capsys, "bench", *NON_SPD_FAMILIES["ar2-close-poles"],
+                       "--methods", "none", "--max-iter", "5", "--out", str(out))
+    assert code == 1
+    assert err == ""
+    assert "NotPositiveDefiniteError" in out.read_text()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_non_spd_ar2_lms_without_transform_leaves_stderr_empty(tmp_path, capsys):
+    # the untransformed filter never reads R, so nothing checks or reports it
+    out = tmp_path / "t.csv"
+    code, _, err = run(capsys, "lms", "--signal", "ar2", "--rho1", "0.99999", "--rho2", "0.99998",
+                       "--taps", "50", "--run-len", "200", "--transform", "none",
+                       "--out", str(out))
+    assert code == 0
+    assert err == ""
+    assert out.exists()
 
 
 def test_memory_error_is_one_error_line(tmp_path, capsys, monkeypatch):

@@ -31,6 +31,7 @@ from precog.matgen import (
     ar1_autocorr,
     ar1_signal,
     ar2_autocorr,
+    ar2_coefficients,
     ar2_signal,
     hilbert,
     random_pd,
@@ -99,6 +100,19 @@ MALFORMED = {
                                     "shift_margin must be finite"),
     "condition_ratio-nan": (condition_ratio, (np.nan, 1.0), InvalidInputError,
                             "cond_method must be finite"),
+    # AR(2) poles
+    "ar2_autocorr-bool-rho1": (ar2_autocorr, (4, False, 0.5), InvalidInputError,
+                               "rho1 must be a real number"),
+    "ar2_autocorr-str-rho2": (ar2_autocorr, (4, 0.5, "x"), InvalidInputError,
+                              "rho2 must be a real number"),
+    "ar2_coefficients-complex-rho1": (ar2_coefficients, (0.5j, 0.1), InvalidInputError,
+                                      "rho1 must be a real number"),
+    "ar2_signal-none-rho2": (ar2_signal, (10, 0.5, None, 0), InvalidInputError,
+                             "rho2 must be a real number"),
+    "signal_spec-str-rho2": (lambda: SignalSpec("ar2", rho1=0.5, rho2="x").autocorr(4), (),
+                             InvalidInputError, "rho2 must be a real number"),
+    "ar2_autocorr-nan-rho1": (ar2_autocorr, (4, np.nan, 0.5), InvalidInputError,
+                              "rho1 must be finite"),
     # square matrices
     "split_cond-size-mismatch": (split_preconditioned_cond, (ar1_autocorr(6, 0.9), np.eye(5)),
                                  InvalidDimensionError, "shape mismatch"),

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from precog.errors import (
     DegenerateParametersError,
     InvalidInputError,
+    NotPositiveDefiniteError,
 )
 from precog.matgen import (
     DEFAULT_SHIFT_MARGIN,
@@ -138,11 +139,14 @@ class TestAr2:
             R = ar2_autocorr(10, rho1, rho2)
         assert np.max(np.abs(np.diag(R) - 1.0)) <= 1e-12
 
-    def test_warns_when_not_positive_definite(self):
-        # close poles at n=50 give a negative eigenvalue in floating point
-        with pytest.warns(RuntimeWarning,
-                          match=r"not positive definite \(smallest eigenvalue is -"):
-            ar2_autocorr(50, 0.99999, 0.99998)
+    def test_indefinite_result_is_left_to_its_consumers(self):
+        # close poles at n=50 give a negative eigenvalue in floating point; the generator
+        # returns the matrix silently and the score raises
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            R = ar2_autocorr(50, 0.99999, 0.99998)
+        with pytest.raises(NotPositiveDefiniteError, match="smallest eigenvalue is -"):
+            cond_spd(R)
 
     def test_second_pole_zero_reduces_to_ar1(self):
         c1, c2 = ar2_coefficients(0.6, 0.0)
