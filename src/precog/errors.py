@@ -4,7 +4,8 @@ Every numerical failure raises a distinct class so callers (and the CLI,
 which maps them to exit code 1) can tell input mistakes apart from genuine
 breakdowns inside an algorithm.  The scalar checks live here too:
 _check_count (an integer count, size or index in [minimum, below)), _check_seed
-(an integer in [0, 2**64)) and _check_real (a finite real, bounded by gt/ge/lt/le).
+(an integer in [0, 2**64)) and _check_real (a finite real, bounded by gt/ge/lt/le),
+and _real_array, which turns real array input into floats and refuses the rest.
 """
 
 import math
@@ -92,3 +93,12 @@ def _check_real(name: str, value, *, gt=None, ge=None, lt=None, le=None) -> None
         bound = (("positive" if opening == "(" else "nonnegative") if hi is None and lo == 0
                  else f"in {opening}{lo}, {hi}{closing}")
         raise InvalidInputError(f"{name} must be {bound}, got {value}")
+
+
+def _real_array(what: str, value) -> np.ndarray:
+    # as a float array of bools, integers or floats: numpy's float cast would keep only
+    # the real part of complex input, and raise a bare error on strings or objects
+    value = np.asarray(value)
+    if value.dtype.kind not in "biuf":
+        raise InvalidInputError(f"{what} must be real, got {value.dtype}")
+    return np.asarray(value, dtype=float)

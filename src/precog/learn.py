@@ -16,9 +16,10 @@ G = U^T R U; optimize computes it once per iteration and shares it.
 
 optimize scores off the descent path.  The weight update reads only the
 gradient, and split_cond feeds only the history, the best U and the
-opt-in band_exit stop, so when an iterate is scored does not change the
-trajectory.  optimize therefore holds iterates and scores a window of them
-at once; see its docstring for why every output stays bitwise unchanged.
+opt-in band_exit stop (the unitarity error only max_unitarity_error), so
+when an iterate is scored does not change the trajectory.  optimize
+therefore holds iterates and scores a window of them at once; see its
+docstring for why every output stays bitwise unchanged.
 """
 
 from __future__ import annotations
@@ -41,10 +42,12 @@ from .graph import Topology, WeightedGraph, _laplacian, laplacian
 from .spectral import (
     SpectralPair,
     _eig,
+    _check_symmetric,
     _normalized_spectra,
+    _orthonormality_errors,
+    _spd_spectrum,
     _square_pair,
-    cond_spd,
-    orthonormality_error,
+    _stack,
     sym_eig,
 )
 
@@ -57,7 +60,7 @@ SCORE_WINDOW_BYTES = 2**18  # optimize holds about this much of G's and U's per 
 def is_degenerate(gamma: np.ndarray) -> bool:
     """True when two ascending eigenvalues lie closer than DEGENERACY_GAP."""
     gamma = np.asarray(gamma)
-    return float((gamma[1:] - gamma[:-1]).min(initial=np.inf)) < DEGENERACY_GAP
+    return float(np.minimum.reduce(gamma[1:] - gamma[:-1], initial=np.inf)) < DEGENERACY_GAP
 
 
 @dataclass(frozen=True)
@@ -141,7 +144,8 @@ def _band_cost(G: np.ndarray, D: np.ndarray, eps1: float, eps2: float) -> float:
     # contiguous copy takes another BLAS dot path and rounds differently
     d = G.diagonal()
     off = G - D
-    off2 = float((off * off).sum())
+    off *= off
+    off2 = float(np.add.reduce(off, axis=None))  # off.sum() without its Python wrapper
     d2 = float(d @ d)
     return (off2 + eps1 * eps1 * d2) + (off2 + eps2 * eps2 * d2)
 
@@ -178,7 +182,9 @@ def _diag_coef(eps1: float, eps2: float) -> float:
 def _grad_E_canonical(R4, U, G, D, coef: float) -> np.ndarray:
     # R4 = 4 R and coef = _diag_coef(eps1, eps2), both fixed over a run;
     # 4.0 * R @ U @ F parses as ((4.0 * R) @ U) @ F, so passing 4 R is exact
-    return R4 @ U @ (2.0 * G - coef * D)
+    F = 2.0 * G
+    F -= coef * D
+    return R4 @ U @ F
 
 
 def dL_du(sp: SpectralPair, k: int, l: int) -> np.ndarray:
@@ -199,13 +205,13 @@ def dL_du(sp: SpectralPair, k: int, l: int) -> np.ndarray:
 
 
 def _inverse_gaps(gamma: np.ndarray) -> np.ndarray:
-    # entry (b, a) = 1 / (gamma_a - gamma_b), zero on the diagonal
+    # entry (b, a) = 1 / (gamma_a - gamma_b), zero on the diagonal, divided in place
     # .ravel()[::step] is np.fill_diagonal without its argument checks
-    step = gamma.shape[0] + 1
-    diff = gamma[None, :] - gamma[:, None]
-    diff.ravel()[::step] = 1.0  # keeps 1 / 0 off the diagonal
-    inv = 1.0 / diff
-    inv.ravel()[::step] = 0.0
+    inv = gamma - gamma[:, None]
+    diagonal = inv.ravel()[:: gamma.shape[0] + 1]
+    diagonal[...] = 1.0  # keeps 1 / 0 off the diagonal
+    np.divide(1.0, inv, out=inv)
+    diagonal[...] = 0.0
     return inv
 
 
@@ -217,9 +223,13 @@ def _edge_trace(t: Topology, sp: SpectralPair, GE: np.ndarray) -> np.ndarray:
     through t.flat_index.  The spectrum must be simple (not is_degenerate);
     callers check it.
     """
-    W = (sp.U.T @ GE) * _inverse_gaps(sp.gamma)
+    W = sp.U.T @ GE
+    W *= _inverse_gaps(sp.gamma)
     S = (sp.U @ W @ sp.U.T).take(t.flat_index)
-    return S[0] + S[1] - S[2] - S[3]
+    g = S[0] + S[1]
+    g -= S[2]
+    g -= S[3]
+    return g
 
 
 def grad_EN_wrt_w(g: WeightedGraph, R: np.ndarray, hp: HyperParams) -> np.ndarray:
@@ -235,9 +245,9 @@ class _ScoreWindow:
     """An optimize run's iterates awaiting their score, and its records so far.
 
     add() holds an iterate's (G, U, cost, grad_norm); the window is scored
-    when size iterates are held and by flush().  Records and the best-U
-    update follow iteration order, so they are those of scoring each
-    iterate in its own iteration.
+    when size iterates are held and by flush().  Records, the best-U update
+    and the largest unitarity error follow iteration order, so they are
+    those of scoring each iterate in its own iteration.
     """
 
     def __init__(self, size: int) -> None:
@@ -246,6 +256,7 @@ class _ScoreWindow:
         self.history: list[IterationRecord] = []
         self.best_cond = np.inf
         self.best_U: np.ndarray | None = None
+        self.max_unitarity = 0.0
 
     def add(self, it: int, G, U, cost: float, grad_norm: float):
         """Hold one iterate; when the window is full, return flush()."""
@@ -257,17 +268,21 @@ class _ScoreWindow:
         pending, self.pending = self.pending, []
         if not pending:
             return None
-        for (it, _, U, cost, grad_norm), s_ev in zip(
-            pending, _normalized_spectra([p[1] for p in pending])
+        # max folds left to right, as one max(m, error) per iteration would
+        self.max_unitarity = max(
+            self.max_unitarity, *_orthonormality_errors(_stack([p[2] for p in pending])).tolist()
+        )
+        ev = np.asarray(_normalized_spectra([p[1] for p in pending]))
+        for (it, _, U, cost, grad_norm), split_cond in zip(
+            pending, (ev[:, -1] / ev[:, 0]).tolist()
         ):
-            split_cond = float(s_ev[-1] / s_ev[0])
             self.history.append(
                 IterationRecord(t=it, cost=cost, split_cond=split_cond, grad_norm=grad_norm)
             )
             if split_cond < self.best_cond:
                 self.best_cond = split_cond
                 self.best_U = U
-        return s_ev
+        return ev[-1]
 
 
 # an overflow shows as a non-finite cost or gradient, which raises DivergenceError
@@ -286,20 +301,22 @@ def optimize(R: np.ndarray, t: Topology, hp: HyperParams) -> PrecogResult:
     U and fails where that fails, so best_cond is the score of result.U.
     Iterates are scored in windows of about SCORE_WINDOW_BYTES of G's and
     U's (163 iterates at n=10, 4 at n=64, 1 at n=128; 1 under band_exit,
-    whose stop reads the score), by one stacked call.  The update never
-    reads the score, so the trajectory is the same whenever an iterate is
-    scored; the stacked calls are bitwise the per-matrix ones, and records
-    and the best U follow iteration order, so a returned result is bitwise
-    equal to the public-function loop in tests/test_learn.py.  Before an error
-    leaves, the held iterates are scored, so the earliest failure raises.
+    whose stop reads the score), by one stacked call.  max_unitarity_error
+    is taken per window too, by one stacked orthonormality_error of its U's.
+    The update reads neither, so the trajectory is the same whenever an
+    iterate is scored; the stacked calls are bitwise the per-matrix ones,
+    and records, the best U and the unitarity maximum follow iteration
+    order, so a returned result is bitwise equal to the public-function loop
+    in tests/test_learn.py.  Before an error leaves, the held iterates are
+    scored, so the earliest failure raises.
 
     L is exactly symmetric by construction, and w @ w (which the cost needs
     anyway) is finite only when w and L's diagonal are, so those are
     checked only when it is not.  The degeneracy test runs once per
     iteration.
     """
-    R = np.asarray(R, dtype=float)
-    cond_spd(R)  # rejects asymmetric or non-positive-definite input
+    R = _check_symmetric(R)
+    _spd_spectrum(R)  # as cond_spd(R): rejects a non-positive-definite R
     if R.shape[0] != t.n:
         raise InvalidDimensionError(f"R is {R.shape[0]} x {R.shape[0]}, topology has n={t.n}")
     rng = np.random.default_rng(hp.seed)
@@ -308,9 +325,10 @@ def optimize(R: np.ndarray, t: Topology, hp: HyperParams) -> PrecogResult:
     coef = _diag_coef(hp.eps1, hp.eps2)
     shrink = 1.0 - 2.0 * hp.beta
     scores = _ScoreWindow(1 if hp.band_exit else max(1, SCORE_WINDOW_BYTES // (16 * t.n * t.n)))
+    D = np.zeros((t.n, t.n))  # G's diagonal part, rewritten each iteration
+    D_diagonal = D.ravel()[:: t.n + 1]
     prev_cost: float | None = None
     consecutive_jitters = 0
-    max_unitarity = 0.0
     reason = "max_iter"
 
     try:
@@ -336,9 +354,8 @@ def optimize(R: np.ndarray, t: Topology, hp: HyperParams) -> PrecogResult:
             consecutive_jitters = 0
 
             U = sp.U
-            max_unitarity = max(max_unitarity, orthonormality_error(U))
             G = U.T @ R @ U  # shared by the score, the cost and the gradient
-            D = np.diag(G.diagonal())  # shared by the cost and the gradient
+            D_diagonal[...] = G.diagonal()  # D is shared by the cost and the gradient
             cost = _band_cost(G, D, hp.eps1, hp.eps2) + hp.beta * (ww - 1.0)
             grad_core = _edge_trace(t, sp, _grad_E_canonical(R4, U, G, D, coef))
             grad_full = grad_core + 2.0 * hp.beta * w
@@ -359,7 +376,9 @@ def optimize(R: np.ndarray, t: Topology, hp: HyperParams) -> PrecogResult:
                 break
             prev_cost = cost
 
-            w = w * shrink - hp.mu * grad_core
+            w *= shrink
+            grad_core *= hp.mu
+            w -= grad_core
     finally:
         scores.flush()  # a held iterate that fails to score outranks an error raised after it
 
@@ -370,5 +389,5 @@ def optimize(R: np.ndarray, t: Topology, hp: HyperParams) -> PrecogResult:
         w_final=w,
         history=scores.history,
         reason=reason,
-        max_unitarity_error=max_unitarity,
+        max_unitarity_error=scores.max_unitarity,
     )

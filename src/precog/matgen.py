@@ -119,8 +119,8 @@ def random_sparse_pd(
 
 
 def density(M: np.ndarray) -> float:
-    """Fraction of nonzero entries over all entries."""
-    M = np.asarray(M)
+    """Fraction of nonzero entries over all entries of a square matrix."""
+    M = _check_square(M)
     return float(np.count_nonzero(M)) / M.size
 
 
@@ -267,11 +267,12 @@ def load_matrix(path: str | Path) -> np.ndarray:
         raise InvalidInputError(f"empty matrix file {path}")
     try:
         n = int(text[0])
+        _check_count("n", n)
         rows = [[float(x) for x in line.split()] for line in text[1:]]
-    except ValueError as exc:  # a header or an entry that is not a number
+    except ValueError as exc:  # a header that is not a positive count, or an entry not a number
         raise InvalidInputError(f"malformed matrix file {path}: {exc}") from None
     if len(rows) != n:
         raise InvalidInputError(f"expected {n} rows in {path}, got {len(rows)}")
-    if {len(row) for row in rows} != {n}:  # ragged rows, or n = 0
+    if {len(row) for row in rows} != {n}:  # ragged rows
         raise InvalidInputError(f"matrix in {path} is not {n} x {n}")
     return np.array(rows)

@@ -11,7 +11,6 @@ Matrix arguments are checked by _check_square; unit-diagonal scaling is _unit_di
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,10 +23,13 @@ from .errors import (
     NumericallySingularError,
     PrecogError,
     SymmetryError,
+    _real_array,
 )
 
 SYMMETRY_TOL = 1e-10
 ORTHONORMALITY_TOL = 1e-8
+_SIGNS = np.array([1.0, -1.0])  # _column_signs' table: index False gives 1.0, True -1.0
+_SIGNS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -50,10 +52,12 @@ class NormalizedAutocorr:
 
 
 def _check_square(M, what: str = "matrix", stack: bool = False) -> np.ndarray:
-    # M as a finite, square float array; with stack, a (..., n, n) stack of them
-    M = np.asarray(M, dtype=float)
+    # M as a real, finite, nonempty, square float array; with stack, a (..., n, n) stack of them
+    M = _real_array(what, M)
     if (M.ndim < 2 if stack else M.ndim != 2) or M.shape[-1] != M.shape[-2]:
         raise InvalidDimensionError(f"{what} must be square, got shape {M.shape}")
+    if M.size == 0:
+        raise InvalidDimensionError(f"{what} must not be empty, got shape {M.shape}")
     if not np.isfinite(M).all():
         raise InvalidInputError(f"{what} has non-finite entries")
     return M
@@ -85,8 +89,10 @@ def canonical_sign(U: np.ndarray) -> np.ndarray:
 
 
 def _column_signs(U: np.ndarray) -> np.ndarray:
-    k = np.abs(U).argmax(axis=0)  # first index on ties
-    return np.where(U[k, np.arange(U.shape[1])] < 0, -1.0, 1.0)
+    # U.take(k)[j, j] is U[k[j], j] in two calls where U[k, np.arange(n)] takes three, and
+    # the table lookup is np.where(top < 0, -1.0, 1.0) in one call (-0.0 and nan give 1.0)
+    top = U.take(np.abs(U).argmax(axis=0), axis=0).diagonal()  # first index on ties
+    return _SIGNS.take(top < 0)
 
 
 def sym_eig(M: np.ndarray) -> SpectralPair:
@@ -156,10 +162,16 @@ def _unit_diagonal(M: np.ndarray, delta: np.ndarray) -> np.ndarray:
 
 def orthonormality_error(U: np.ndarray) -> float:
     """Frobenius norm of U^T U - I."""
-    U = np.asarray(U, dtype=float)
-    e = (U.T @ U).ravel()
-    e[:: U.shape[1] + 1] -= 1.0  # U^T U - I without building I
-    return math.sqrt(e @ e)  # the expression np.linalg.norm evaluates
+    return float(_orthonormality_errors(_real_array("U", U)[None])[0])
+
+
+def _orthonormality_errors(Us: np.ndarray) -> np.ndarray:
+    # orthonormality_error of each U in a (k, n, m) stack: every slice takes the one
+    # BLAS call a lone U takes (syrk for U^T U, dot for e @ e, as np.linalg.norm)
+    m = Us.shape[-1]
+    E = (Us.transpose(0, 2, 1) @ Us).reshape(len(Us), m * m)
+    E[:, :: m + 1] -= 1.0  # U^T U - I without building I
+    return np.sqrt((E[:, None, :] @ E[:, :, None]).ravel())
 
 
 def _check_orthonormal(U: np.ndarray, what: str = "U") -> np.ndarray:
@@ -181,6 +193,11 @@ def split_preconditioned_cond(R: np.ndarray, U: np.ndarray) -> float:
     return cond_spd(power_normalize(U.T @ R @ U).S)
 
 
+def _stack(Ms: list[np.ndarray]) -> np.ndarray:
+    # one (k, ...) array of equal-shape arrays; a lone array is a view, not a copy
+    return Ms[0][None] if len(Ms) == 1 else np.stack(Ms)
+
+
 def _normalized_spectra(Gs: list[np.ndarray]):
     """The spectrum cond_spd(power_normalize(G).S) reads, one row per G.
 
@@ -188,6 +205,6 @@ def _normalized_spectra(Gs: list[np.ndarray]):
     are scored one by one, so the earliest failing G raises its own error.
     """
     try:
-        return _spd_spectrum(_check_symmetric(power_normalize(np.stack(Gs)).S, stack=True))
+        return _spd_spectrum(_check_symmetric(power_normalize(_stack(Gs)).S, stack=True))
     except (PrecogError, np.linalg.LinAlgError):
         return [_spd_spectrum(_check_symmetric(power_normalize(G).S)) for G in Gs]

@@ -37,6 +37,7 @@ from .errors import (
     _check_count,
     _check_real,
     _check_seed,
+    _real_array,
 )
 from .matgen import SignalSpec
 from .spectral import _check_orthonormal
@@ -260,7 +261,7 @@ def system_id_experiment(
     the power estimate carried across.  Results match the per-step
     recursion to rounding, not bit for bit.
     """
-    plant = np.asarray(plant, dtype=float)
+    plant = _real_array("plant", plant)
     if plant.shape != (cfg.taps,):
         raise InvalidDimensionError(f"plant length {plant.shape} does not match taps={cfg.taps}")
     check_run(run_len, noise_db)

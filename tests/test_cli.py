@@ -642,21 +642,22 @@ def test_matrix_source_is_usage_error(tmp_path, capsys, command, flags, needle):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("text", [
-    pytest.param("abc\n1 2\n", id="header"),
-    pytest.param("2\n1 x\n0 1\n", id="entry"),
-    pytest.param("2\n1 0\n0\n", id="ragged"),
-    pytest.param("0\n", id="zero"),
+@pytest.mark.parametrize("text, needle", [
+    pytest.param("abc\n1 2\n", "invalid literal for int()", id="header"),
+    pytest.param("2\n1 x\n0 1\n", "could not convert string to float", id="entry"),
+    pytest.param("2\n1 0\n0\n", "is not 2 x 2", id="ragged"),
+    pytest.param("0\n", "n must be positive, got 0", id="zero"),
+    pytest.param("-1\n", "n must be positive, got -1", id="negative"),
 ])
 @pytest.mark.parametrize("command", ["precondition", "bench"])
-def test_malformed_matrix_file_is_one_error_line(tmp_path, capsys, command, text):
+def test_malformed_matrix_file_is_one_error_line(tmp_path, capsys, command, text, needle):
     path = tmp_path / "bad.txt"
     path.write_text(text)
     out = tmp_path / "out.txt"
     code, _, err = run(capsys, command, "--matrix", str(path), OUT_FLAG[command], str(out))
     assert code == 1
     assert err.count("\n") == 1 and err.startswith("error: ")
-    assert str(path) in err
+    assert str(path) in err and needle in err
     assert not out.exists()
 
 

@@ -15,6 +15,7 @@ from precog.baselines import (
     gauss_seidel_precond,
     ilu0_precond,
     jacobi_precond,
+    none_cond,
     sor_precond,
     ssor_precond,
 )
@@ -24,7 +25,7 @@ from precog.errors import (
     NormalizationDomainError,
 )
 from precog.graph import Topology, WeightedGraph, banded_topology, full_topology, theta
-from precog.learn import HyperParams, cost_E, dL_du
+from precog.learn import HyperParams, cost_E, dL_du, optimize
 from precog.matgen import (
     MatrixSpec,
     SignalSpec,
@@ -33,15 +34,26 @@ from precog.matgen import (
     ar2_autocorr,
     ar2_coefficients,
     ar2_signal,
+    density,
     hilbert,
     random_pd,
     random_sparse_pd,
     save_matrix,
 )
-from precog.spectral import cond_general, cond_spd, split_preconditioned_cond, sym_eig
+from precog.spectral import (
+    cond_general,
+    cond_spd,
+    orthonormality_error,
+    split_preconditioned_cond,
+    sym_eig,
+)
 from precog.tdlms import FilterConfig, check_run, system_id_experiment
 
 NON_SQUARE = np.ones((2, 3))
+EMPTY = np.zeros((0, 0))
+# Hermitian with eigenvalues 2 +- sqrt(10), so not positive definite, though its real
+# part [[2, 1], [1, 2]] is: a real cast would score it 3.0
+HERMITIAN = np.array([[2.0, 1.0 + 3.0j], [1.0 - 3.0j, 2.0]])
 GRAPH = WeightedGraph(banded_topology(3, 1), np.ones(2))
 PAIR = sym_eig(np.diag([1.0, 2.0, 3.0]))
 
@@ -130,6 +142,35 @@ MALFORMED = {
     "ilu0-non-square": (ilu0_precond, (NON_SQUARE,), InvalidDimensionError, "must be square"),
     "save_matrix-non-finite": (save_matrix, (np.full((2, 2), np.inf), os.devnull),
                                InvalidInputError, "matrix has non-finite entries"),
+    # real matrices: numpy's float cast would keep the real part and warn
+    "cond_spd-complex": (cond_spd, (HERMITIAN,), InvalidInputError,
+                         "matrix must be real, got complex128"),
+    "optimize-complex-R": (optimize, (HERMITIAN, full_topology(2), HyperParams()),
+                           InvalidInputError, "matrix must be real, got complex128"),
+    "split_cond-complex-U": (split_preconditioned_cond, (ar1_autocorr(6, 0.9), dft_matrix(6)),
+                             InvalidInputError, "U must be real, got complex128"),
+    "filter_config-complex-transform": (FilterConfig, (6, 0.1, dft_matrix(6)), InvalidInputError,
+                                        "transform must be real, got complex128"),
+    "system_id-complex-plant": (system_id_experiment, (np.ones(2) + 0j, SignalSpec("white"), 30.0,
+                                                       FilterConfig(2, 0.01), 10, 0),
+                                InvalidInputError, "plant must be real, got complex128"),
+    "weighted_graph-complex-w": (WeightedGraph, (GRAPH.topology, np.ones(2) + 0j),
+                                 InvalidInputError, "edge weights must be real, got complex128"),
+    "orthonormality_error-complex": (orthonormality_error, (dft_matrix(3),), InvalidInputError,
+                                     "U must be real, got complex128"),
+    "cond_spd-strings": (cond_spd, ([["a"]],), InvalidInputError, "matrix must be real, got <U1"),
+    "weighted_graph-object-w": (WeightedGraph, (GRAPH.topology, np.array([1.0, 1j], object)),
+                                InvalidInputError, "edge weights must be real, got object"),
+    # nonempty matrices
+    "cond_spd-empty": (cond_spd, (EMPTY,), InvalidDimensionError, "matrix must not be empty"),
+    "split_cond-empty": (split_preconditioned_cond, (EMPTY, EMPTY), InvalidDimensionError,
+                         "R must not be empty"),
+    "none_cond-empty": (none_cond, (EMPTY,), InvalidDimensionError, "matrix must not be empty"),
+    "cond_general-empty": (cond_general, (EMPTY,), InvalidDimensionError,
+                           "matrix must not be empty"),
+    "ilu0-empty": (baseline_cond, ("ilu0", EMPTY), InvalidDimensionError, "A must not be empty"),
+    "sym_eig-empty": (sym_eig, (EMPTY,), InvalidDimensionError, "matrix must not be empty"),
+    "density-empty": (density, (EMPTY,), InvalidDimensionError, "matrix must not be empty"),
     # diagonal scaling
     "dft-negative-diagonal": (dft_split_cond, (-np.eye(3),), NormalizationDomainError,
                               "diagonal entry 0 is -1, must be positive"),
@@ -139,6 +180,7 @@ MALFORMED = {
 }
 
 
+@pytest.mark.filterwarnings("error")  # rejected, not cast or computed on with a warning
 @pytest.mark.parametrize("fn, args, error, needle", MALFORMED.values(), ids=MALFORMED)
 def test_malformed_input_raises_its_precog_error(fn, args, error, needle):
     with pytest.raises(error, match=re.escape(needle)):

@@ -281,3 +281,14 @@ class TestDegrees:
         assert np.array_equal(M.take(t.flat_index), [M[P, P], M[Q, Q], M[P, Q], M[Q, P]])
         with pytest.raises(ValueError):
             t.flat_index[0, 0] = 3
+
+    def test_laplacian_plan_cached_read_only_and_equal_to_the_edge_arrays(self):
+        t = full_topology(6)
+        for plan, want in ((t._degree_index, t.endpoints.ravel()),
+                           (t._off_diagonal_index, t.flat_index[2:])):
+            assert plan.tobytes() == want.tobytes() and plan.shape == want.shape
+            assert not plan.flags.writeable
+            with pytest.raises(ValueError):
+                plan[0] = 3
+        assert t._degree_index is t._degree_index
+        assert t._off_diagonal_index is t._off_diagonal_index

@@ -592,6 +592,37 @@ def test_tol_stop_inside_a_window_is_bitwise(monkeypatch, k):
 
 
 @pytest.mark.parametrize("k", WINDOWS)
+@pytest.mark.parametrize("planted_at", [0, 7, 41])
+def test_planted_unitarity_error_is_reported_from_its_window(monkeypatch, k, planted_at):
+    """max_unitarity_error is the left-to-right max of every iterate's own error.
+
+    The iterate at planted_at gets a U whose first column is off unit norm by
+    about 1e-6; 42 iterations put iteration 41 in a partly filled last window
+    when 5 iterates make one.
+    """
+    R, t = hilbert(10, 1e-4), full_topology(10)
+    hp = HyperParams(max_iter=42, seed=1)
+    set_window(monkeypatch, t.n, k)
+    real_eig, Us = learn._eig, []
+
+    def planted_eig(L):
+        sp = real_eig(L)
+        if len(Us) == planted_at:
+            sp.U[:, 0] *= 1.0 + 1e-6
+        Us.append(sp.U.copy())
+        return sp
+
+    monkeypatch.setattr(learn, "_eig", planted_eig)
+    res = optimize(R, t, hp)
+    assert len(res.history) == len(Us) == 42  # no jitter: every U was held and scored
+    errors = [orthonormality_error(U) for U in Us]
+    want = 0.0
+    for error in errors:
+        want = max(want, error)
+    assert res.max_unitarity_error == want == errors[planted_at] > 1e-7
+
+
+@pytest.mark.parametrize("k", WINDOWS)
 def test_jitters_inside_a_window_are_bitwise(monkeypatch, k):
     R, t = hilbert(10, 1e-4), full_topology(10)
     hp = HyperParams(max_iter=40, seed=1)

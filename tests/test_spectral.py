@@ -17,7 +17,9 @@ from precog.graph import banded_topology
 from precog.learn import HyperParams, is_degenerate, optimize
 from precog.matgen import ar1_autocorr
 from precog.spectral import (
+    _column_signs,
     _normalized_spectra,
+    _orthonormality_errors,
     canonical_sign,
     cond_general,
     cond_spd,
@@ -72,6 +74,19 @@ class TestCanonicalSign:
         # small integers make exact magnitude ties and zero columns common
         U = rng.integers(-2, 3, size=(n, n)).astype(float) * rng.choice([1.0, 0.3], size=n)
         assert canonical_sign(U).tobytes() == canonical_sign_loop(U).tobytes()
+
+    def test_signs_are_the_where_form_bitwise_at_negative_zero_and_nan(self, rng):
+        U = rng.standard_normal((6, 5))
+        U[:, 1] = 0.0
+        U[0, 1] = -0.0  # an all-zero column: argmax picks row 0, so its top is -0.0
+        U[3, 2] = np.nan  # argmax of abs stops at the first nan, so the top is nan
+        U[:, 3] = [0.5, -0.5, 0.1, 0.0, 0.2, 0.3]  # a tie: the first index, +0.5, wins
+        U[:, 4] = [-0.5, 0.5, 0.1, 0.0, 0.2, 0.3]  # a tie won by -0.5
+        top = U[np.abs(U).argmax(axis=0), np.arange(5)]
+        assert np.signbit(top[1]) and top[1] == 0.0 and np.isnan(top[2])
+        want = np.where(top < 0, -1.0, 1.0)
+        assert _column_signs(U).tobytes() == want.tobytes()
+        assert list(want[1:]) == [1.0, 1.0, 1.0, -1.0]
 
 
 class TestSymEig:
@@ -323,3 +338,11 @@ class TestSplitPreconditionedCond:
 def test_orthonormality_error_is_bitwise_the_frobenius_norm(rng, n):
     U = rand_orthonormal(n, rng) + 1e-9 * rng.standard_normal((n, n))
     assert orthonormality_error(U) == float(np.linalg.norm(U.T @ U - np.eye(n)))
+
+
+@pytest.mark.parametrize("n", [2, 5, 10, 12, 16, 33, 64])
+def test_stacked_orthonormality_errors_are_the_frobenius_norms(rng, n):
+    Us = [rand_orthonormal(n, rng) + s * rng.standard_normal((n, n)) for s in (0.0, 1e-9, 1e-3)]
+    want = [float(np.linalg.norm(U.T @ U - np.eye(n))) for U in Us]
+    assert _orthonormality_errors(np.stack(Us)).tolist() == want
+    assert [_orthonormality_errors(U[None]).item() for U in Us] == want
