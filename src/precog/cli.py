@@ -12,6 +12,8 @@ deterministic for a fixed config and seed; wall-clock timing is opt-in
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import itertools
 import os
 import sys
@@ -71,16 +73,18 @@ class _Parser(argparse.ArgumentParser):
 def _write_csv(path: str | None, header: str, rows) -> None:
     """Write header and rows as CSV to path, or to stdout when path is empty.
 
-    A None cell is empty, a float (numpy's too) is repr(float(x)), anything else str(x).
+    A None cell is empty, a float (numpy's too) is repr(float(x)), anything else str(x);
+    csv quotes a cell that holds a comma, a quote or a newline.
     """
-    text = "".join(
-        ",".join("" if x is None else repr(float(x)) if isinstance(x, (float, np.floating))
-                 else str(x) for x in row) + "\n"
-        for row in [[header], *rows])
+    buf = io.StringIO()
+    buf.write(header + "\n")
+    csv.writer(buf, lineterminator="\n").writerows(
+        ["" if x is None else repr(float(x)) if isinstance(x, (float, np.floating)) else str(x)
+         for x in row] for row in rows)
     if path:
-        Path(path).write_text(text)
+        Path(path).write_text(buf.getvalue())
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(buf.getvalue())
 
 
 def _attempt(fn, *args):
@@ -446,8 +450,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(path: str) -> dict[str, str]:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"config file {path} is not UTF-8 text: {exc}") from None
     pairs: dict[str, str] = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

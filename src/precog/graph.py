@@ -65,16 +65,6 @@ class Topology:
         flat.flags.writeable = False
         return flat
 
-    @cached_property
-    def _degree_index(self) -> np.ndarray:
-        """Read-only endpoints.ravel(): (p0, q0, p1, q1, ...), the Laplacian's degree bincount."""
-        return self.endpoints.ravel()
-
-    @cached_property
-    def _off_diagonal_index(self) -> np.ndarray:
-        """Read-only flat_index[2:]: the (p, q) and (q, p) entries of the Laplacian's scatter."""
-        return self.flat_index[2:]
-
 
 @dataclass
 class WeightedGraph:
@@ -128,8 +118,8 @@ def _laplacian(t: Topology, w: np.ndarray) -> np.ndarray:
     n = t.n
     L = np.zeros(n * n)
     # interleaved (p0, q0, p1, q1, ...): each vertex accumulates in edge order
-    L[:: n + 1] = np.bincount(t._degree_index, weights=w.repeat(2), minlength=n)
-    L[t._off_diagonal_index] = 0.0 - w  # both triangles at once; not -w: a zero weight stays +0.0
+    L[:: n + 1] = np.bincount(t.endpoints.ravel(), weights=w.repeat(2), minlength=n)
+    L[t.flat_index[2:]] = 0.0 - w  # both triangles at once; not -w: a zero weight stays +0.0
     return L.reshape(n, n)
 
 

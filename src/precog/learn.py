@@ -120,11 +120,6 @@ class PrecogResult:
     max_unitarity_error: float = 0.0
 
     @property
-    def converged(self) -> bool:
-        """True when the run stopped on the band or the tolerance, not the budget."""
-        return self.reason in ("band", "tol")
-
-    @property
     def best_cond(self) -> float:
         return min(rec.split_cond for rec in self.history)
 
@@ -144,8 +139,7 @@ def _band_cost(G: np.ndarray, D: np.ndarray, eps1: float, eps2: float) -> float:
     # contiguous copy takes another BLAS dot path and rounds differently
     d = G.diagonal()
     off = G - D
-    off *= off
-    off2 = float(np.add.reduce(off, axis=None))  # off.sum() without its Python wrapper
+    off2 = float((off * off).sum())
     d2 = float(d @ d)
     return (off2 + eps1 * eps1 * d2) + (off2 + eps2 * eps2 * d2)
 
@@ -182,9 +176,7 @@ def _diag_coef(eps1: float, eps2: float) -> float:
 def _grad_E_canonical(R4, U, G, D, coef: float) -> np.ndarray:
     # R4 = 4 R and coef = _diag_coef(eps1, eps2), both fixed over a run;
     # 4.0 * R @ U @ F parses as ((4.0 * R) @ U) @ F, so passing 4 R is exact
-    F = 2.0 * G
-    F -= coef * D
-    return R4 @ U @ F
+    return R4 @ U @ (2.0 * G - coef * D)
 
 
 def dL_du(sp: SpectralPair, k: int, l: int) -> np.ndarray:
@@ -223,13 +215,9 @@ def _edge_trace(t: Topology, sp: SpectralPair, GE: np.ndarray) -> np.ndarray:
     through t.flat_index.  The spectrum must be simple (not is_degenerate);
     callers check it.
     """
-    W = sp.U.T @ GE
-    W *= _inverse_gaps(sp.gamma)
+    W = (sp.U.T @ GE) * _inverse_gaps(sp.gamma)
     S = (sp.U @ W @ sp.U.T).take(t.flat_index)
-    g = S[0] + S[1]
-    g -= S[2]
-    g -= S[3]
-    return g
+    return S[0] + S[1] - S[2] - S[3]
 
 
 def grad_EN_wrt_w(g: WeightedGraph, R: np.ndarray, hp: HyperParams) -> np.ndarray:
@@ -376,9 +364,7 @@ def optimize(R: np.ndarray, t: Topology, hp: HyperParams) -> PrecogResult:
                 break
             prev_cost = cost
 
-            w *= shrink
-            grad_core *= hp.mu
-            w -= grad_core
+            w = w * shrink - hp.mu * grad_core
     finally:
         scores.flush()  # a held iterate that fails to score outranks an error raised after it
 

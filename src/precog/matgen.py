@@ -254,23 +254,22 @@ class MatrixSpec:
 def save_matrix(M: np.ndarray, path: str | Path) -> None:
     """Write a finite square matrix in the plain text format (exact round-trip)."""
     M = _check_square(M)
-    lines = [str(M.shape[0])]
-    for row in M:
-        lines.append(" ".join(f"{x:.17e}" for x in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    np.savetxt(path, M, fmt="%.17e", header=str(M.shape[0]), comments="")
 
 
 def load_matrix(path: str | Path) -> np.ndarray:
     """Read a matrix written by save_matrix."""
-    text = Path(path).read_text().strip().splitlines()
+    # ValueError: not UTF-8 text, a header that is not a positive count, or an entry not a number
+    try:
+        text = Path(path).read_text(encoding="utf-8").strip().splitlines()
+        if text:
+            n = int(text[0])
+            _check_count("n", n)
+            rows = [[float(x) for x in line.split()] for line in text[1:]]
+    except ValueError as exc:
+        raise InvalidInputError(f"malformed matrix file {path}: {exc}") from None
     if not text:
         raise InvalidInputError(f"empty matrix file {path}")
-    try:
-        n = int(text[0])
-        _check_count("n", n)
-        rows = [[float(x) for x in line.split()] for line in text[1:]]
-    except ValueError as exc:  # a header that is not a positive count, or an entry not a number
-        raise InvalidInputError(f"malformed matrix file {path}: {exc}") from None
     if len(rows) != n:
         raise InvalidInputError(f"expected {n} rows in {path}, got {len(rows)}")
     if {len(row) for row in rows} != {n}:  # ragged rows

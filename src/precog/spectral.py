@@ -161,8 +161,8 @@ def _unit_diagonal(M: np.ndarray, delta: np.ndarray) -> np.ndarray:
 
 
 def orthonormality_error(U: np.ndarray) -> float:
-    """Frobenius norm of U^T U - I."""
-    return float(_orthonormality_errors(_real_array("U", U)[None])[0])
+    """Frobenius norm of U^T U - I for a finite square U."""
+    return float(_orthonormality_errors(_check_square(U, "U")[None])[0])
 
 
 def _orthonormality_errors(Us: np.ndarray) -> np.ndarray:
@@ -175,9 +175,8 @@ def _orthonormality_errors(Us: np.ndarray) -> np.ndarray:
 
 
 def _check_orthonormal(U: np.ndarray, what: str = "U") -> np.ndarray:
-    # square and finite first: a nan orthonormality error compares False against any tolerance
     U = _check_square(U, what)
-    if orthonormality_error(U) > ORTHONORMALITY_TOL:
+    if _orthonormality_errors(U[None])[0] > ORTHONORMALITY_TOL:
         raise InvalidInputError(f"{what} is not orthonormal to 1e-8")
     return U
 

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,8 @@ def assert_usage_error(code, err, needle):
     assert needle in err
 
 
+# latin-1 writes these as the bytes ff fe 00, which are not UTF-8
+NOT_UTF8 = "\xff\xfe\x00"
 # exactly symmetric and positive definite, but optimize overflows on it
 BIG200 = "3\n2e200 1e200 0\n1e200 2e200 1e200\n0 1e200 2e200\n"
 
@@ -411,6 +415,7 @@ CONFIG_CASES = {
     "timing-yes": ("bench", ["timing = yes"], ["--config", "{0}"], {"timing": True}),
     "timing-false": ("bench", ["timing = false"], ["--config", "{0}"], {"timing": False}),
     "no-equals": ("bench", ["rho 0.5"], ["--config", "{0}"], "config line without '='"),
+    "not-utf8": ("bench", [NOT_UTF8], ["--config", "{0}"], "is not UTF-8 text"),
     "unknown-key": ("bench", ["colour = blue"], ["--config", "{0}"],
                     "unrecognized arguments: --colour=blue"),
 }
@@ -425,7 +430,7 @@ def test_config_file(tmp_path, capsys, monkeypatch, command, files, flags, expec
     paths = []
     for i, text in enumerate(files):
         paths.append(tmp_path / f"{i}.cfg")
-        paths[-1].write_text(text + "\n")
+        paths[-1].write_text(text + "\n", encoding="latin-1")
     code, _, err = run(capsys, command, "--family", "ar1",
                        *(f.format(*paths) for f in flags))
     if isinstance(expect, str):  # rejected: exit 2 with one error line
@@ -648,17 +653,31 @@ def test_matrix_source_is_usage_error(tmp_path, capsys, command, flags, needle):
     pytest.param("2\n1 0\n0\n", "is not 2 x 2", id="ragged"),
     pytest.param("0\n", "n must be positive, got 0", id="zero"),
     pytest.param("-1\n", "n must be positive, got -1", id="negative"),
+    pytest.param(NOT_UTF8, "can't decode byte 0xff", id="not-utf8"),
 ])
 @pytest.mark.parametrize("command", ["precondition", "bench"])
 def test_malformed_matrix_file_is_one_error_line(tmp_path, capsys, command, text, needle):
     path = tmp_path / "bad.txt"
-    path.write_text(text)
+    path.write_text(text, encoding="latin-1")
     out = tmp_path / "out.txt"
     code, _, err = run(capsys, command, "--matrix", str(path), OUT_FLAG[command], str(out))
     assert code == 1
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert str(path) in err and needle in err
     assert not out.exists()
+
+
+def test_bench_quotes_a_matrix_id_with_a_comma(tmp_path, capsys):
+    matrix = tmp_path / "x,y.txt"
+    save_matrix(ar1_autocorr(4, 0.5), matrix)
+    out = tmp_path / "r.csv"
+    code, _, _ = run(capsys, "bench", "--matrix", str(matrix), "--max-iter", "20",
+                     "--out", str(out))
+    assert code == 0
+    header, *rows = csv.reader(out.read_text().splitlines())
+    assert header == BENCH_HEADER.split(",") and len(rows) == len(METHOD_NAMES)
+    assert all(len(row) == len(header) for row in rows)
+    assert {row[0] for row in rows} == {"x,y"}
 
 
 class TestGradcheck:

@@ -140,6 +140,16 @@ MALFORMED = {
     "sor-non-square": (sor_precond, (NON_SQUARE,), InvalidDimensionError, "must be square"),
     "ssor-non-square": (ssor_precond, (NON_SQUARE,), InvalidDimensionError, "must be square"),
     "ilu0-non-square": (ilu0_precond, (NON_SQUARE,), InvalidDimensionError, "must be square"),
+    "orthonormality_error-1-d": (orthonormality_error, (np.ones(3),), InvalidDimensionError,
+                                 "U must be square"),
+    "orthonormality_error-3-d": (orthonormality_error, (np.ones((2, 3, 3)),),
+                                 InvalidDimensionError, "U must be square"),
+    "orthonormality_error-non-square": (orthonormality_error, (NON_SQUARE,),
+                                        InvalidDimensionError, "U must be square"),
+    "orthonormality_error-empty": (orthonormality_error, (EMPTY,), InvalidDimensionError,
+                                   "U must not be empty"),
+    "orthonormality_error-non-finite": (orthonormality_error, (np.full((2, 2), np.nan),),
+                                        InvalidInputError, "U has non-finite entries"),
     "save_matrix-non-finite": (save_matrix, (np.full((2, 2), np.inf), os.devnull),
                                InvalidInputError, "matrix has non-finite entries"),
     # real matrices: numpy's float cast would keep the real part and warn

@@ -435,14 +435,14 @@ class TestOptimize:
     def test_identity_exits_by_tolerance(self):
         hp = HyperParams(beta=0.0, max_iter=50, seed=3)
         res = optimize(np.eye(6), banded_topology(6, 2), hp)
-        assert res.converged and res.reason == "tol"
+        assert res.reason == "tol"
         assert np.isclose(res.best_cond, 1.0)
         assert np.isclose(split_preconditioned_cond(np.eye(6), res.U), 1.0)
 
     def test_band_exit_flag(self):
         hp = HyperParams(beta=0.0, max_iter=50, seed=3, band_exit=True)
         res = optimize(np.eye(6), banded_topology(6, 2), hp)
-        assert res.converged and res.reason == "band"
+        assert res.reason == "band"
         assert len(res.history) == 1
 
     def test_markov_matrix_improves(self):
@@ -536,7 +536,6 @@ def test_optimize_bitwise_equals_public_function_loop(R, make, hp, reason):
     got = optimize(R, t, hp)
     want = optimize_reference(R, t, hp)
     assert got.reason == want.reason == reason
-    assert got.converged == want.converged
     assert got.history == want.history
     assert got.U.tobytes() == want.U.tobytes()
     assert got.w_final.tobytes() == want.w_final.tobytes()

@@ -350,6 +350,16 @@ class TestMatrixIO:
         assert len(lines) == 4
         assert all(len(line.split()) == 3 for line in lines[1:])
 
+    @pytest.mark.parametrize("M", [
+        random_pd(7, 1, 0.1), hilbert(5), np.array([[-0.0, 1e-300], [5e307, -1.5]]), np.eye(1),
+    ], ids=["random-pd", "hilbert", "signed-zero-and-extremes", "eye-1"])
+    def test_bytes_equal_the_row_join(self, tmp_path, M):
+        # the format as a hand-written writer states it: the size, then one "%.17e" row a line
+        want = "\n".join([str(len(M))] + [" ".join(f"{x:.17e}" for x in row) for row in M])
+        path = tmp_path / "m.txt"
+        save_matrix(M, path)
+        assert path.read_bytes() == (want + "\n").encode()
+
     def test_spec_build_and_label(self, tmp_path):
         spec = MatrixSpec(family="ar1", n=4, params={"rho": 0.5}, seed=0)
         assert np.allclose(spec.build(), ar1_autocorr(4, 0.5))
