@@ -34,7 +34,7 @@ from .baselines import (
     dct_matrix,
     none_cond,
 )
-from .errors import PrecogError, _check_seed
+from .errors import PrecogError, _check_count, _check_seed
 from .graph import WeightedGraph, banded_topology, full_topology
 from .learn import HyperParams, cost_E, cost_EN, grad_E_wrt_U, grad_EN_wrt_w, optimize
 from .matgen import (
@@ -142,7 +142,7 @@ def _add_matrix_flags(p: argparse.ArgumentParser, with_files: bool = False) -> N
 
 
 # the value-less flags; a config line sets one with 1/true/yes/on, else leaves it unset
-SWITCHES = ("band-exit", "timing")
+SWITCHES = ("timing",)
 
 
 def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
@@ -153,8 +153,6 @@ def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eps2", type=float, default=hp.eps2, help="lower band half-width")
     p.add_argument("--max-iter", type=int, default=hp.max_iter, help="iteration budget")
     p.add_argument("--tol", type=float, default=hp.tol, help="cost-change stop threshold")
-    p.add_argument("--band-exit", action="store_true",
-                   help="stop once all normalized eigenvalues enter the band")
     _add_topology_flags(p, "full")
 
 
@@ -215,7 +213,11 @@ def _hyperparams_from_args(args: argparse.Namespace, seed: int) -> HyperParams:
     return _from_flags(HyperParams, **flags | {"seed": seed})
 
 
-def _topology_from_args(args: argparse.Namespace, n: int):
+def _topology_from_args(args: argparse.Namespace, n: int, from_file: bool = False):
+    if args.topology == "banded":
+        _from_flags(_check_count, "band", args.band)  # before a file's n: a flag error wins
+    if from_file:  # a file too small for a topology is not a usage error
+        _check_count("n", n, 2)
     if args.topology == "banded":
         return _from_flags(banded_topology, n, args.band)
     return _from_flags(full_topology, n)
@@ -256,14 +258,16 @@ def cmd_bench(args: argparse.Namespace) -> int:
         n = R.shape[0]
         params_str = ";".join(f"{k}={v:g}" for k, v in sorted(spec.params.items()))
         hp = _hyperparams_from_args(args, seed)
-        topo = _topology_from_args(args, n)
+        topo, topo_status = _attempt(_topology_from_args, args, n, spec.family == "file")
 
-        # a matrix that fails (e.g. not SPD) gives every one of its rows the status
+        # a matrix that fails (e.g. not SPD) gives every one of its rows the status; a file
+        # too small for a topology, only its precog row
         cond_raw, precog_status = _attempt(cond_spd, R)
         result = precog_cond = precog_iters = None
         t0 = time.perf_counter()
         if cond_raw is not None:
-            result, precog_status = _attempt(optimize, R, topo, hp)
+            result, precog_status = (_attempt(optimize, R, topo, hp) if topo is not None
+                                     else (None, topo_status))
         precog_ms = 1000.0 * (time.perf_counter() - t0)
         if result is not None:
             precog_cond, precog_iters = result.best_cond, len(result.history)
@@ -335,13 +339,17 @@ def cmd_precondition(args: argparse.Namespace) -> int:
     spec = _one_matrix_spec(args, seed)
     R = _build_matrix(spec)
     hp = _hyperparams_from_args(args, seed)
-    topo = _topology_from_args(args, R.shape[0])
+    topo = _topology_from_args(args, R.shape[0], spec.family == "file")
     result = optimize(R, topo, hp)
     baseline = none_cond(R)
     save_matrix(result.U, args.out_u)
     if args.history:
-        _write_csv(args.history, "iteration,cost,split_cond,grad_norm",
-                   [(r.t, r.cost, r.split_cond, r.grad_norm) for r in result.history])
+        try:
+            _write_csv(args.history, "iteration,cost,split_cond,grad_norm",
+                       [(r.t, r.cost, r.split_cond, r.grad_norm) for r in result.history])
+        except OSError:  # a failed run writes no output file
+            Path(args.out_u).unlink()
+            raise
     print(
         f"{spec.label()}: power-normalized cond={baseline!r} learned cond={result.best_cond!r} "
         f"iterations={len(result.history)} stop={result.reason}"

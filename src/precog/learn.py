@@ -14,12 +14,11 @@ gradient is certified by finite differences over raw matrix entries, which
 steps off the orthonormal manifold.  The score, cost_E and dE/dU all read
 G = U^T R U; optimize computes it once per iteration and shares it.
 
-optimize scores off the descent path.  The weight update reads only the
-gradient, and split_cond feeds only the history, the best U and the
-opt-in band_exit stop (the unitarity error only max_unitarity_error), so
-when an iterate is scored does not change the trajectory.  optimize
-therefore holds iterates and scores a window of them at once; see its
-docstring for why every output stays bitwise unchanged.
+optimize scores off the descent path.  The weight update and the stops
+read only the cost and the gradient; split_cond feeds only the history and
+the best U, the unitarity error only max_unitarity_error.  So optimize
+scores a window of iterates at once, and its docstring shows why every
+output stays bitwise unchanged.
 """
 
 from __future__ import annotations
@@ -82,7 +81,6 @@ class HyperParams:
     tol: float = 1e-10
     seed: int = 0
     gradient_mode: str = "perturbation"
-    band_exit: bool = False
 
     def __post_init__(self) -> None:
         _check_count("max_iter", self.max_iter)
@@ -246,16 +244,17 @@ class _ScoreWindow:
         self.best_U: np.ndarray | None = None
         self.max_unitarity = 0.0
 
-    def add(self, it: int, G, U, cost: float, grad_norm: float):
-        """Hold one iterate; when the window is full, return flush()."""
+    def add(self, it: int, G, U, cost: float, grad_norm: float) -> None:
+        """Hold one iterate; flush() when the window is full."""
         self.pending.append((it, G, U, cost, grad_norm))
-        return self.flush() if len(self.pending) == self.size else None
+        if len(self.pending) == self.size:
+            self.flush()
 
-    def flush(self):
-        """Score and record every held iterate; return the last one's eigenvalues."""
+    def flush(self) -> None:
+        """Score and record every held iterate."""
         pending, self.pending = self.pending, []
         if not pending:
-            return None
+            return
         # max folds left to right, as one max(m, error) per iteration would
         self.max_unitarity = max(
             self.max_unitarity, *_orthonormality_errors(_stack([p[2] for p in pending])).tolist()
@@ -270,7 +269,6 @@ class _ScoreWindow:
             if split_cond < self.best_cond:
                 self.best_cond = split_cond
                 self.best_U = U
-        return ev[-1]
 
 
 # an overflow shows as a non-finite cost or gradient, which raises DivergenceError
@@ -281,22 +279,20 @@ def optimize(R: np.ndarray, t: Topology, hp: HyperParams) -> PrecogResult:
     Per iteration: decompose L(w), score the eigenbasis by its
     split-preconditioned condition number, and update
     w_i <- w_i (1 - 2 beta) - mu Tr((dE/dU)^T dU/dw_i).
-    Stops on max_iter, a cost change below tol, or (when band_exit is set)
-    all normalized eigenvalues inside [1 - eps2, 1 + eps1].  Near-degenerate
-    spectra get a one-time weight jitter; five consecutive jitters abort.
+    Stops on max_iter or a cost change below tol.  Near-degenerate spectra
+    get a one-time weight jitter; five consecutive jitters abort.
 
     Each record is the public score split_preconditioned_cond(R, U) of its
     U and fails where that fails, so best_cond is the score of result.U.
     Iterates are scored in windows of about SCORE_WINDOW_BYTES of G's and
-    U's (163 iterates at n=10, 4 at n=64, 1 at n=128; 1 under band_exit,
-    whose stop reads the score), by one stacked call.  max_unitarity_error
-    is taken per window too, by one stacked orthonormality_error of its U's.
-    The update reads neither, so the trajectory is the same whenever an
-    iterate is scored; the stacked calls are bitwise the per-matrix ones,
-    and records, the best U and the unitarity maximum follow iteration
-    order, so a returned result is bitwise equal to the public-function loop
-    in tests/test_learn.py.  Before an error leaves, the held iterates are
-    scored, so the earliest failure raises.
+    U's (163 iterates at n=10, 4 at n=64, 1 at n=128) by one stacked call,
+    and max_unitarity_error per window by one stacked orthonormality_error.
+    Neither the update nor a stop reads them, so the trajectory is the same
+    whenever an iterate is scored; the stacked calls are bitwise the
+    per-matrix ones, and records, the best U and the unitarity maximum
+    follow iteration order, so a returned result is bitwise equal to the
+    public-function loop in tests/test_learn.py.  Before an error leaves,
+    the held iterates are scored, so the earliest failure raises.
 
     L is exactly symmetric by construction, and w @ w (which the cost needs
     anyway) is finite only when w and L's diagonal are, so those are
@@ -312,7 +308,7 @@ def optimize(R: np.ndarray, t: Topology, hp: HyperParams) -> PrecogResult:
     R4 = 4.0 * R
     coef = _diag_coef(hp.eps1, hp.eps2)
     shrink = 1.0 - 2.0 * hp.beta
-    scores = _ScoreWindow(1 if hp.band_exit else max(1, SCORE_WINDOW_BYTES // (16 * t.n * t.n)))
+    scores = _ScoreWindow(max(1, SCORE_WINDOW_BYTES // (16 * t.n * t.n)))
     D = np.zeros((t.n, t.n))  # G's diagonal part, rewritten each iteration
     D_diagonal = D.ravel()[:: t.n + 1]
     prev_cost: float | None = None
@@ -349,16 +345,13 @@ def optimize(R: np.ndarray, t: Topology, hp: HyperParams) -> PrecogResult:
             grad_full = grad_core + 2.0 * hp.beta * w
             gg = float(grad_full @ grad_full)
             # held before the divergence test: this iterate's score failure outranks it
-            s_ev = scores.add(it, G, U, cost, math.sqrt(gg))
+            scores.add(it, G, U, cost, math.sqrt(gg))
             # a finite gg means a finite grad_full, and so a finite grad_core
             if not math.isfinite(cost) or (
                 not math.isfinite(gg) and not np.isfinite(grad_core).all()
             ):
                 raise DivergenceError(f"non-finite cost or gradient at iteration {it}")
 
-            if hp.band_exit and s_ev[0] >= 1.0 - hp.eps2 and s_ev[-1] <= 1.0 + hp.eps1:
-                reason = "band"
-                break
             if prev_cost is not None and abs(cost - prev_cost) < hp.tol:
                 reason = "tol"
                 break

@@ -42,13 +42,12 @@ class SpectralPair:
 
 @dataclass(frozen=True)
 class NormalizedAutocorr:
-    """Unit-diagonal matrix S = delta^{-1/2} R delta^{-1/2} plus the source diagonal.
+    """Unit-diagonal matrix S = delta^{-1/2} R delta^{-1/2}, delta the diagonal of R.
 
-    For a (..., n, n) stack of R's, S and delta are stacked the same way.
+    For a (..., n, n) stack of R's, S is stacked the same way.
     """
 
     S: np.ndarray
-    delta: np.ndarray
 
 
 def _check_square(M, what: str = "matrix", stack: bool = False) -> np.ndarray:
@@ -143,8 +142,7 @@ def power_normalize(R: np.ndarray) -> NormalizedAutocorr:
     of its matrices would.
     """
     R = _check_symmetric(R, stack=True)
-    delta = R.diagonal(axis1=-2, axis2=-1).copy()
-    return NormalizedAutocorr(S=_unit_diagonal(R, delta), delta=delta)
+    return NormalizedAutocorr(S=_unit_diagonal(R, R.diagonal(axis1=-2, axis2=-1)))
 
 
 def _unit_diagonal(M: np.ndarray, delta: np.ndarray) -> np.ndarray:

@@ -205,6 +205,21 @@ class TestBench:
         baselines = [r for m, r in rows.items() if m != "precog"]
         assert len(baselines) == 8 and all(r["status"] == "ok" for r in baselines)
 
+    def test_one_by_one_file_fails_only_its_precog_row(self, tmp_path, capsys, matrix_file):
+        one = tmp_path / "g1.txt"
+        assert run(capsys, "gen", "--family", "ar1", "--n", "1", "--out", str(one))[0] == 0
+        alone = tmp_path / "alone.csv"
+        both = tmp_path / "both.csv"
+        assert run(capsys, *self.bench_args(matrix_file, alone))[0] == 0
+        code, _, err = run(capsys, *self.bench_args(matrix_file, both, "--matrix", str(one)))
+        assert code == 0 and err == ""
+        rows = {r["method"]: r for r in csv_rows(both) if r["matrix_id"] == "g1"}
+        assert rows["precog"]["status"] == "InvalidDimensionError"
+        assert rows["precog"]["cond_method"] == ""
+        assert rows["none"]["status"] == rows["dct"]["status"] == "ok"
+        assert [l for l in both.read_text().splitlines() if not l.startswith("g1,")] == \
+            alone.read_text().splitlines()
+
     def test_failed_matrix_gets_status_rows(self, tmp_path, capsys, matrix_file):
         # hilbert(14) has a negative eigenvalue in floating point
         args = ["--methods", "none", "--max-iter", "20", "--seed", "3"]
@@ -409,9 +424,10 @@ CONFIG_CASES = {
     "out-u": ("precondition", ["out_u = u.txt"], ["--config", "{0}"], {"out_u": "u.txt"}),
     "matrix": ("bench", ["matrix = m.txt"], ["--config", "{0}", "--matrix", "k.txt"],
                {"matrix": ["m.txt", "k.txt"]}),
-    "band-exit-true": ("bench", ["band_exit = true"], ["--config", "{0}"], {"band_exit": True}),
+    "band-exit-true": ("bench", ["band_exit = true"], ["--config", "{0}"],
+                       "unrecognized arguments: --band-exit"),
     "band-exit-false": ("bench", ["band_exit = false"], ["--config", "{0}"],
-                        {"band_exit": False}),
+                        "unrecognized arguments: --band-exit"),
     "timing-yes": ("bench", ["timing = yes"], ["--config", "{0}"], {"timing": True}),
     "timing-false": ("bench", ["timing = false"], ["--config", "{0}"], {"timing": False}),
     "no-equals": ("bench", ["rho 0.5"], ["--config", "{0}"], "config line without '='"),
@@ -446,6 +462,7 @@ LEARNING_FLAG_CASES = {
     "eps2": (["--eps2", "1"], "eps2"),
     "max-iter": (["--max-iter", "0"], "max_iter"),
     "band": (["--topology", "banded", "--band", "0"], "band"),
+    "n": (["--n", "1"], "n must be at least 2"),  # a flag at fault, unlike a 1 x 1 file
 }
 
 
@@ -520,6 +537,10 @@ def test_bad_matrix_family_flag_is_usage_error(tmp_path, capsys, command, flags,
     pytest.param(["bench", "--family", "ar1", "--colour", "blue", "--out", "out.csv"],
                  "--colour", id="unknown-flag"),
     pytest.param([], "command", id="no-command"),
+    *(pytest.param([command, "--family", "ar1", "--band-exit", out_flag, "out.txt"],
+                   "--band-exit", id=f"{command}-band-exit")
+      for command, out_flag in (("bench", "--out"), ("precondition", "--out-u"))),
+    pytest.param(["lms", "--band-exit", "--out", "out.txt"], "--band-exit", id="lms-band-exit"),
 ])
 def test_argparse_error_is_one_error_line(tmp_path, capsys, monkeypatch, argv, needle):
     monkeypatch.chdir(tmp_path)
@@ -739,6 +760,32 @@ class TestPrecondition:
         code, _, err = run(capsys, "precondition", "--matrix",
                            str(tmp_path / "absent.txt"), "--out-u", str(out_u))
         assert_usage_error(code, err, "absent.txt")
+        assert not out_u.exists()
+
+    def test_unwritable_history_leaves_no_u_file(self, tmp_path, capsys):
+        out_u = tmp_path / "u.txt"
+        hist = tmp_path / "absent" / "h.csv"
+        code, _, err = run(capsys, "precondition", "--family", "ar1", "--n", "3",
+                           "--max-iter", "5", "--out-u", str(out_u), "--history", str(hist))
+        assert_usage_error(code, err, "h.csv")
+        assert not out_u.exists() and not hist.exists()
+
+    def test_one_by_one_file_is_numerical_failure(self, tmp_path, capsys):
+        one = tmp_path / "g1.txt"
+        assert run(capsys, "gen", "--family", "ar1", "--n", "1", "--out", str(one))[0] == 0
+        out_u = tmp_path / "u.txt"
+        code, _, err = run(capsys, "precondition", "--matrix", str(one), "--out-u", str(out_u))
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("error: ") and "n must be at least 2" in err
+        assert not out_u.exists()
+
+    def test_bad_band_outranks_a_one_by_one_file(self, tmp_path, capsys):
+        one = tmp_path / "g1.txt"
+        assert run(capsys, "gen", "--family", "ar1", "--n", "1", "--out", str(one))[0] == 0
+        out_u = tmp_path / "u.txt"
+        code, _, err = run(capsys, "precondition", "--matrix", str(one), "--topology", "banded",
+                           "--band", "0", "--out-u", str(out_u))
+        assert_usage_error(code, err, "band")
         assert not out_u.exists()
 
 

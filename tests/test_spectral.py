@@ -206,7 +206,6 @@ class TestPowerNormalize:
     def test_diagonal_becomes_identity(self):
         out = power_normalize(np.diag([4.0, 9.0, 0.25]))
         assert np.allclose(out.S, np.eye(3), atol=1e-15)
-        assert np.array_equal(out.delta, [4.0, 9.0, 0.25])
 
     def test_unit_diagonal_unchanged(self):
         R = ar1_autocorr(8, 0.6)
@@ -233,7 +232,6 @@ class TestPowerNormalize:
         for i, G in enumerate(Gs):
             one = power_normalize(G)
             assert stacked.S[i].tobytes() == one.S.tobytes()
-            assert stacked.delta[i].tobytes() == one.delta.tobytes()
             assert ev[i].tobytes() == np.linalg.eigvalsh(one.S).tobytes()
 
     def test_stack_checks_each_matrix_against_its_own_scale(self):
