@@ -29,41 +29,25 @@ DEFAULT_OMEGA = 1.5
 
 @dataclass(frozen=True)
 class Preconditioner:
-    """Left preconditioner: an invertible M, applied as M^{-1} A.
+    """Left preconditioner: an invertible M, applied as M^{-1} A by one LAPACK solve.
 
-    Its constructor may declare factors, (L, U) with M = L U or (M, None) for
-    a lower-triangular M, which M^{-1} A then solves through; a payload
-    without factors gets a dense solve.
+    The solve is safe because the constructor checks M's singular values:
+    cond_general raises NumericallySingularError when sigma_min <= 1e-14
+    sigma_max, so the solve never meets a numerically singular M.
     """
 
     payload: np.ndarray
-    factors: tuple[np.ndarray, np.ndarray | None] | None = None
 
     def __post_init__(self) -> None:
         cond_general(self.payload)  # raises NumericallySingularError if singular
 
     def apply_inverse(self, A: np.ndarray) -> np.ndarray:
         """M^{-1} A."""
-        if self.factors is None:
-            return np.linalg.solve(self.payload, A)
-        Lf, Uf = self.factors
-        X = _triangular_solve(Lf, A, lower=True)
-        return X if Uf is None else _triangular_solve(Uf, X, lower=False)
+        return np.linalg.solve(self.payload, A)
 
     def preconditioned_cond(self, A: np.ndarray) -> float:
         """Condition number of A after applying this preconditioner."""
         return cond_general(self.apply_inverse(A))
-
-
-def _triangular_solve(T: np.ndarray, B: np.ndarray, lower: bool) -> np.ndarray:
-    # row by row; the first row's empty dot subtracts +0.0, which leaves x (and -0.0) as is
-    n = T.shape[0]
-    X = np.array(B, dtype=float, copy=True)
-    for i in range(n) if lower else range(n - 1, -1, -1):
-        done = slice(0, i) if lower else slice(i + 1, n)
-        X[i] -= T[i, done] @ X[done]
-        X[i] /= T[i, i]
-    return X
 
 
 def dct_matrix(n: int) -> np.ndarray:
@@ -118,14 +102,14 @@ def jacobi_precond(A: np.ndarray) -> Preconditioner:
     """Diagonal (Jacobi) preconditioner M = diag(A)."""
     A = _check_diag(A, "jacobi")
     M = np.diag(np.diag(A))
-    return Preconditioner(payload=M, factors=(M, None))
+    return Preconditioner(payload=M)
 
 
 def gauss_seidel_precond(A: np.ndarray) -> Preconditioner:
     """Gauss-Seidel preconditioner M = D + L (diagonal plus strict lower part)."""
     A = _check_diag(A, "gauss-seidel")
     M = np.tril(A)
-    return Preconditioner(payload=M, factors=(M, None))
+    return Preconditioner(payload=M)
 
 
 def check_omega(omega: float) -> None:
@@ -138,7 +122,7 @@ def sor_precond(A: np.ndarray, omega: float = DEFAULT_OMEGA) -> Preconditioner:
     check_omega(omega)
     A = _check_diag(A, "sor")
     M = np.tril(A, -1) + np.diag(np.diag(A)) / omega
-    return Preconditioner(payload=M, factors=(M, None))
+    return Preconditioner(payload=M)
 
 
 def ssor_precond(A: np.ndarray, omega: float = DEFAULT_OMEGA) -> Preconditioner:
@@ -148,15 +132,11 @@ def ssor_precond(A: np.ndarray, omega: float = DEFAULT_OMEGA) -> Preconditioner:
     D = np.diag(A)
     K = np.tril(A, -1) + np.diag(D) / omega
     M = (omega / (2.0 - omega)) * K @ np.diag(1.0 / D) @ K.T
-    # only a diagonal A gives a lower-triangular (diagonal) M
-    return Preconditioner(payload=M, factors=None if np.triu(M, 1).any() else (M, None))
+    return Preconditioner(payload=M)
 
 
-def ilu0_precond(A: np.ndarray) -> Preconditioner:
-    """Incomplete LU with zero fill-in on the sparsity pattern of A.
-
-    The factors are restricted to positions where A itself is nonzero.
-    For a dense A this reproduces the full LU factorization.
+def _ilu0_factors(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(L, U) of ILU(0): unit lower L and upper U, restricted to A's nonzero pattern.
 
     Right-looking (KIJ) form: at pivot k the in-pattern entries of column
     k below the pivot are divided by it, then one rank-1 update, masked to
@@ -180,9 +160,17 @@ def ilu0_precond(A: np.ndarray) -> Preconditioner:
         LU[rows, k + 1:] -= np.where(
             pattern[rows, k + 1:], np.multiply.outer(LU[rows, k], LU[k, k + 1:]), 0.0
         )
-    Lf = np.tril(LU, -1) + np.eye(n)
-    Uf = np.triu(LU)
-    return Preconditioner(payload=Lf @ Uf, factors=(Lf, Uf))
+    return np.tril(LU, -1) + np.eye(n), np.triu(LU)
+
+
+def ilu0_precond(A: np.ndarray) -> Preconditioner:
+    """Incomplete LU with zero fill-in on the sparsity pattern of A: M = L U.
+
+    The factors are restricted to positions where A itself is nonzero.
+    For a dense A this reproduces the full LU factorization.
+    """
+    Lf, Uf = _ilu0_factors(A)
+    return Preconditioner(payload=Lf @ Uf)
 
 
 def none_cond(R: np.ndarray) -> float:

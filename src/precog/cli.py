@@ -335,6 +335,8 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
 
 def cmd_precondition(args: argparse.Namespace) -> int:
+    if args.history and Path(args.history).resolve() == Path(args.out_u).resolve():
+        raise UsageError(f"--history and --out-u name one file: {args.history}")
     seed = args.seed[0]
     spec = _one_matrix_spec(args, seed)
     R = _build_matrix(spec)

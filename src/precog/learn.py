@@ -271,7 +271,7 @@ class _ScoreWindow:
                 self.best_U = U
 
 
-# an overflow shows as a non-finite cost or gradient, which raises DivergenceError
+# an overflow shows as non-finite weights, cost or gradient, which raise DivergenceError
 @np.errstate(over="ignore", invalid="ignore")
 def optimize(R: np.ndarray, t: Topology, hp: HyperParams) -> PrecogResult:
     """Gradient descent over edge weights toward a well-conditioned transform.
@@ -295,7 +295,7 @@ def optimize(R: np.ndarray, t: Topology, hp: HyperParams) -> PrecogResult:
     the held iterates are scored, so the earliest failure raises.
 
     L is exactly symmetric by construction, and w @ w (which the cost needs
-    anyway) is finite only when w and L's diagonal are, so those are
+    anyway) is finite only when w and L's diagonal are, so the diagonal is
     checked only when it is not.  The degeneracy test runs once per
     iteration.
     """
@@ -318,13 +318,11 @@ def optimize(R: np.ndarray, t: Topology, hp: HyperParams) -> PrecogResult:
     try:
         for it in range(hp.max_iter):
             ww = float(w @ w)
-            # every |w_i| is below 1.34e154 when w @ w is finite, so no degree sum overflows
-            ww_finite = math.isfinite(ww)
-            if not ww_finite and not np.isfinite(w).all():
-                raise InvalidInputError("edge weights must be finite")
             L = _laplacian(t, w)
-            if not ww_finite and not np.isfinite(L.diagonal()).all():
-                raise InvalidInputError("matrix has non-finite entries")
+            # every |w_i| is below 1.34e154 when w @ w is finite, so no degree sum overflows;
+            # a non-finite weight makes both its endpoints' degrees non-finite
+            if not math.isfinite(ww) and not np.isfinite(L.diagonal()).all():
+                raise DivergenceError(f"non-finite edge weights or degrees at iteration {it}")
             sp = _eig(L)
             if is_degenerate(sp.gamma):
                 if consecutive_jitters >= MAX_CONSECUTIVE_JITTERS:

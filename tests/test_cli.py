@@ -675,6 +675,8 @@ def test_matrix_source_is_usage_error(tmp_path, capsys, command, flags, needle):
     pytest.param("0\n", "n must be positive, got 0", id="zero"),
     pytest.param("-1\n", "n must be positive, got -1", id="negative"),
     pytest.param(NOT_UTF8, "can't decode byte 0xff", id="not-utf8"),
+    pytest.param("", "empty matrix file", id="empty"),
+    pytest.param("3\n1 0 0\n0 1 0\n", "expected 3 rows", id="too-few-rows"),
 ])
 @pytest.mark.parametrize("command", ["precondition", "bench"])
 def test_malformed_matrix_file_is_one_error_line(tmp_path, capsys, command, text, needle):
@@ -769,6 +771,27 @@ class TestPrecondition:
                            "--max-iter", "5", "--out-u", str(out_u), "--history", str(hist))
         assert_usage_error(code, err, "h.csv")
         assert not out_u.exists() and not hist.exists()
+
+    @pytest.mark.parametrize("history", ["same.csv", "sub/../same.csv", "{abs}"],
+                             ids=["same", "dot-dot", "absolute"])
+    def test_history_naming_the_u_file_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                       history):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        code, _, err = run(capsys, "precondition", "--family", "ar1", "--n", "3",
+                           "--out-u", "same.csv",
+                           "--history", history.format(abs=tmp_path / "same.csv"))
+        assert_usage_error(code, err, "--history and --out-u name one file")
+        assert not (tmp_path / "same.csv").exists()
+
+    def test_overflowing_weight_shrink_is_divergence(self, tmp_path, capsys):
+        # every flag is valid: 1 - 2 beta overflows to -inf inside optimize
+        out_u = tmp_path / "u.txt"
+        code, _, err = run(capsys, "precondition", "--family", "ar1", "--n", "4", "--rho", "0.5",
+                           "--topology", "banded", "--beta", "1e308", "--out-u", str(out_u))
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("error: ") and "iteration 1" in err
+        assert not out_u.exists()
 
     def test_one_by_one_file_is_numerical_failure(self, tmp_path, capsys):
         one = tmp_path / "g1.txt"
@@ -929,6 +952,13 @@ class TestLms:
         assert code == 1
         assert err.count("\n") == 1 and "diverged" in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_exit_0(capsys, flag):
+    code, out, err = run(capsys, flag)
+    assert code == 0
+    assert out and not err
 
 
 def test_write_csv_cells(tmp_path, capsys):

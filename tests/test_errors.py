@@ -187,6 +187,10 @@ MALFORMED = {
     # family parameters
     "matrix_spec-unknown-parameter": (lambda: MatrixSpec("ar1", 4, {"bogus": 1}), (),
                                       InvalidInputError, "ar1 parameters are ('rho',)"),
+    "matrix_spec-unknown-family": (MatrixSpec, ("bogus",), InvalidInputError,
+                                   "unknown matrix family 'bogus'"),
+    "matrix_spec-file-without-path": (lambda: MatrixSpec("file").build(), (), InvalidInputError,
+                                      "file family needs a path"),
 }
 
 

@@ -353,6 +353,12 @@ class TestGradW:
         grad = grad_EN_wrt_w(g, np.eye(5), hp)
         assert np.allclose(grad, 2 * hp.beta * w, atol=1e-10)
 
+    def test_degenerate_spectrum_rejected(self):
+        # equal weights on the full graph give L = w (4 I - 1 1^T): eigenvalue 4w three times
+        g = WeightedGraph(full_topology(4), np.ones(6))
+        with pytest.raises(DegenerateSpectrumError, match="eigen-gap"):
+            grad_EN_wrt_w(g, np.eye(4), HyperParams())
+
     def test_perturbation_matches_fd(self, rng):
         topo = banded_topology(6, 2)
         R = rand_spd(6, rng)
@@ -474,6 +480,13 @@ class TestOptimize:
     def test_overflow_is_divergence_without_warnings(self):
         with pytest.raises(DivergenceError):
             optimize(1e200 * random_pd(6, 0, 0.1), full_topology(6), HyperParams())
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_weight_shrink_is_divergence(self):
+        # 1 - 2 beta overflows to -inf, so iteration 0's update leaves non-finite weights
+        with pytest.raises(DivergenceError, match="at iteration 1$"):
+            optimize(ar1_autocorr(4, 0.5), banded_topology(4, 2),
+                     HyperParams(beta=1e308, max_iter=10))
 
     def test_rejects_topology_of_another_size(self):
         with pytest.raises(InvalidDimensionError, match="n=4"):
