@@ -24,7 +24,7 @@ output stays bitwise unchanged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +46,6 @@ from .spectral import (
     _orthonormality_errors,
     _spd_spectrum,
     _square_pair,
-    _stack,
     sym_eig,
 )
 
@@ -107,15 +106,13 @@ class PrecogResult:
     """Outcome of one optimization run.
 
     U is the iterate with the best recorded split-preconditioned condition
-    number (the loop is nonconvex and can wander after a good basin);
-    w_final is the last weight vector.
+    number (the loop is nonconvex and can wander after a good basin).
     """
 
     U: np.ndarray
-    w_final: np.ndarray
-    history: list[IterationRecord] = field(default_factory=list)
-    reason: str = ""
-    max_unitarity_error: float = 0.0
+    history: list[IterationRecord]
+    reason: str
+    max_unitarity_error: float
 
     @property
     def best_cond(self) -> float:
@@ -257,7 +254,7 @@ class _ScoreWindow:
             return
         # max folds left to right, as one max(m, error) per iteration would
         self.max_unitarity = max(
-            self.max_unitarity, *_orthonormality_errors(_stack([p[2] for p in pending])).tolist()
+            self.max_unitarity, *_orthonormality_errors(np.stack([p[2] for p in pending])).tolist()
         )
         ev = np.asarray(_normalized_spectra([p[1] for p in pending]))
         for (it, _, U, cost, grad_norm), split_cond in zip(
@@ -361,10 +358,5 @@ def optimize(R: np.ndarray, t: Topology, hp: HyperParams) -> PrecogResult:
 
     if scores.best_U is None:
         raise DegenerateSpectrumError("no non-degenerate iterate was reached")
-    return PrecogResult(
-        U=scores.best_U,
-        w_final=w,
-        history=scores.history,
-        reason=reason,
-        max_unitarity_error=scores.max_unitarity,
-    )
+    return PrecogResult(U=scores.best_U, history=scores.history, reason=reason,
+                        max_unitarity_error=scores.max_unitarity)

@@ -163,15 +163,18 @@ def ar2_signal(length: int, rho1: float, rho2: float, seed: int) -> np.ndarray:
     rho_max = max(abs(rho1), abs(rho2))
     burn = int(np.ceil(10.0 / (1.0 - rho_max)))
     rng = np.random.default_rng(seed)
-    total = length + burn
-    x = (sigma * rng.standard_normal(total)).tolist()
     a1, a2 = float(a1), float(a2)
-    prev2, prev = x[0], a1 * x[0] + x[1]
-    x[1] = prev
-    for k in range(2, total):
-        prev2, prev = prev, a1 * prev + a2 * prev2 + x[k]
+    # x(-2) = x(-1) = 0 leave x(0) = nu(0) and x(1) = a1 x(0) + nu(1); the burn-in keeps
+    # its last two samples only, drawn in pieces (one draw's bits) read a float at a time
+    prev2 = prev = 0.0
+    for start in range(-burn, 0, 2**14):
+        for v in memoryview(sigma * rng.standard_normal(min(2**14, -start))):
+            prev2, prev = prev, a1 * prev + a2 * prev2 + v
+    x = (sigma * rng.standard_normal(length)).tolist()
+    for k, v in enumerate(x):
+        prev2, prev = prev, a1 * prev + a2 * prev2 + v
         x[k] = prev
-    return np.array(x[burn:])
+    return np.array(x)
 
 
 @dataclass(frozen=True)
@@ -227,14 +230,14 @@ class MatrixSpec:
     def __post_init__(self) -> None:
         if self.family != "file" and self.family not in FAMILIES:
             raise InvalidInputError(f"unknown matrix family {self.family!r}")
+        if self.family == "file" and self.path is None:
+            raise InvalidInputError("file family needs a path")
         names = FAMILIES[self.family][1] if self.family != "file" else ()
         if unknown := [k for k in self.params if k not in names]:
             raise InvalidInputError(f"{self.family} parameters are {names}, got {unknown[0]!r}")
 
     def build(self) -> np.ndarray:
         if self.family == "file":
-            if self.path is None:
-                raise InvalidInputError("file family needs a path")
             return load_matrix(self.path)
         make, _, seeded = FAMILIES[self.family]
         return make(self.n, **self.params, **({"seed": self.seed} if seeded else {}))
@@ -242,7 +245,7 @@ class MatrixSpec:
     def label(self) -> str:
         """Deterministic identifier used as matrix_id in reports."""
         if self.family == "file":
-            return Path(self.path or "matrix").stem
+            return Path(self.path).stem
         parts = [self.family, f"n{self.n}"]
         parts += [f"{k}{v:g}" for k, v in sorted(self.params.items())]
         _, _, seeded = FAMILIES[self.family]

@@ -190,11 +190,6 @@ def split_preconditioned_cond(R: np.ndarray, U: np.ndarray) -> float:
     return cond_spd(power_normalize(U.T @ R @ U).S)
 
 
-def _stack(Ms: list[np.ndarray]) -> np.ndarray:
-    # one (k, ...) array of equal-shape arrays; a lone array is a view, not a copy
-    return Ms[0][None] if len(Ms) == 1 else np.stack(Ms)
-
-
 def _normalized_spectra(Gs: list[np.ndarray]):
     """The spectrum cond_spd(power_normalize(G).S) reads, one row per G.
 
@@ -202,6 +197,6 @@ def _normalized_spectra(Gs: list[np.ndarray]):
     are scored one by one, so the earliest failing G raises its own error.
     """
     try:
-        return _spd_spectrum(_check_symmetric(power_normalize(_stack(Gs)).S, stack=True))
+        return _spd_spectrum(_check_symmetric(power_normalize(np.stack(Gs)).S, stack=True))
     except (PrecogError, np.linalg.LinAlgError):
         return [_spd_spectrum(_check_symmetric(power_normalize(G).S)) for G in Gs]

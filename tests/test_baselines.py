@@ -286,22 +286,20 @@ def assert_same_bits(got, want):
 
 # the class and test names predate the single solve route; they are kept as test ids
 class TestTriangularSolve:
-    @pytest.mark.parametrize("make", LEFT_FACTORIES,
-                             ids=["jacobi", "gauss-seidel", "sor", "ssor", "ilu0"])
+    # every constructor, and a payload given directly; couplings of 1e-9 next to a unit
+    # diagonal must reach the solve too
+    @pytest.mark.parametrize("make", [*LEFT_FACTORIES, lambda A: Preconditioner(np.tril(A))],
+                             ids=["jacobi", "gauss-seidel", "sor", "ssor", "ilu0", "payload"])
     @pytest.mark.parametrize("A", [
         ar1_autocorr(16, 0.9), hilbert(10, 1e-4), random_sparse_pd(12, 0.5, 0),
         np.diag(np.linspace(0.5, 7.0, 9)),
-    ], ids=["ar1", "hilbert", "sparse-pd", "diagonal"])
+        np.array([[1.0, 3e-9, 0.0], [3e-9, 2.0, 1e-9], [0.0, 1e-9, 3.0]]),
+    ], ids=["ar1", "hilbert", "sparse-pd", "diagonal", "tiny-couplings"])
     def test_apply_inverse_matches_the_probing_route(self, make, A):
         """Every left preconditioner applies M^{-1} as one dense solve on its payload."""
         p = make(A)
         for B in (A, A[:, 0], -0.0 * A):
             assert_same_bits(p.apply_inverse(B), np.linalg.solve(p.payload, B))
-
-    def test_payload_without_factors_gets_a_dense_solve(self, rng):
-        M = np.tril(rand_spd(6, rng))
-        A = rand_spd(6, rng)
-        assert_same_bits(Preconditioner(payload=M).apply_inverse(A), np.linalg.solve(M, A))
 
 
 class TestConditionRatio:
@@ -336,12 +334,6 @@ class TestPreconditionerType:
         M = np.array([[1.0, 1e-9], [0.0, 1.0]])
         inv = Preconditioner(payload=M).apply_inverse(np.eye(2))
         assert np.allclose(inv, [[1.0, -1e-9], [0.0, 1.0]], rtol=1e-12, atol=0.0)
-
-    def test_ssor_with_tiny_couplings_solves_the_full_payload(self):
-        A = np.array([[1.0, 3e-9, 0.0], [3e-9, 2.0, 1e-9], [0.0, 1e-9, 3.0]])
-        p = ssor_precond(A)
-        assert np.allclose(p.apply_inverse(A), np.linalg.solve(p.payload, A),
-                           rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("make", LEFT_FACTORIES,
                              ids=["jacobi", "gauss-seidel", "sor", "ssor", "ilu0"])

@@ -189,7 +189,7 @@ MALFORMED = {
                                       InvalidInputError, "ar1 parameters are ('rho',)"),
     "matrix_spec-unknown-family": (MatrixSpec, ("bogus",), InvalidInputError,
                                    "unknown matrix family 'bogus'"),
-    "matrix_spec-file-without-path": (lambda: MatrixSpec("file").build(), (), InvalidInputError,
+    "matrix_spec-file-without-path": (MatrixSpec, ("file",), InvalidInputError,
                                       "file family needs a path"),
 }
 

@@ -1,5 +1,5 @@
 import itertools
-from dataclasses import fields, replace
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 import pytest
@@ -174,7 +174,7 @@ def optimize_reference(R, t, hp):
         w = w * (1.0 - 2.0 * hp.beta) - hp.mu * grad_core
     if best_U is None:
         raise DegenerateSpectrumError("no non-degenerate iterate was reached")
-    return PrecogResult(U=best_U, w_final=w, history=history, reason=reason,
+    return PrecogResult(U=best_U, history=history, reason=reason,
                         max_unitarity_error=max_unitarity)
 
 
@@ -439,6 +439,12 @@ class TestHyperParams:
 
 
 class TestOptimize:
+    def test_result_fields(self):
+        # optimize sets every field, so none has a default
+        assert [(f.name, f.default, f.default_factory) for f in fields(PrecogResult)] == [
+            (name, MISSING, MISSING)
+            for name in ("U", "history", "reason", "max_unitarity_error")]
+
     def test_identity_exits_by_tolerance(self):
         hp = HyperParams(beta=0.0, max_iter=50, seed=3)
         res = optimize(np.eye(6), banded_topology(6, 2), hp)
@@ -544,7 +550,6 @@ def test_optimize_bitwise_equals_public_function_loop(R, make, hp, reason):
     assert got.reason == want.reason == reason
     assert got.history == want.history
     assert got.U.tobytes() == want.U.tobytes()
-    assert got.w_final.tobytes() == want.w_final.tobytes()
     assert got.max_unitarity_error == want.max_unitarity_error
 
 
@@ -552,7 +557,6 @@ def assert_bitwise_equal(got, want):
     assert got.reason == want.reason
     assert got.history == want.history
     assert got.U.tobytes() == want.U.tobytes()
-    assert got.w_final.tobytes() == want.w_final.tobytes()
     assert got.max_unitarity_error == want.max_unitarity_error
 
 

@@ -1,3 +1,5 @@
+import hashlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -260,11 +262,27 @@ class TestSignals:
 
     @pytest.mark.parametrize("rho1, rho2", [
         (0.9, 0.5), (0.95, 0.1), (-0.5, 0.3), (0.99, 0.98), (0.5, -0.9), (0.3, 0.0),
+        (0.9995, 0.5),  # a burn-in of 20000 samples, drawn in two pieces
     ])
     def test_ar2_matches_loop_bitwise(self, rho1, rho2):
         for seed, length in zip((0, 1, 2, 3, 2**40), (1, 2, 3000, 3001, 20016)):
             expected = ar2_signal_loop(length, rho1, rho2, seed)
             assert ar2_signal(length, rho1, rho2, seed).tobytes() == expected.tobytes()
+
+    def test_ar2_long_burn_in_is_pinned(self):
+        # sha256 of the bits: rho1 = 0.99999 burns in 10**6 samples, past the loop oracle's reach
+        digest = hashlib.sha256(ar2_signal(20016, 0.99999, 0.5, 0).tobytes()).hexdigest()
+        assert digest == "975073f05b96a7abf0b5d8fa4ffdcf6af3c5a32f4abf5b8c36b584ad3a447150"
+
+    def test_ar2_burn_in_is_not_held_whole(self):
+        # rho1 = 0.99999 burns in 10**6 samples: 7.6 MiB as one float array, more as a list
+        tracemalloc.start()
+        try:
+            ar2_signal(20016, 0.99999, 0.5, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
 
     def test_deterministic(self):
         assert np.array_equal(ar1_signal(100, 0.7, 5), ar1_signal(100, 0.7, 5))
