@@ -28,8 +28,6 @@ from .errors import (
 
 SYMMETRY_TOL = 1e-10
 ORTHONORMALITY_TOL = 1e-8
-_SIGNS = np.array([1.0, -1.0])  # _column_signs' table: index False gives 1.0, True -1.0
-_SIGNS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -74,10 +72,8 @@ def _check_symmetric(M: np.ndarray, what: str = "matrix", stack: bool = False) -
     # with stack, M may be a (..., n, n) stack and each matrix is checked on its own
     M = _check_square(M, what, stack)
     # relative to max|M| above 1: a congruence U^T R U is symmetric only to rounding of R
-    asym = np.abs(M - M.swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
-    if (asym > SYMMETRY_TOL).any() and (
-        asym > SYMMETRY_TOL * np.maximum(1.0, np.abs(M).max(axis=(-2, -1)))
-    ).any():
+    asym = np.abs(M - M.swapaxes(-1, -2)).max(axis=(-2, -1))
+    if (asym > SYMMETRY_TOL * np.maximum(1.0, np.abs(M).max(axis=(-2, -1)))).any():
         raise SymmetryError(f"{what} is not symmetric to {SYMMETRY_TOL:g} times max(1, max|M|)")
     return M
 
@@ -88,10 +84,9 @@ def canonical_sign(U: np.ndarray) -> np.ndarray:
 
 
 def _column_signs(U: np.ndarray) -> np.ndarray:
-    # U.take(k)[j, j] is U[k[j], j] in two calls where U[k, np.arange(n)] takes three, and
-    # the table lookup is np.where(top < 0, -1.0, 1.0) in one call (-0.0 and nan give 1.0)
+    # U.take(k)[j, j] is U[k[j], j] in two calls where U[k, np.arange(n)] takes three
     top = U.take(np.abs(U).argmax(axis=0), axis=0).diagonal()  # first index on ties
-    return _SIGNS.take(top < 0)
+    return np.where(top < 0, -1.0, 1.0)  # -0.0 and nan give 1.0
 
 
 def sym_eig(M: np.ndarray) -> SpectralPair:
@@ -154,7 +149,7 @@ def _unit_diagonal(M: np.ndarray, delta: np.ndarray) -> np.ndarray:
             f"diagonal entry {where} is {delta[bad]:g}, must be positive"
         )
     inv_sqrt = 1.0 / np.sqrt(delta)
-    # the outer product, without np.outer's ravels; the same multiplies
+    # the outer product by hand, because np.outer does not take stacks
     return M * (inv_sqrt[..., :, None] * inv_sqrt[..., None, :])
 
 
@@ -167,8 +162,7 @@ def _orthonormality_errors(Us: np.ndarray) -> np.ndarray:
     # orthonormality_error of each U in a (k, n, m) stack: every slice takes the one
     # BLAS call a lone U takes (syrk for U^T U, dot for e @ e, as np.linalg.norm)
     m = Us.shape[-1]
-    E = (Us.transpose(0, 2, 1) @ Us).reshape(len(Us), m * m)
-    E[:, :: m + 1] -= 1.0  # U^T U - I without building I
+    E = (Us.transpose(0, 2, 1) @ Us - np.eye(m)).reshape(len(Us), m * m)
     return np.sqrt((E[:, None, :] @ E[:, :, None]).ravel())
 
 

@@ -180,9 +180,7 @@ def _block_lms(V: np.ndarray, d: np.ndarray, Z: np.ndarray, w: np.ndarray):
     for j in range(1, B):
         sol[:, j] -= (L[:, j, None, :j] @ sol[:, :j])[:, 0]
     a, M = sol[..., 0], sol[..., 1:]
-    # I - Z^T M without building I: 0 - x is eye's off-diagonal, and (0 - x) + 1 is 1 - x
-    F = 0.0 - Z.transpose(0, 2, 1) @ M
-    F.reshape(len(F), -1)[:, :: n + 1] += 1.0
+    F = np.eye(n) - Z.transpose(0, 2, 1) @ M
     c = (a[:, None, :] @ Z)[:, 0]
     W0 = []
     for Fb, cb in zip(F, c):

@@ -17,6 +17,7 @@ from precog.graph import banded_topology
 from precog.learn import HyperParams, is_degenerate, optimize
 from precog.matgen import ar1_autocorr
 from precog.spectral import (
+    SYMMETRY_TOL,
     _column_signs,
     _normalized_spectra,
     _orthonormality_errors,
@@ -244,6 +245,24 @@ class TestPowerNormalize:
             power_normalize(small)
         with pytest.raises(SymmetryError):
             power_normalize(np.stack([big, small]))
+
+    @pytest.mark.parametrize("scale", [0.5, 1e6], ids=["absolute", "relative"])
+    def test_asymmetry_at_the_bound_passes_and_the_next_float_raises(self, scale):
+        # the bound is SYMMETRY_TOL * max(1, max|M|): absolute below max|M| = 1
+        bound = SYMMETRY_TOL * max(1.0, scale)
+
+        def skewed(asym):
+            M = scale * np.eye(2)
+            M[1, 0] = asym  # |M - M^T| is asym, and max|M| stays scale
+            return M
+
+        over = np.nextafter(bound, np.inf)
+        sym_eig(skewed(bound))
+        power_normalize(np.stack([np.eye(2), skewed(bound)]))
+        with pytest.raises(SymmetryError):
+            sym_eig(skewed(over))
+        with pytest.raises(SymmetryError):
+            power_normalize(np.stack([np.eye(2), skewed(over)]))
 
     def test_stack_reports_the_failing_entry(self):
         with pytest.raises(NormalizationDomainError, match=r"entry \(1, 1\) is -1"):
