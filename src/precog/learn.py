@@ -12,7 +12,8 @@ theory needs a simple spectrum; is_degenerate is the one test for that.
 cost_E deliberately accepts any square U, orthonormal or not: the ambient
 gradient is certified by finite differences over raw matrix entries, which
 steps off the orthonormal manifold.  The score, cost_E and dE/dU all read
-G = U^T R U; optimize computes it once per iteration and shares it.
+G = U^T R U; optimize computes it once per iteration and shares it.  _band
+turns G into both the cost and the F of dE/dU = 4 R U F, for all three.
 
 optimize scores off the descent path.  The weight update and the stops
 read only the cost and the gradient; split_cond feeds only the history and
@@ -42,9 +43,9 @@ from .spectral import (
     SpectralPair,
     _eig,
     _check_symmetric,
-    _normalized_spectra,
     _orthonormality_errors,
     _spd_spectrum,
+    _split_conds,
     _square_pair,
     sym_eig,
 )
@@ -126,17 +127,19 @@ def cost_E(R: np.ndarray, U: np.ndarray, eps1: float, eps2: float) -> float:
     """
     R, U = _square_pair(R, U)
     G = U.T @ R @ U
-    return _band_cost(G, np.diag(G.diagonal()), eps1, eps2)
+    return _band(G, np.diag(G.diagonal()), eps1, eps2)[0]
 
 
-def _band_cost(G: np.ndarray, D: np.ndarray, eps1: float, eps2: float) -> float:
-    # D is np.diag(G.diagonal()); d must stay the strided diagonal view: a
-    # contiguous copy takes another BLAS dot path and rounds differently
+def _band(G: np.ndarray, D: np.ndarray, eps1: float, eps2: float) -> tuple[float, np.ndarray]:
+    # cost_E at G = U^T R U, and F = 2G - (2 - eps1^2 - eps2^2) D with D = np.diag(G.diagonal()),
+    # so that dE/dU = 4 R U F.  d stays G's strided diagonal view: a contiguous copy takes
+    # another BLAS dot path and rounds differently
     d = G.diagonal()
     off = G - D
     off2 = float((off * off).sum())
     d2 = float(d @ d)
-    return (off2 + eps1 * eps1 * d2) + (off2 + eps2 * eps2 * d2)
+    cost = (off2 + eps1 * eps1 * d2) + (off2 + eps2 * eps2 * d2)
+    return cost, 2.0 * G - (2.0 - eps1 * eps1 - eps2 * eps2) * D
 
 
 def cost_EN(g: WeightedGraph, R: np.ndarray, hp: HyperParams) -> float:
@@ -161,17 +164,7 @@ def grad_E_wrt_U(
     if formula != "canonical":
         raise InvalidInputError(f"unknown formula {formula!r}")
     G = U.T @ R @ U
-    return _grad_E_canonical(4.0 * R, U, G, np.diag(G.diagonal()), _diag_coef(eps1, eps2))
-
-
-def _diag_coef(eps1: float, eps2: float) -> float:
-    return 2.0 - eps1 * eps1 - eps2 * eps2
-
-
-def _grad_E_canonical(R4, U, G, D, coef: float) -> np.ndarray:
-    # R4 = 4 R and coef = _diag_coef(eps1, eps2), both fixed over a run;
-    # 4.0 * R @ U @ F parses as ((4.0 * R) @ U) @ F, so passing 4 R is exact
-    return R4 @ U @ (2.0 * G - coef * D)
+    return 4.0 * R @ U @ _band(G, np.diag(G.diagonal()), eps1, eps2)[1]
 
 
 def dL_du(sp: SpectralPair, k: int, l: int) -> np.ndarray:
@@ -256,10 +249,8 @@ class _ScoreWindow:
         self.max_unitarity = max(
             self.max_unitarity, *_orthonormality_errors(np.stack([p[2] for p in pending])).tolist()
         )
-        ev = np.asarray(_normalized_spectra([p[1] for p in pending]))
-        for (it, _, U, cost, grad_norm), split_cond in zip(
-            pending, (ev[:, -1] / ev[:, 0]).tolist()
-        ):
+        conds = _split_conds([p[1] for p in pending])
+        for (it, _, U, cost, grad_norm), split_cond in zip(pending, conds):
             self.history.append(
                 IterationRecord(t=it, cost=cost, split_cond=split_cond, grad_norm=grad_norm)
             )
@@ -302,11 +293,12 @@ def optimize(R: np.ndarray, t: Topology, hp: HyperParams) -> PrecogResult:
         raise InvalidDimensionError(f"R is {R.shape[0]} x {R.shape[0]}, topology has n={t.n}")
     rng = np.random.default_rng(hp.seed)
     w = rng.standard_normal(t.n_edges)
-    R4 = 4.0 * R
-    coef = _diag_coef(hp.eps1, hp.eps2)
+    R4 = 4.0 * R  # grad_E_wrt_U's ((4.0 * R) @ U) @ F, without scaling R each iteration
     shrink = 1.0 - 2.0 * hp.beta
     scores = _ScoreWindow(max(1, SCORE_WINDOW_BYTES // (16 * t.n * t.n)))
-    D = np.zeros((t.n, t.n))  # G's diagonal part, rewritten each iteration
+    # G's diagonal part, rewritten in place each iteration: the bits of np.diag(G.diagonal())
+    # without a new array; dropping D and R4 cost 3-5% of restarts-full's iterations per second
+    D = np.zeros((t.n, t.n))
     D_diagonal = D.ravel()[:: t.n + 1]
     prev_cost: float | None = None
     consecutive_jitters = 0
@@ -334,9 +326,10 @@ def optimize(R: np.ndarray, t: Topology, hp: HyperParams) -> PrecogResult:
 
             U = sp.U
             G = U.T @ R @ U  # shared by the score, the cost and the gradient
-            D_diagonal[...] = G.diagonal()  # D is shared by the cost and the gradient
-            cost = _band_cost(G, D, hp.eps1, hp.eps2) + hp.beta * (ww - 1.0)
-            grad_core = _edge_trace(t, sp, _grad_E_canonical(R4, U, G, D, coef))
+            D_diagonal[...] = G.diagonal()
+            cost, F = _band(G, D, hp.eps1, hp.eps2)
+            cost += hp.beta * (ww - 1.0)
+            grad_core = _edge_trace(t, sp, R4 @ U @ F)
             grad_full = grad_core + 2.0 * hp.beta * w
             gg = float(grad_full @ grad_full)
             # held before the divergence test: this iterate's score failure outranks it

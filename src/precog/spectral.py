@@ -184,13 +184,14 @@ def split_preconditioned_cond(R: np.ndarray, U: np.ndarray) -> float:
     return cond_spd(power_normalize(U.T @ R @ U).S)
 
 
-def _normalized_spectra(Gs: list[np.ndarray]):
-    """The spectrum cond_spd(power_normalize(G).S) reads, one row per G.
+def _split_conds(Gs: list[np.ndarray]) -> list[float]:
+    """cond_spd(power_normalize(G).S) of each congruence G = U^T R U: the split cond of its U.
 
     One stacked call, bitwise the per-matrix ones; when it fails, the G's
     are scored one by one, so the earliest failing G raises its own error.
     """
     try:
-        return _spd_spectrum(_check_symmetric(power_normalize(np.stack(Gs)).S, stack=True))
+        ev = _spd_spectrum(_check_symmetric(power_normalize(np.stack(Gs)).S, stack=True))
     except (PrecogError, np.linalg.LinAlgError):
-        return [_spd_spectrum(_check_symmetric(power_normalize(G).S)) for G in Gs]
+        return [cond_spd(power_normalize(G).S) for G in Gs]
+    return (ev[:, -1] / ev[:, 0]).tolist()

@@ -83,7 +83,8 @@ class FilterConfig:
                 raise InvalidDimensionError(
                     f"transform shape {shape} does not match taps={self.taps}"
                 )
-            _check_orthonormal(self.transform, "transform")
+            # kept as the checked float array, so no reader converts it again
+            object.__setattr__(self, "transform", _check_orthonormal(self.transform, "transform"))
 
 
 @dataclass
@@ -102,7 +103,7 @@ class FilterState:
         """Adapted weights mapped back to the tap domain."""
         if self.cfg.transform is None:
             return self.weights
-        return np.asarray(self.cfg.transform) @ self.weights
+        return self.cfg.transform @ self.weights
 
 
 def lms_step(state: FilterState, x_vec: np.ndarray, d: float) -> tuple[FilterState, float]:
@@ -118,7 +119,7 @@ def tdlms_step(
     """One transform-domain update with per-bin power normalization."""
     if cfg.transform is None:
         raise InvalidInputError("tdlms_step needs a transform in the config")
-    v = np.asarray(cfg.transform).T @ x_vec
+    v = cfg.transform.T @ x_vec
     state.power = _GAMMA * state.power + (1.0 - _GAMMA) * v * v
     e = float(d - state.weights @ v)
     state.weights = state.weights + cfg.step * e * v / (state.power + _DELTA)
@@ -275,7 +276,7 @@ def system_id_experiment(
     windows, d = _excitation(plant.tobytes(), input_spec, noise_db, run_len, seed)
 
     n = cfg.taps
-    U = None if cfg.transform is None else np.asarray(cfg.transform, dtype=float)
+    U = cfg.transform
     e = np.empty(run_len)
     mis = np.empty(run_len)
     w = np.zeros(n)

@@ -275,6 +275,15 @@ class TestGradU:
             Gf = fd_grad_U(R, U, 0.1, 0.2)
             assert np.linalg.norm(Ga - Gf) <= 1e-6 * np.linalg.norm(Gf)
 
+    def test_matches_fd_oracle_with_negative_diag_coef(self, rng):
+        # 2 - eps1^2 - eps2^2 = -0.25: the diagonal part of F changes sign
+        for trial in range(5):
+            R = rand_spd(5, rng)
+            U = rand_orthonormal(5, rng)
+            Ga = grad_E_wrt_U(R, U, 1.2, 0.9)
+            Gf = fd_grad_U(R, U, 1.2, 0.9)
+            assert np.linalg.norm(Ga - Gf) <= 1e-6 * np.linalg.norm(Gf)
+
     def test_unknown_formula(self):
         with pytest.raises(InvalidInputError):
             grad_E_wrt_U(np.eye(2), np.eye(2), 0.1, 0.1, formula="bogus")
@@ -542,6 +551,10 @@ def banded2(n):
                  "max_iter", id="hilbert-full-n10"),
     pytest.param(np.eye(6), banded2, HyperParams(beta=0.0, max_iter=50, seed=3),
                  "tol", id="tol-stop"),
+    # 2 - eps1^2 - eps2^2 < 0, so F's diagonal coefficient is negative
+    pytest.param(ar1_autocorr(6, 0.9), banded2,
+                 HyperParams(eps1=1.2, eps2=0.9, max_iter=60, seed=2),
+                 "max_iter", id="negative-diag-coef"),
 ])
 def test_optimize_bitwise_equals_public_function_loop(R, make, hp, reason):
     t = make(R.shape[0])

@@ -19,8 +19,8 @@ from precog.matgen import ar1_autocorr
 from precog.spectral import (
     SYMMETRY_TOL,
     _column_signs,
-    _normalized_spectra,
     _orthonormality_errors,
+    _split_conds,
     canonical_sign,
     cond_general,
     cond_spd,
@@ -286,28 +286,28 @@ class TestPowerNormalize:
         assert np.max(np.abs(out.S - out.S.T)) <= 1e-12
 
 
-class TestNormalizedSpectra:
-    def test_rows_score_as_split_preconditioned_cond(self, rng):
+class TestSplitConds:
+    def test_equals_split_preconditioned_cond(self, rng):
         R = rand_spd(6, rng)
         Us = [rand_orthonormal(6, rng) for _ in range(3)]
-        ev = _normalized_spectra([U.T @ R @ U for U in Us])
-        assert [float(e[-1] / e[0]) for e in ev] == [split_preconditioned_cond(R, U)
-                                                      for U in Us]
+        conds = _split_conds([U.T @ R @ U for U in Us])
+        assert conds == [split_preconditioned_cond(R, U) for U in Us]
+        assert all(type(c) is float for c in conds)
 
     def test_checks_the_normalized_matrix(self):
         # G's asymmetry is 1e-11 of max|G|, but 1e-5 in S, whose scale is 1
         G = np.array([[1e6, 0.5], [0.50001, 1e-6]])
         power_normalize(G)
         with pytest.raises(SymmetryError):
-            _normalized_spectra([np.eye(2), G])
+            _split_conds([np.eye(2), G])
 
     def test_earliest_failure_raises(self):
         asym = np.array([[1.0, 0.5], [0.4, 1.0]])
         indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(NotPositiveDefiniteError, match="smallest eigenvalue is -1"):
-            _normalized_spectra([np.eye(2), indefinite, asym])
+            _split_conds([np.eye(2), indefinite, asym])
         with pytest.raises(SymmetryError):
-            _normalized_spectra([np.eye(2), asym, indefinite])
+            _split_conds([np.eye(2), asym, indefinite])
 
 
 class TestSplitPreconditionedCond:

@@ -151,6 +151,11 @@ class TestConfig:
         cfg = FilterConfig(taps=np.int64(4), step=0.1, transform=dct_matrix(4).T)
         assert cfg.taps == 4
 
+    def test_transform_kept_as_checked_float_array(self):
+        cfg = FilterConfig(taps=2, step=0.1, transform=[[0, 1], [1, 0]])
+        assert type(cfg.transform) is np.ndarray and cfg.transform.dtype == np.float64
+        assert cfg.transform.tobytes() == np.array([[0.0, 1.0], [1.0, 0.0]]).tobytes()
+
 
 class TestLmsStep:
     def test_zero_input_no_update(self):
