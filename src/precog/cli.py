@@ -42,6 +42,7 @@ from .matgen import (
     FAMILIES,
     MatrixSpec,
     SignalSpec,
+    _param_text,
     density,
     random_pd,
     save_matrix,
@@ -256,7 +257,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     n_failed = 0
     for matrix_id, spec, seed, R in matrices:
         n = R.shape[0]
-        params_str = ";".join(f"{k}={v:g}" for k, v in sorted(spec.params.items()))
+        params_str = ";".join(f"{k}={_param_text(v)}" for k, v in sorted(spec.params.items()))
         hp = _hyperparams_from_args(args, seed)
         topo, topo_status = _attempt(_topology_from_args, args, n, spec.family == "file")
 

@@ -1,8 +1,9 @@
 """Seeded generators for test matrices and excitation signals.
 
 Every generator is a deterministic function of its arguments and seed.
-Matrix files use a plain text format: first line ``n``, then n rows of n
-space-separated decimals printed with enough digits to round-trip exactly.
+The AR(1) and AR(2) signals come from one recursion, started exactly in
+its stationary distribution.  Matrix files are plain text: first line
+``n``, then n rows of n decimals printed to round-trip exactly.
 """
 
 from __future__ import annotations
@@ -127,52 +128,43 @@ def density(M: np.ndarray) -> float:
 def ar1_signal(length: int, rho: float, seed: int) -> np.ndarray:
     """Unit-variance stationary first-order autoregressive sequence.
 
-    x(0) ~ N(0, 1) and x(k) = rho x(k-1) + sqrt(1 - rho^2) nu(k), so the
-    process is stationary from the first sample; no burn-in needed.
+    x(0) ~ N(0, 1) and x(k) = rho x(k-1) + sqrt(1 - rho^2) nu(k): the
+    second-order recursion of ar2_signal with poles (rho, 0).
     """
     _check_count("length", length)
     _check_real("rho", rho, ge=0, lt=1)
     _check_seed(seed)
-    nu = np.random.default_rng(seed).standard_normal(length)
-    rho = float(rho)
-    # innovations scaled in one multiply, bitwise the per-sample c * nu(k); the recursion
-    # runs on Python floats (same IEEE operations, no numpy scalars) with x(k-1) in a local
-    x = (float(np.sqrt(1.0 - rho * rho)) * nu).tolist()
-    prev = x[0] = float(nu[0])
-    for k in range(1, length):
-        prev = x[k] = rho * prev + x[k]
-    return np.array(x)
+    return _ar_signal(length, rho, 0.0, seed)
 
 
 def ar2_signal(length: int, rho1: float, rho2: float, seed: int) -> np.ndarray:
-    """Unit-variance second-order autoregressive sequence with real poles.
+    """Unit-variance stationary second-order autoregressive sequence with real poles.
 
-    Recursion x(k) = a1 x(k-1) + a2 x(k-2) + sigma nu(k) with a1 = rho1 + rho2
-    and a2 = -rho1 rho2; sigma is set from the stationary-variance formula so
-    the output has unit variance.  Ten time constants of the slowest pole
-    are generated and discarded as burn-in.
+    x(k) = a1 x(k-1) + a2 x(k-2) + sigma nu(k) with a1 = rho1 + rho2 and
+    a2 = -rho1 rho2, started in its stationary distribution: x(0) ~ N(0, 1)
+    and x(1) has the stationary lag-one correlation a1 / (1 + rho1 rho2)
+    with it, so no burn-in is needed.
     """
     _check_count("length", length)
     _check_ar2_params(rho1, rho2)
     _check_seed(seed)
-    a1 = rho1 + rho2
-    a2 = -rho1 * rho2
-    # stationary variance of AR(2): (1 - a2) / ((1 + a2)((1 - a2)^2 - a1^2))
-    var = (1.0 - a2) / ((1.0 + a2) * ((1.0 - a2) ** 2 - a1 * a1))
-    sigma = np.sqrt(1.0 / var)
-    rho_max = max(abs(rho1), abs(rho2))
-    burn = int(np.ceil(10.0 / (1.0 - rho_max)))
-    rng = np.random.default_rng(seed)
-    a1, a2 = float(a1), float(a2)
-    # x(-2) = x(-1) = 0 leave x(0) = nu(0) and x(1) = a1 x(0) + nu(1); the burn-in keeps
-    # its last two samples only, drawn in pieces (one draw's bits) read a float at a time
-    prev2 = prev = 0.0
-    for start in range(-burn, 0, 2**14):
-        for v in memoryview(sigma * rng.standard_normal(min(2**14, -start))):
-            prev2, prev = prev, a1 * prev + a2 * prev2 + v
-    x = (sigma * rng.standard_normal(length)).tolist()
-    for k, v in enumerate(x):
-        prev2, prev = prev, a1 * prev + a2 * prev2 + v
+    return _ar_signal(length, rho1, rho2, seed)
+
+
+def _ar_signal(length: int, rho1: float, rho2: float, seed: int) -> np.ndarray:
+    # p = rho1 rho2, q = (1 - rho1^2)(1 - rho2^2): unit variance takes sigma^2 = (1-p) q / (1+p),
+    # x(1) the lag-one correlation a1 / (1+p) with innovation scale sqrt(q) / (1+p). No root takes
+    # a negative rounding, and at rho2 = 0 the extra operations are exact: AR(1) keeps its bits.
+    rho1, rho2 = float(rho1), float(rho2)
+    a1, p, q = rho1 + rho2, rho1 * rho2, (1.0 - rho1 * rho1) * (1.0 - rho2 * rho2)
+    nu = np.random.default_rng(seed).standard_normal(length)
+    # sigma * nu in one multiply (bitwise per sample); the loop runs on Python floats in locals
+    x = (float(np.sqrt((1.0 - p) * q / (1.0 + p))) * nu).tolist()
+    prev2 = x[0] = float(nu[0])
+    if length > 1:
+        prev = x[1] = a1 / (1.0 + p) * prev2 + float(np.sqrt(q)) / (1.0 + p) * float(nu[1])
+    for k in range(2, length):
+        prev2, prev = prev, a1 * prev - p * prev2 + x[k]  # a2 = -p
         x[k] = prev
     return np.array(x)
 
@@ -247,11 +239,17 @@ class MatrixSpec:
         if self.family == "file":
             return Path(self.path).stem
         parts = [self.family, f"n{self.n}"]
-        parts += [f"{k}{v:g}" for k, v in sorted(self.params.items())]
+        parts += [f"{k}{_param_text(v)}" for k, v in sorted(self.params.items())]
         _, _, seeded = FAMILIES[self.family]
         if seeded:
             parts.append(f"s{self.seed}")
         return "-".join(parts)
+
+
+def _param_text(v: float) -> str:
+    # :g where it reads back as v, else the shortest round-trip repr: distinct values, distinct ids
+    text = f"{v:g}"
+    return text if float(text) == v else repr(float(v))
 
 
 def save_matrix(M: np.ndarray, path: str | Path) -> None:

@@ -387,7 +387,7 @@ class TestBenchSweep:
         assert [r["method"] for r in rows] == ["none", "precog"] * len(ids)
 
     @pytest.mark.parametrize("flags, shared", [
-        pytest.param(["--family", "ar1", "--rho", "0.9,0.9000001"], "ar1-n6-rho0.9",
+        pytest.param(["--family", "ar1", "--rho", "0.9,0.90"], "ar1-n6-rho0.9",
                      id="family-values"),
         pytest.param(["--matrix", "a/x.txt", "--matrix", "b/x.txt"], "x", id="file-stems"),
         pytest.param(["--family", "ar1", "--seed", "3,3"], "ar1-n6-rho0.9#s3", id="seeds"),
@@ -397,6 +397,16 @@ class TestBenchSweep:
         code, _, err = run(capsys, "bench", "--n", "6", *flags, "--out", str(out))
         assert_usage_error(code, err, repr(shared))
         assert not out.exists()
+
+    def test_values_that_g_rounds_together_get_two_ids(self, tmp_path, capsys):
+        # :g writes both as 0.9; the id and the params cell keep every digit of the second
+        out = tmp_path / "sweep.csv"
+        code, _, _ = run(capsys, "bench", "--family", "ar1", "--n", "6", "--rho", "0.9,0.9000001",
+                         "--methods", "none", "--max-iter", "5", "--out", str(out))
+        assert code == 0
+        rows = [r for r in csv_rows(out) if r["method"] == "none"]
+        assert [r["matrix_id"] for r in rows] == ["ar1-n6-rho0.9", "ar1-n6-rho0.9000001"]
+        assert [r["params"] for r in rows] == ["rho=0.9", "rho=0.9000001"]
 
     def test_ar2_runs_the_product_of_both_poles(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

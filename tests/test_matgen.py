@@ -240,21 +240,23 @@ def ar1_signal_loop(length, rho, seed):
 
 
 def ar2_signal_loop(length, rho1, rho2, seed):
-    """Reference for ar2_signal, with the same burn-in and variance scaling."""
-    a1, a2 = rho1 + rho2, -rho1 * rho2
-    var = (1.0 - a2) / ((1.0 + a2) * ((1.0 - a2) ** 2 - a1 * a1))
-    burn = int(np.ceil(10.0 / (1.0 - max(abs(rho1), abs(rho2)))))
-    nu = np.sqrt(1.0 / var) * np.random.default_rng(seed).standard_normal(length + burn)
-    x = np.empty(length + burn)
+    """Reference: the stationary start, then the recursion on numpy scalars."""
+    rho1, rho2 = np.float64(rho1), np.float64(rho2)
+    p, a1 = rho1 * rho2, rho1 + rho2
+    q = (1.0 - rho1 * rho1) * (1.0 - rho2 * rho2)
+    nu = np.random.default_rng(seed).standard_normal(length)
+    x = np.empty(length)
     x[0] = nu[0]
-    x[1] = a1 * x[0] + nu[1]
-    for k in range(2, length + burn):
-        x[k] = a1 * x[k - 1] + a2 * x[k - 2] + nu[k]
-    return x[burn:]
+    if length > 1:
+        x[1] = a1 / (1.0 + p) * x[0] + np.sqrt(q) / (1.0 + p) * nu[1]
+    sigma = np.sqrt((1.0 - p) * q / (1.0 + p))
+    for k in range(2, length):
+        x[k] = a1 * x[k - 1] - p * x[k - 2] + sigma * nu[k]
+    return x
 
 
 class TestSignals:
-    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9, 0.95])
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9, 0.95, 0.999999])
     def test_ar1_matches_loop_bitwise(self, rho):
         for seed, length in zip(range(5), (1, 2, 3000, 3001, 20016)):
             expected = ar1_signal_loop(length, rho, seed)
@@ -262,7 +264,8 @@ class TestSignals:
 
     @pytest.mark.parametrize("rho1, rho2", [
         (0.9, 0.5), (0.95, 0.1), (-0.5, 0.3), (0.99, 0.98), (0.5, -0.9), (0.3, 0.0),
-        (0.9995, 0.5),  # a burn-in of 20000 samples, drawn in two pieces
+        (0.9995, 0.5),
+        (0.999999999, 0.5),  # one pole 1e-9 from the unit circle: the start is still exact
     ])
     def test_ar2_matches_loop_bitwise(self, rho1, rho2):
         for seed, length in zip((0, 1, 2, 3, 2**40), (1, 2, 3000, 3001, 20016)):
@@ -270,12 +273,13 @@ class TestSignals:
             assert ar2_signal(length, rho1, rho2, seed).tobytes() == expected.tobytes()
 
     def test_ar2_long_burn_in_is_pinned(self):
-        # sha256 of the bits: rho1 = 0.99999 burns in 10**6 samples, past the loop oracle's reach
+        # sha256 of the bits at a slow pole (rho1 = 0.99999), as the loop oracle gives them;
+        # the stationary start spends no samples on a burn-in, however slow the pole
         digest = hashlib.sha256(ar2_signal(20016, 0.99999, 0.5, 0).tobytes()).hexdigest()
-        assert digest == "975073f05b96a7abf0b5d8fa4ffdcf6af3c5a32f4abf5b8c36b584ad3a447150"
+        assert digest == "98833a5148686d0141f195fdf991aa43a21c6e799cda270e3e9e2aa8ced9fac3"
 
     def test_ar2_burn_in_is_not_held_whole(self):
-        # rho1 = 0.99999 burns in 10**6 samples: 7.6 MiB as one float array, more as a list
+        # a slow pole costs no extra memory: about the 20016 samples as floats, list and array
         tracemalloc.start()
         try:
             ar2_signal(20016, 0.99999, 0.5, 0)
@@ -283,6 +287,19 @@ class TestSignals:
         finally:
             tracemalloc.stop()
         assert peak < 6 * 2**20
+
+    @pytest.mark.parametrize("rho1, rho2", [(0.9, 0.5), (0.5, -0.9), (0.999999999, 0.5)])
+    def test_ar2_is_stationary_from_the_first_sample(self, rho1, rho2):
+        # over seeds, x(0) and x(1) have unit variance and the lag-one correlation a1 / (1 + p)
+        x = np.array([ar2_signal(2, rho1, rho2, seed) for seed in range(20000)])
+        assert np.abs(np.var(x, axis=0) - 1.0).max() <= 0.05
+        r = (rho1 + rho2) / (1.0 + rho1 * rho2)
+        assert abs(np.corrcoef(x[:, 0], x[:, 1])[0, 1] - r) <= 0.02
+
+    def test_ar2_with_a_zero_pole_is_ar1(self):
+        for seed, length in zip(range(3), (1, 2, 3001)):
+            want = ar1_signal(length, 0.7, seed)
+            assert ar2_signal(length, 0.7, 0.0, seed).tobytes() == want.tobytes()
 
     def test_deterministic(self):
         assert np.array_equal(ar1_signal(100, 0.7, 5), ar1_signal(100, 0.7, 5))
@@ -346,6 +363,14 @@ class TestFamilies:
         spec = MatrixSpec(family=family, n=5, params=params, seed=seed)
         assert np.array_equal(spec.build(), direct())
         assert spec.label() == label
+
+    @pytest.mark.parametrize("rho, label", [
+        (0.9, "ar1-n6-rho0.9"), (1e-05, "ar1-n6-rho1e-05"), (0.0001, "ar1-n6-rho0.0001"),
+        (0.9999999, "ar1-n6-rho0.9999999"), (0.123456789, "ar1-n6-rho0.123456789"),
+    ])
+    def test_label_keeps_every_digit(self, rho, label):
+        # :g where it reads back exactly, the shortest round-trip repr where it would round
+        assert MatrixSpec(family="ar1", n=6, params={"rho": rho}).label() == label
 
     def test_missing_parameter_takes_the_generator_default(self):
         spec = MatrixSpec(family="sparse-pd", n=5, params={"density": 0.5}, seed=2)
