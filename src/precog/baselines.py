@@ -20,8 +20,7 @@ from .errors import (
     _check_real,
 )
 from .spectral import (
-    _check_square, _check_symmetric, _spd_spectrum, _unit_diagonal, cond_general, cond_spd,
-    power_normalize, split_preconditioned_cond,
+    _check_square, _check_symmetric, _split_cond, cond_general, split_preconditioned_cond,
 )
 
 DEFAULT_OMEGA = 1.5
@@ -77,16 +76,16 @@ def dft_split_cond(R: np.ndarray) -> float:
     """Split-preconditioned condition number under the unitary DFT.
 
     Complex arithmetic stays internal: the Hermitian congruence F^H R F is
-    power-normalized with its real diagonal and the extreme eigenvalue ratio
-    is returned.  As in split_preconditioned_cond, R must be square, finite and
-    symmetric, a diagonal that is not positive raises NormalizationDomainError
+    scored by the one split score.  As in split_preconditioned_cond, R must be
+    square, finite and symmetric; an overflowing congruence raises
+    InvalidInputError, a diagonal that is not positive NormalizationDomainError
     and a spectrum that is not positive NotPositiveDefiniteError.
     """
     R = _check_symmetric(R, "R")
     F = dft_matrix(R.shape[0])
-    Rt = F.conj().T @ R @ F
-    ev = _spd_spectrum(_unit_diagonal(Rt, np.real(np.diag(Rt))))
-    return float(ev[-1] / ev[0])
+    with np.errstate(over="ignore", invalid="ignore"):  # _split_cond reports an overflow
+        Rt = F.conj().T @ R @ F
+    return float(_split_cond(Rt))
 
 
 def _check_diag(A: np.ndarray, label: str) -> np.ndarray:
@@ -175,7 +174,7 @@ def ilu0_precond(A: np.ndarray) -> Preconditioner:
 
 def none_cond(R: np.ndarray) -> float:
     """Condition number of the power-normalized matrix itself (no transform)."""
-    return cond_spd(power_normalize(R).S)
+    return float(_split_cond(_check_symmetric(R)))
 
 
 # method name -> cond of R under that baseline; omega is read by sor and ssor only

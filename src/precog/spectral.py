@@ -6,7 +6,7 @@ and in each column the entry of largest absolute value is made positive
 decompositions bit-identical and gives finite-difference oracles a locally
 continuous eigenvector selection away from degeneracies.
 
-Matrix arguments are checked by _check_square; unit-diagonal scaling is _unit_diagonal.
+Matrix arguments are checked by _check_square; every split score ends in _split_cond.
 """
 
 from __future__ import annotations
@@ -40,10 +40,7 @@ class SpectralPair:
 
 @dataclass(frozen=True)
 class NormalizedAutocorr:
-    """Unit-diagonal matrix S = delta^{-1/2} R delta^{-1/2}, delta the diagonal of R.
-
-    For a (..., n, n) stack of R's, S is stacked the same way.
-    """
+    """Unit-diagonal matrix S = delta^{-1/2} R delta^{-1/2}, delta the diagonal of R."""
 
     S: np.ndarray
 
@@ -130,27 +127,29 @@ def cond_general(M: np.ndarray) -> float:
 
 
 def power_normalize(R: np.ndarray) -> NormalizedAutocorr:
-    """Symmetric diagonal scaling to unit diagonal: delta^{-1/2} R delta^{-1/2}.
-
-    R may be a (..., n, n) stack; each S is then bitwise the S of its R
-    alone, because every operation is elementwise.  A stack fails when any
-    of its matrices would.
-    """
-    R = _check_symmetric(R, stack=True)
-    return NormalizedAutocorr(S=_unit_diagonal(R, R.diagonal(axis1=-2, axis2=-1)))
+    """Symmetric diagonal scaling to unit diagonal: delta^{-1/2} R delta^{-1/2}."""
+    R = _check_symmetric(R)
+    return NormalizedAutocorr(S=_unit_diagonal(R, R.diagonal()))
 
 
 def _unit_diagonal(M: np.ndarray, delta: np.ndarray) -> np.ndarray:
     # M (or a stack) times delta^{-1/2} on both sides; delta is M's real diagonal
     if (delta <= 0.0).any():
-        bad = np.unravel_index(np.argmin(delta), delta.shape)
-        where = int(bad[0]) if delta.ndim == 1 else tuple(map(int, bad))
-        raise NormalizationDomainError(
-            f"diagonal entry {where} is {delta[bad]:g}, must be positive"
-        )
+        i = np.argmin(delta)  # flat: a stack that fails is rescored one matrix at a time
+        raise NormalizationDomainError(f"diagonal entry {i} is {delta.flat[i]:g}, must be positive")
     inv_sqrt = 1.0 / np.sqrt(delta)
     # the outer product by hand, because np.outer does not take stacks
     return M * (inv_sqrt[..., :, None] * inv_sqrt[..., None, :])
+
+
+def _split_cond(G: np.ndarray) -> np.float64 | np.ndarray:
+    # the one score: lambda_max / lambda_min of a checked G (or each G of a stack), real or the
+    # DFT's Hermitian F^H R F, at unit diagonal; S is not rechecked, as it amplifies G's rounding
+    S = _unit_diagonal(G, np.real(G.diagonal(axis1=-2, axis2=-1)))
+    if not np.isfinite(S).all():
+        raise InvalidInputError("matrix has non-finite entries")
+    ev = _spd_spectrum(S)
+    return ev[..., -1] / ev[..., 0]
 
 
 def orthonormality_error(U: np.ndarray) -> float:
@@ -181,17 +180,18 @@ def split_preconditioned_cond(R: np.ndarray, U: np.ndarray) -> float:
     """
     R, U = _square_pair(R, U)
     _check_orthonormal(U)
-    return cond_spd(power_normalize(U.T @ R @ U).S)
+    with np.errstate(over="ignore", invalid="ignore"):  # the G check reports an overflow
+        G = U.T @ R @ U
+    return float(_split_cond(_check_symmetric(G)))
 
 
 def _split_conds(Gs: list[np.ndarray]) -> list[float]:
-    """cond_spd(power_normalize(G).S) of each congruence G = U^T R U: the split cond of its U.
+    """_split_cond of each congruence G = U^T R U: the split cond of its U.
 
     One stacked call, bitwise the per-matrix ones; when it fails, the G's
     are scored one by one, so the earliest failing G raises its own error.
     """
     try:
-        ev = _spd_spectrum(_check_symmetric(power_normalize(np.stack(Gs)).S, stack=True))
+        return _split_cond(_check_symmetric(np.stack(Gs), stack=True)).tolist()
     except (PrecogError, np.linalg.LinAlgError):
-        return [cond_spd(power_normalize(G).S) for G in Gs]
-    return (ev[:, -1] / ev[:, 0]).tolist()
+        return [float(_split_cond(_check_symmetric(G))) for G in Gs]

@@ -29,7 +29,7 @@ from precog.errors import (
     PrecogError,
     SymmetryError,
 )
-from precog.matgen import ar1_autocorr, hilbert, random_sparse_pd
+from precog.matgen import ar1_autocorr, ar2_autocorr, hilbert, random_sparse_pd
 from precog.spectral import cond_spd, orthonormality_error, split_preconditioned_cond
 
 LEFT_FACTORIES = [
@@ -74,6 +74,16 @@ class TestDct:
         assert np.isclose(
             baseline_cond("dct", R), split_preconditioned_cond(R, dct_matrix(8).T)
         )
+
+    def test_close_poles_match_an_extended_precision_congruence(self):
+        # G = U^T R U is symmetric to 1e-13, but min diag(G) is 7.5e-13, so S's rounding
+        # is asymmetric by 5e-4; the score still agrees with an np.longdouble congruence's
+        R = ar2_autocorr(300, 0.9999, 0.9998)
+        U = dct_matrix(300).T.astype(np.longdouble)
+        G = U.T @ R.astype(np.longdouble) @ U
+        d = np.sqrt(G.diagonal())
+        ev = np.linalg.eigvalsh((G / np.outer(d, d)).astype(np.float64))
+        assert baseline_cond("dct", R) == pytest.approx(ev[-1] / ev[0], rel=1e-6)
 
 
 class TestDft:

@@ -637,6 +637,36 @@ def test_non_spd_ar2_lms_without_transform_leaves_stderr_empty(tmp_path, capsys)
     assert out.exists()
 
 
+# ar2(300, 0.9999, 0.9998) under the DCT: G = U^T R U passes its symmetry check, while S,
+# G scaled to unit diagonal, amplifies G's rounding by 1/min diag(G) = 1.3e12; only G is checked
+CLOSE_POLES = ["--family", "ar2", "--rho1", "0.9999", "--rho2", "0.9998", "--n", "300"]
+# finite, exactly symmetric and positive definite, but every congruence of it overflows
+HUGE = "2\n1.7e308 1e308\n1e308 1.7e308\n"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_close_pole_ar2_bench_scores_every_row(tmp_path, capsys):
+    out = tmp_path / "b.csv"
+    code, _, err = run(capsys, "bench", *CLOSE_POLES, "--max-iter", "20",
+                       "--methods", "dct,dft,none", "--out", str(out))
+    assert code == 0 and err == ""
+    assert [r["status"] for r in csv_rows(out)] == ["ok"] * 4
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_congruence_is_a_status_row_without_stderr(tmp_path, capsys):
+    matrix, out = tmp_path / "huge.txt", tmp_path / "b.csv"
+    matrix.write_text(HUGE)
+    code, _, err = run(capsys, "bench", "--matrix", str(matrix), "--methods", "dft,dct,none",
+                       "--max-iter", "5", "--out", str(out))
+    assert code == 0 and err == ""
+    rows = {r["method"]: r for r in csv_rows(out)}
+    # each overflowing congruence, the DFT's F^H R F as the DCT's U^T R U, is non-finite input
+    assert rows["dft"]["status"] == rows["dct"]["status"] == "InvalidInputError"
+    assert rows["dft"]["cond_method"] == ""
+    assert rows["none"]["status"] == "ok"
+
+
 def test_memory_error_is_one_error_line(tmp_path, capsys, monkeypatch):
     # a mocked allocation failure: the real one would need tens of GiB
     def too_big(n, rho):
@@ -938,6 +968,14 @@ class TestLms:
         assert code == 0
         assert out.read_bytes() == (
             b"k,e2,misalignment_db\n0,1.0,0.0\n1,0.25,-10.0\n2,1e-300,-inf\n")
+
+    def test_near_unit_pole_precog_run_exits_0(self, tmp_path, capsys):
+        # G = U^T R U is symmetric to its rounding; S, scaled to unit diagonal, is not
+        out = tmp_path / "trace.csv"
+        code, _, err = run(capsys, "lms", "--taps", "3", "--rho", "0.9999999999", "--run-len",
+                           "200", "--transform", "precog", "--max-iter", "5", "--out", str(out))
+        assert code == 0 and err == ""
+        assert len(out.read_text().splitlines()) == 201
 
     def test_divergent_step_exits_1_without_trace(self, tmp_path, capsys):
         out = tmp_path / "trace.csv"

@@ -20,6 +20,7 @@ from precog.spectral import (
     SYMMETRY_TOL,
     _column_signs,
     _orthonormality_errors,
+    _split_cond,
     _split_conds,
     canonical_sign,
     cond_general,
@@ -222,29 +223,30 @@ class TestPowerNormalize:
         with pytest.raises(NormalizationDomainError):
             power_normalize(np.diag([1.0, -2.0]))
 
+    # the stack tests below score stacks of power-normalized congruences, which only
+    # _split_cond and _split_conds take; power_normalize takes one matrix
+
     @pytest.mark.parametrize("n", [2, 3, 10, 33, 64, 128])
     def test_stack_is_bitwise_the_per_matrix_calls(self, n):
         # congruences U^T R U are symmetric only to rounding, like optimize's G's
         rng = np.random.default_rng(n)
         R = rand_spd(n, rng)
         Gs = np.stack([U.T @ R @ U for U in (rand_orthonormal(n, rng) for _ in range(3))])
-        stacked = power_normalize(Gs)
-        ev = np.linalg.eigvalsh(stacked.S)
+        stacked = _split_cond(Gs)
         for i, G in enumerate(Gs):
-            one = power_normalize(G)
-            assert stacked.S[i].tobytes() == one.S.tobytes()
-            assert ev[i].tobytes() == np.linalg.eigvalsh(one.S).tobytes()
+            assert stacked[i].tobytes() == _split_cond(G).tobytes()
+        assert _split_conds(list(Gs)) == stacked.tolist()
 
     def test_stack_checks_each_matrix_against_its_own_scale(self):
         big = 1e6 * np.eye(3)
         big[0, 1] += 1e-6  # 1e-12 relative: passes on its own
         small = np.eye(3)
         small[0, 1] += 1e-9  # fails on its own, and must not pass under big's scale
-        power_normalize(big)
+        _split_conds([big])
         with pytest.raises(SymmetryError):
-            power_normalize(small)
+            _split_conds([small])
         with pytest.raises(SymmetryError):
-            power_normalize(np.stack([big, small]))
+            _split_conds([big, small])
 
     @pytest.mark.parametrize("scale", [0.5, 1e6], ids=["absolute", "relative"])
     def test_asymmetry_at_the_bound_passes_and_the_next_float_raises(self, scale):
@@ -258,22 +260,25 @@ class TestPowerNormalize:
 
         over = np.nextafter(bound, np.inf)
         sym_eig(skewed(bound))
-        power_normalize(np.stack([np.eye(2), skewed(bound)]))
+        _split_conds([np.eye(2), skewed(bound)])
         with pytest.raises(SymmetryError):
             sym_eig(skewed(over))
         with pytest.raises(SymmetryError):
-            power_normalize(np.stack([np.eye(2), skewed(over)]))
+            _split_conds([np.eye(2), skewed(over)])
 
     def test_stack_reports_the_failing_entry(self):
-        with pytest.raises(NormalizationDomainError, match=r"entry \(1, 1\) is -1"):
-            power_normalize(np.stack([np.eye(2), np.diag([1.0, -1.0])]))
+        # the failing stack is rescored one matrix at a time, so its G names its own entry
+        with pytest.raises(NormalizationDomainError, match=r"entry 1 is -1"):
+            _split_conds([np.eye(2), np.diag([1.0, -1.0])])
 
-    def test_only_power_normalize_takes_stacks(self):
+    def test_public_functions_take_one_matrix(self):
         stack = np.stack([np.eye(3), 2.0 * np.eye(3)])
         with pytest.raises(InvalidInputError, match="square"):
             cond_spd(stack)
         with pytest.raises(InvalidInputError, match="square"):
             sym_eig(stack)
+        with pytest.raises(InvalidDimensionError, match="square"):
+            power_normalize(stack)
         with pytest.raises(InvalidInputError, match="square"):
             power_normalize(np.ones(3))
 
@@ -294,12 +299,13 @@ class TestSplitConds:
         assert conds == [split_preconditioned_cond(R, U) for U in Us]
         assert all(type(c) is float for c in conds)
 
-    def test_checks_the_normalized_matrix(self):
-        # G's asymmetry is 1e-11 of max|G|, but 1e-5 in S, whose scale is 1
+    def test_checks_g_and_scores_the_lower_triangle_of_s(self):
+        # G's asymmetry is 1e-11 of max|G|, but 1e-5 in S, whose scale is 1: only G is
+        # checked, and S's lower triangle [[1, .], [0.50001, 1]] is scored
         G = np.array([[1e6, 0.5], [0.50001, 1e-6]])
-        power_normalize(G)
-        with pytest.raises(SymmetryError):
-            _split_conds([np.eye(2), G])
+        conds = _split_conds([np.eye(2), G])
+        assert conds == [float(_split_cond(np.eye(2))), float(_split_cond(G))]
+        assert np.isclose(conds[1], 1.50001 / 0.49999, rtol=1e-10)
 
     def test_earliest_failure_raises(self):
         asym = np.array([[1.0, 0.5], [0.4, 1.0]])
