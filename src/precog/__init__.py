@@ -8,6 +8,8 @@ effect on transform-domain LMS convergence.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .baselines import (
     METHOD_NAMES,
     Preconditioner,
@@ -70,11 +72,8 @@ from .spectral import (
 )
 from .tdlms import (
     FilterConfig,
-    FilterState,
     MseTrace,
-    lms_step,
     system_id_experiment,
-    tdlms_step,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [n for n in dir() if not n.startswith("_") and not isinstance(globals()[n], _ModuleType)]

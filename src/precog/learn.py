@@ -13,7 +13,8 @@ cost_E deliberately accepts any square U, orthonormal or not: the ambient
 gradient is certified by finite differences over raw matrix entries, which
 steps off the orthonormal manifold.  The score, cost_E and dE/dU all read
 G = U^T R U; optimize computes it once per iteration and shares it.  _band
-turns G into both the cost and the F of dE/dU = 4 R U F, for all three.
+turns G and its diagonal part D into both the cost and the F of dE/dU = R U F,
+F = 8G - 4(2 - eps1^2 - eps2^2) D, for all three.
 
 optimize scores off the descent path.  The weight update and the stops
 read only the cost and the gradient; split_cond feeds only the history and
@@ -131,15 +132,15 @@ def cost_E(R: np.ndarray, U: np.ndarray, eps1: float, eps2: float) -> float:
 
 
 def _band(G: np.ndarray, D: np.ndarray, eps1: float, eps2: float) -> tuple[float, np.ndarray]:
-    # cost_E at G = U^T R U, and F = 2G - (2 - eps1^2 - eps2^2) D with D = np.diag(G.diagonal()),
-    # so that dE/dU = 4 R U F.  d stays G's strided diagonal view: a contiguous copy takes
-    # another BLAS dot path and rounds differently
+    # cost_E at G = U^T R U, and F = 8G - 4(2 - eps1^2 - eps2^2) D of dE/dU = R U F, D = diag(G):
+    # 4 R U (2G - (2 - eps1^2 - eps2^2) D) bit for bit, as scaling by 4 is exact.  d stays G's
+    # strided diagonal view: a contiguous copy takes another BLAS dot path and rounds differently
     d = G.diagonal()
     off = G - D
     off2 = float((off * off).sum())
     d2 = float(d @ d)
     cost = (off2 + eps1 * eps1 * d2) + (off2 + eps2 * eps2 * d2)
-    return cost, 2.0 * G - (2.0 - eps1 * eps1 - eps2 * eps2) * D
+    return cost, 8.0 * G - 4.0 * (2.0 - eps1 * eps1 - eps2 * eps2) * D
 
 
 def cost_EN(g: WeightedGraph, R: np.ndarray, hp: HyperParams) -> float:
@@ -155,16 +156,16 @@ def grad_E_wrt_U(
     eps2: float,
     formula: str = "canonical",
 ) -> np.ndarray:
-    """Gradient of cost_E with respect to U: 4 R U (2G - (2 - eps1^2 - eps2^2) D).
+    """Gradient of cost_E with respect to U: R U F, F = 8G - 4(2 - eps1^2 - eps2^2) D.
 
-    G = U^T R U and D its diagonal part; certified against central finite
-    differences of cost_E.  formula accepts only "canonical".
+    G = U^T R U, D its diagonal part and F from _band; certified against
+    central finite differences of cost_E.  formula accepts only "canonical".
     """
     R, U = _square_pair(R, U)
     if formula != "canonical":
         raise InvalidInputError(f"unknown formula {formula!r}")
     G = U.T @ R @ U
-    return 4.0 * R @ U @ _band(G, np.diag(G.diagonal()), eps1, eps2)[1]
+    return R @ U @ _band(G, np.diag(G.diagonal()), eps1, eps2)[1]
 
 
 def dL_du(sp: SpectralPair, k: int, l: int) -> np.ndarray:
@@ -293,11 +294,10 @@ def optimize(R: np.ndarray, t: Topology, hp: HyperParams) -> PrecogResult:
         raise InvalidDimensionError(f"R is {R.shape[0]} x {R.shape[0]}, topology has n={t.n}")
     rng = np.random.default_rng(hp.seed)
     w = rng.standard_normal(t.n_edges)
-    R4 = 4.0 * R  # grad_E_wrt_U's ((4.0 * R) @ U) @ F, without scaling R each iteration
     shrink = 1.0 - 2.0 * hp.beta
     scores = _ScoreWindow(max(1, SCORE_WINDOW_BYTES // (16 * t.n * t.n)))
     # G's diagonal part, rewritten in place each iteration: the bits of np.diag(G.diagonal())
-    # without a new array; dropping D and R4 cost 3-5% of restarts-full's iterations per second
+    # without a new array; building it inside _band cost 4% of restarts-full's iterations per second
     D = np.zeros((t.n, t.n))
     D_diagonal = D.ravel()[:: t.n + 1]
     prev_cost: float | None = None
@@ -329,7 +329,7 @@ def optimize(R: np.ndarray, t: Topology, hp: HyperParams) -> PrecogResult:
             D_diagonal[...] = G.diagonal()
             cost, F = _band(G, D, hp.eps1, hp.eps2)
             cost += hp.beta * (ww - 1.0)
-            grad_core = _edge_trace(t, sp, R4 @ U @ F)
+            grad_core = _edge_trace(t, sp, R @ U @ F)
             grad_full = grad_core + 2.0 * hp.beta * w
             gg = float(grad_full @ grad_full)
             # held before the divergence test: this iterate's score failure outranks it

@@ -288,6 +288,24 @@ class TestGradU:
         with pytest.raises(InvalidInputError):
             grad_E_wrt_U(np.eye(2), np.eye(2), 0.1, 0.1, formula="bogus")
 
+    @pytest.mark.parametrize("R", [hilbert(8, 1e-4), random_pd(8, 0, 0.1), ar1_autocorr(8, 0.9)],
+                             ids=["hilbert", "random-pd", "ar1"])
+    @pytest.mark.parametrize("eps1, eps2", [(0.1, 0.1), (1.2, 0.9)])
+    def test_keeps_the_bits_of_the_written_out_formulas(self, R, eps1, eps2):
+        # _band's F = 8G - 4 coef D carries dE/dU's factor 4, and scaling by 4 is exact
+        U = rand_orthonormal(8, np.random.default_rng(3))
+        G = U.T @ R @ U
+        d = G.diagonal()
+        D = np.diag(d)
+        off = G - D
+        off2 = float((off * off).sum())
+        d2 = float(d @ d)
+        coef = 2.0 - eps1 * eps1 - eps2 * eps2
+        want = 4.0 * R @ U @ (2.0 * G - coef * D)
+        assert grad_E_wrt_U(R, U, eps1, eps2).tobytes() == want.tobytes()
+        want_cost = (off2 + eps1 * eps1 * d2) + (off2 + eps2 * eps2 * d2)
+        assert cost_E(R, U, eps1, eps2) == want_cost
+
 
 class TestDLdU:
     def test_nonzero_budget(self, rng):

@@ -272,13 +272,13 @@ class TestSignals:
             expected = ar2_signal_loop(length, rho1, rho2, seed)
             assert ar2_signal(length, rho1, rho2, seed).tobytes() == expected.tobytes()
 
-    def test_ar2_long_burn_in_is_pinned(self):
+    def test_ar2_slow_pole_bits_are_pinned(self):
         # sha256 of the bits at a slow pole (rho1 = 0.99999), as the loop oracle gives them;
         # the stationary start spends no samples on a burn-in, however slow the pole
         digest = hashlib.sha256(ar2_signal(20016, 0.99999, 0.5, 0).tobytes()).hexdigest()
         assert digest == "98833a5148686d0141f195fdf991aa43a21c6e799cda270e3e9e2aa8ced9fac3"
 
-    def test_ar2_burn_in_is_not_held_whole(self):
+    def test_ar2_slow_pole_peak_memory_is_bounded(self):
         # a slow pole costs no extra memory: about the 20016 samples as floats, list and array
         tracemalloc.start()
         try:

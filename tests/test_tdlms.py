@@ -1,8 +1,10 @@
 from dataclasses import fields
+from types import ModuleType
 
 import numpy as np
 import pytest
 
+import precog
 from precog import tdlms
 from precog.baselines import dct_matrix
 from precog.errors import DivergenceError, InvalidDimensionError, InvalidInputError
@@ -112,6 +114,18 @@ def system_id_reference(plant, input_spec, noise_db, cfg, run_len, seed):
 def assert_same_bytes(a, b):
     assert a.e2.tobytes() == b.e2.tobytes()
     assert a.misalignment.tobytes() == b.misalignment.tobytes()
+
+
+class TestPackageRoot:
+    def test_all_holds_no_module(self):
+        assert not [n for n in precog.__all__ if isinstance(getattr(precog, n), ModuleType)]
+
+    def test_single_step_api_is_imported_from_tdlms(self):
+        # the per-step reference of system_id_experiment; the package root does not re-export it
+        for name in ("lms_step", "tdlms_step", "FilterState"):
+            assert not hasattr(precog, name)
+            assert name not in precog.__all__
+            assert callable(getattr(tdlms, name))
 
 
 class TestConfig:
