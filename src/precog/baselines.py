@@ -4,6 +4,11 @@ Unitary split transforms (DCT, DFT) are scored by the condition number of
 the power-normalized congruence U^T A U, left preconditioners by the
 general condition number of M^{-1} A.  baseline_cond is the one dispatch
 from a method name to its score.
+
+Gauss-Seidel is SOR at omega = 1, and SSOR is built on SOR's splitting
+D/omega + L (Saad, Iterative Methods for Sparse Linear Systems, 2003, 4.1).
+A payload that overflows raises InvalidInputError without a numpy warning,
+so bench writes it as a status row with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -88,27 +93,25 @@ def dft_split_cond(R: np.ndarray) -> float:
     return float(_split_cond(Rt))
 
 
-def _check_diag(A: np.ndarray, label: str) -> np.ndarray:
+def _sor_splitting(A: np.ndarray, label: str, omega: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    # (D/omega + L, d) for a checked A with diagonal d free of zeros; omega is checked first
+    check_omega(omega)
     A = _check_square(A, "A")
     d = np.diag(A)
     if np.any(d == 0.0):
         bad = int(np.argmin(np.abs(d)))
         raise NumericallySingularError(f"{label}: zero diagonal entry at index {bad}")
-    return A
+    return np.tril(A, -1) + np.diag(d) / omega, d
 
 
 def jacobi_precond(A: np.ndarray) -> Preconditioner:
     """Diagonal (Jacobi) preconditioner M = diag(A)."""
-    A = _check_diag(A, "jacobi")
-    M = np.diag(np.diag(A))
-    return Preconditioner(payload=M)
+    return Preconditioner(payload=np.diag(_sor_splitting(A, "jacobi")[1]))
 
 
 def gauss_seidel_precond(A: np.ndarray) -> Preconditioner:
-    """Gauss-Seidel preconditioner M = D + L (diagonal plus strict lower part)."""
-    A = _check_diag(A, "gauss-seidel")
-    M = np.tril(A)
-    return Preconditioner(payload=M)
+    """Gauss-Seidel preconditioner M = D + L (diagonal plus strict lower part): SOR at omega = 1."""
+    return Preconditioner(payload=_sor_splitting(A, "gauss-seidel")[0])
 
 
 def check_omega(omega: float) -> None:
@@ -118,19 +121,14 @@ def check_omega(omega: float) -> None:
 
 def sor_precond(A: np.ndarray, omega: float = DEFAULT_OMEGA) -> Preconditioner:
     """Successive over-relaxation preconditioner M = D/omega + L."""
-    check_omega(omega)
-    A = _check_diag(A, "sor")
-    M = np.tril(A, -1) + np.diag(np.diag(A)) / omega
-    return Preconditioner(payload=M)
+    return Preconditioner(payload=_sor_splitting(A, "sor", omega)[0])
 
 
 def ssor_precond(A: np.ndarray, omega: float = DEFAULT_OMEGA) -> Preconditioner:
-    """Symmetric SOR: M = omega/(2-omega) (D/omega + L) D^{-1} (D/omega + L^T)."""
-    check_omega(omega)
-    A = _check_diag(A, "ssor")
-    D = np.diag(A)
-    K = np.tril(A, -1) + np.diag(D) / omega
-    M = (omega / (2.0 - omega)) * K @ np.diag(1.0 / D) @ K.T
+    """Symmetric SOR: M = omega/(2-omega) K D^{-1} K^T, K = D/omega + L the SOR splitting."""
+    K, d = _sor_splitting(A, "ssor", omega)
+    with np.errstate(over="ignore", invalid="ignore"):  # cond_general reports an overflow
+        M = (omega / (2.0 - omega)) * K @ np.diag(1.0 / d) @ K.T
     return Preconditioner(payload=M)
 
 

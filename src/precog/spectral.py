@@ -145,7 +145,8 @@ def _unit_diagonal(M: np.ndarray, delta: np.ndarray) -> np.ndarray:
 def _split_cond(G: np.ndarray) -> np.float64 | np.ndarray:
     # the one score: lambda_max / lambda_min of a checked G (or each G of a stack), real or the
     # DFT's Hermitian F^H R F, at unit diagonal; S is not rechecked, as it amplifies G's rounding
-    S = _unit_diagonal(G, np.real(G.diagonal(axis1=-2, axis2=-1)))
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports an overflow
+        S = _unit_diagonal(G, np.real(G.diagonal(axis1=-2, axis2=-1)))
     if not np.isfinite(S).all():
         raise InvalidInputError("matrix has non-finite entries")
     ev = _spd_spectrum(S)

@@ -180,6 +180,49 @@ class TestSorSsor:
                 ssor_precond(np.eye(3), bad)
 
 
+class TestRelaxationSplitting:
+    @pytest.mark.parametrize("A", [
+        ar1_autocorr(16, 0.9), hilbert(10, 1e-4), random_sparse_pd(12, 0.5, 0),
+    ], ids=["ar1", "hilbert", "sparse-pd"])
+    @pytest.mark.parametrize("omega", [1.0, 1.3, 1.5])
+    def test_payloads_keep_the_bits_of_the_written_out_formulas(self, A, omega):
+        D = np.diag(np.diag(A))
+        K = np.tril(A, -1) + D / omega
+        ssor = (omega / (2.0 - omega)) * K @ np.diag(1.0 / np.diag(A)) @ K.T
+        for got, want in [
+            (jacobi_precond(A), D),
+            (gauss_seidel_precond(A), np.tril(A)),
+            (sor_precond(A, omega), K),
+            (ssor_precond(A, omega), ssor),
+        ]:
+            assert got.payload.tobytes() == want.tobytes()
+
+    def test_gauss_seidel_payload_equals_tril_with_a_negative_zero(self):
+        A = np.array([[4.0, -0.0, 1.0], [-0.0, 5.0, 2.0], [1.0, 2.0, 6.0]])
+        M = gauss_seidel_precond(A).payload
+        # only the sign of the -0.0 below the diagonal moves: D + L adds +0.0 to it
+        assert np.array_equal(M, np.tril(A))
+        assert not np.signbit(M[1, 0]) and np.signbit(np.tril(A)[1, 0])
+
+    @pytest.mark.parametrize("label, build", [
+        ("jacobi", jacobi_precond),
+        ("gauss-seidel", gauss_seidel_precond),
+        ("sor", lambda A: sor_precond(A, 1.3)),
+        ("ssor", lambda A: ssor_precond(A, 1.3)),
+    ])
+    def test_zero_diagonal_names_the_constructor(self, label, build):
+        A = np.array([[2.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(NumericallySingularError,
+                           match=f"^{label}: zero diagonal entry at index 1$"):
+            build(A)
+
+    @pytest.mark.parametrize("build", [sor_precond, ssor_precond])
+    @pytest.mark.parametrize("A", [np.zeros((2, 2)), np.ones(3)], ids=["zero-diag", "1-d"])
+    def test_bad_omega_wins_over_bad_input(self, build, A):
+        with pytest.raises(InvalidInputError, match="omega"):
+            build(A, 2.5)
+
+
 def ilu0_ikj_loop(A):
     """Oracle: ILU(0) as the row-wise IKJ triple loop (Saad 2003, Alg. 10.4)."""
     A = np.asarray(A, dtype=float)

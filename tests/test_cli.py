@@ -667,6 +667,29 @@ def test_overflowing_congruence_is_a_status_row_without_stderr(tmp_path, capsys)
     assert rows["none"]["status"] == "ok"
 
 
+# exactly symmetric and positive definite (cond 3) at subnormal scale: 1/sqrt(d_i d_j) overflows
+TINY = "2\n2e-310 1e-310\n1e-310 2e-310\n"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("text, code, statuses", [
+    pytest.param(HUGE, 0, {"dct": "InvalidInputError", "dft": "InvalidInputError",
+                           "gauss-seidel": "NumericallySingularError",
+                           "ilu0": "NumericallySingularError", "jacobi": "ok", "none": "ok",
+                           "precog": "InvalidInputError", "sor": "ok",
+                           "ssor": "InvalidInputError"}, id="huge"),
+    pytest.param(TINY, 1, dict.fromkeys(METHOD_NAMES, "InvalidInputError"), id="tiny"),
+])
+def test_every_method_at_extreme_scale_keeps_stderr_empty(tmp_path, capsys, text, code,
+                                                          statuses):
+    # an overflowing payload or unit-diagonal scaling is a status row, not a numpy warning
+    matrix, out = tmp_path / "m.txt", tmp_path / "b.csv"
+    matrix.write_text(text)
+    got = run(capsys, "bench", "--matrix", str(matrix), "--max-iter", "5", "--out", str(out))
+    assert got[0] == code and got[2] == ""
+    assert {r["method"]: r["status"] for r in csv_rows(out)} == statuses
+
+
 def test_memory_error_is_one_error_line(tmp_path, capsys, monkeypatch):
     # a mocked allocation failure: the real one would need tens of GiB
     def too_big(n, rho):
