@@ -393,7 +393,8 @@ def cmd_lms(args: argparse.Namespace) -> int:
               f"-> {args.out}")
     else:  # a seed that never reaches -20 dB counts as run_len + 1
         v = [args.run_len + 1 if hit is None else hit for hit in hits]
-        print(f"{head} seeds={len(v)} median_iterations_to_-20dB={int(np.median(v))} "
+        med = str(np.median(v)).removesuffix(".0")  # a median of counts is whole or ends in .5
+        print(f"{head} seeds={len(v)} median_iterations_to_-20dB={med} "
               f"(min {min(v)}, max {max(v)}) -> {args.out}")
     return 0
 

@@ -12,9 +12,10 @@ theory needs a simple spectrum; is_degenerate is the one test for that.
 cost_E deliberately accepts any square U, orthonormal or not: the ambient
 gradient is certified by finite differences over raw matrix entries, which
 steps off the orthonormal manifold.  The score, cost_E and dE/dU all read
-G = U^T R U; optimize computes it once per iteration and shares it.  _band
-turns G and its diagonal part D into both the cost and the F of dE/dU = R U F,
-F = 8G - 4(2 - eps1^2 - eps2^2) D, for all three.
+G = U^T R U, and _band is the one place that forms it: it writes G's
+diagonal part D into a buffer of the caller's and returns G, the band cost
+and the F of dE/dU = R U F, F = 8G - 4(2 - eps1^2 - eps2^2) D.  optimize
+calls it once per iteration and hands its G to the score.
 
 optimize scores off the descent path.  The weight update and the stops
 read only the cost and the gradient; split_cond feeds only the history and
@@ -127,20 +128,22 @@ def cost_E(R: np.ndarray, U: np.ndarray, eps1: float, eps2: float) -> float:
     G = U^T R U, D its diagonal part, s+ = 1 + eps1, s- = 1 - eps2.
     """
     R, U = _square_pair(R, U)
-    G = U.T @ R @ U
-    return _band(G, np.diag(G.diagonal()), eps1, eps2)[0]
+    return _band(R, U, np.zeros_like(R), eps1, eps2)[1]
 
 
-def _band(G: np.ndarray, D: np.ndarray, eps1: float, eps2: float) -> tuple[float, np.ndarray]:
-    # cost_E at G = U^T R U, and F = 8G - 4(2 - eps1^2 - eps2^2) D of dE/dU = R U F, D = diag(G):
+def _band(R, U, D: np.ndarray, eps1: float, eps2: float) -> tuple[np.ndarray, float, np.ndarray]:
+    # G = U^T R U, with G's diagonal written into D, a caller's buffer that is zero off the
+    # diagonal; cost_E at G; and F = 8G - 4(2 - eps1^2 - eps2^2) D of dE/dU = R U F, which is
     # 4 R U (2G - (2 - eps1^2 - eps2^2) D) bit for bit, as scaling by 4 is exact.  d stays G's
     # strided diagonal view: a contiguous copy takes another BLAS dot path and rounds differently
+    G = U.T @ R @ U
     d = G.diagonal()
+    D.flat[:: d.shape[0] + 1] = d  # .flat reaches the diagonal in any memory order
     off = G - D
     off2 = float((off * off).sum())
     d2 = float(d @ d)
     cost = (off2 + eps1 * eps1 * d2) + (off2 + eps2 * eps2 * d2)
-    return cost, 8.0 * G - 4.0 * (2.0 - eps1 * eps1 - eps2 * eps2) * D
+    return G, cost, 8.0 * G - 4.0 * (2.0 - eps1 * eps1 - eps2 * eps2) * D
 
 
 def cost_EN(g: WeightedGraph, R: np.ndarray, hp: HyperParams) -> float:
@@ -158,14 +161,14 @@ def grad_E_wrt_U(
 ) -> np.ndarray:
     """Gradient of cost_E with respect to U: R U F, F = 8G - 4(2 - eps1^2 - eps2^2) D.
 
-    G = U^T R U, D its diagonal part and F from _band; certified against
-    central finite differences of cost_E.  formula accepts only "canonical".
+    G = U^T R U and D its diagonal part, both formed by _band, which returns
+    F; certified against central finite differences of cost_E.  formula
+    accepts only "canonical".
     """
     R, U = _square_pair(R, U)
     if formula != "canonical":
         raise InvalidInputError(f"unknown formula {formula!r}")
-    G = U.T @ R @ U
-    return R @ U @ _band(G, np.diag(G.diagonal()), eps1, eps2)[1]
+    return R @ U @ _band(R, U, np.zeros_like(R), eps1, eps2)[2]
 
 
 def dL_du(sp: SpectralPair, k: int, l: int) -> np.ndarray:
@@ -296,10 +299,8 @@ def optimize(R: np.ndarray, t: Topology, hp: HyperParams) -> PrecogResult:
     w = rng.standard_normal(t.n_edges)
     shrink = 1.0 - 2.0 * hp.beta
     scores = _ScoreWindow(max(1, SCORE_WINDOW_BYTES // (16 * t.n * t.n)))
-    # G's diagonal part, rewritten in place each iteration: the bits of np.diag(G.diagonal())
-    # without a new array; building it inside _band cost 4% of restarts-full's iterations per second
+    # G's diagonal part, rewritten by _band; a D built per call cost restarts-full 4.2% of iters/s
     D = np.zeros((t.n, t.n))
-    D_diagonal = D.ravel()[:: t.n + 1]
     prev_cost: float | None = None
     consecutive_jitters = 0
     reason = "max_iter"
@@ -324,16 +325,13 @@ def optimize(R: np.ndarray, t: Topology, hp: HyperParams) -> PrecogResult:
                 continue
             consecutive_jitters = 0
 
-            U = sp.U
-            G = U.T @ R @ U  # shared by the score, the cost and the gradient
-            D_diagonal[...] = G.diagonal()
-            cost, F = _band(G, D, hp.eps1, hp.eps2)
+            G, cost, F = _band(R, sp.U, D, hp.eps1, hp.eps2)  # G is shared with the score
             cost += hp.beta * (ww - 1.0)
-            grad_core = _edge_trace(t, sp, R @ U @ F)
+            grad_core = _edge_trace(t, sp, R @ sp.U @ F)
             grad_full = grad_core + 2.0 * hp.beta * w
             gg = float(grad_full @ grad_full)
             # held before the divergence test: this iterate's score failure outranks it
-            scores.add(it, G, U, cost, math.sqrt(gg))
+            scores.add(it, G, sp.U, cost, math.sqrt(gg))
             # a finite gg means a finite grad_full, and so a finite grad_core
             if not math.isfinite(cost) or (
                 not math.isfinite(gg) and not np.isfinite(grad_core).all()

@@ -1,4 +1,5 @@
 import csv
+import statistics
 
 import numpy as np
 import pytest
@@ -924,8 +925,23 @@ class TestLms:
         assert code == 0
         assert stdout == (
             f"lms transform=none signal=ar1 seeds=6 "
-            f"median_iterations_to_-20dB={int(np.median(hits))} "
+            f"median_iterations_to_-20dB={statistics.median(hits):g} "
             f"(min {min(hits)}, max {max(hits)}) -> {out}\n")
+
+    @pytest.mark.parametrize("seeds, extra, median, lo, hi", [
+        # per-seed counts 404 420 421 423 431 432 455 458 471 487: halfway between 431 and 432
+        ("0,1,2,3,4,5,6,7,8,9", [], "431.5", 404, 487),
+        ("0,1", ["--run-len", "3000"], "459", 431, 487),  # a whole median prints no decimal
+    ])
+    def test_even_seed_list_prints_the_exact_median(self, tmp_path, capsys, seeds, extra,
+                                                   median, lo, hi):
+        out = tmp_path / "trace.csv"
+        code, stdout, _ = run(capsys, "lms", "--transform", "dct", "--seed", seeds,
+                              "--topology", "banded", "--max-iter", "500", *extra,
+                              "--out", str(out))
+        assert code == 0
+        assert stdout == (f"lms transform=dct signal=ar1 seeds={len(seeds.split(','))} "
+                          f"median_iterations_to_-20dB={median} (min {lo}, max {hi}) -> {out}\n")
 
     def test_precog_learns_once_with_first_seed(self, tmp_path, capsys, monkeypatch):
         learned = []

@@ -292,19 +292,21 @@ class TestGradU:
                              ids=["hilbert", "random-pd", "ar1"])
     @pytest.mark.parametrize("eps1, eps2", [(0.1, 0.1), (1.2, 0.9)])
     def test_keeps_the_bits_of_the_written_out_formulas(self, R, eps1, eps2):
-        # _band's F = 8G - 4 coef D carries dE/dU's factor 4, and scaling by 4 is exact
+        # _band's F = 8G - 4 coef D carries dE/dU's factor 4, and scaling by 4 is exact;
+        # _band writes G's diagonal into a D laid out like R, which may be column-major
         U = rand_orthonormal(8, np.random.default_rng(3))
-        G = U.T @ R @ U
-        d = G.diagonal()
-        D = np.diag(d)
-        off = G - D
-        off2 = float((off * off).sum())
-        d2 = float(d @ d)
-        coef = 2.0 - eps1 * eps1 - eps2 * eps2
-        want = 4.0 * R @ U @ (2.0 * G - coef * D)
-        assert grad_E_wrt_U(R, U, eps1, eps2).tobytes() == want.tobytes()
-        want_cost = (off2 + eps1 * eps1 * d2) + (off2 + eps2 * eps2 * d2)
-        assert cost_E(R, U, eps1, eps2) == want_cost
+        for R in (R, np.asfortranarray(R)):
+            G = U.T @ R @ U
+            d = G.diagonal()
+            D = np.diag(d)
+            off = G - D
+            off2 = float((off * off).sum())
+            d2 = float(d @ d)
+            coef = 2.0 - eps1 * eps1 - eps2 * eps2
+            want = 4.0 * R @ U @ (2.0 * G - coef * D)
+            assert grad_E_wrt_U(R, U, eps1, eps2).tobytes() == want.tobytes()
+            want_cost = (off2 + eps1 * eps1 * d2) + (off2 + eps2 * eps2 * d2)
+            assert cost_E(R, U, eps1, eps2) == want_cost
 
 
 class TestDLdU:
@@ -560,7 +562,7 @@ def banded2(n):
     return banded_topology(n, 2)
 
 
-@pytest.mark.parametrize("R, make, hp, reason", [
+LOOP_CASES = [
     *(pytest.param(ar1_autocorr(n, 0.9), make, HyperParams(max_iter=iters, seed=n),
                    "max_iter", id=f"{name}-n{n}")
       for n, iters in ((5, 120), (12, 120), (64, 25))
@@ -573,7 +575,10 @@ def banded2(n):
     pytest.param(ar1_autocorr(6, 0.9), banded2,
                  HyperParams(eps1=1.2, eps2=0.9, max_iter=60, seed=2),
                  "max_iter", id="negative-diag-coef"),
-])
+]
+
+
+@pytest.mark.parametrize("R, make, hp, reason", LOOP_CASES)
 def test_optimize_bitwise_equals_public_function_loop(R, make, hp, reason):
     t = make(R.shape[0])
     got = optimize(R, t, hp)
@@ -582,6 +587,18 @@ def test_optimize_bitwise_equals_public_function_loop(R, make, hp, reason):
     assert got.history == want.history
     assert got.U.tobytes() == want.U.tobytes()
     assert got.max_unitarity_error == want.max_unitarity_error
+
+
+@pytest.mark.parametrize("R, make, hp, reason", LOOP_CASES)
+def test_first_record_equals_the_public_functions(R, make, hp, reason):
+    # optimize's cost, score and gradient norm at w0 are those of the public route, bit for bit
+    t = make(R.shape[0])
+    first = optimize(R, t, hp).history[0]
+    g = WeightedGraph(t, np.random.default_rng(hp.seed).standard_normal(t.n_edges))
+    assert first.t == 0
+    assert first.cost == cost_EN(g, R, hp)
+    assert first.split_cond == split_preconditioned_cond(R, sym_eig(laplacian(g)).U)
+    assert first.grad_norm == np.linalg.norm(grad_EN_wrt_w(g, R, hp))
 
 
 def assert_bitwise_equal(got, want):
