@@ -10,8 +10,13 @@ lms_step and tdlms_step are the single-step API.  system_id_experiment
 runs the same recursion in its exact block form (Benesty and Duhamel, "A
 fast exact least mean square adaptive algorithm", IEEE TSP 1992): within a
 block of B steps the a-priori errors solve one unit lower-triangular
-system, so only one n x n affine weight map per block stays sequential.
-Its results match the per-step recursion to rounding, not bit for bit.
+system, and each block maps the weights it starts from to the weights it
+ends at by one n x n affine map.  A parallel prefix scan over those maps
+(Blelloch, "Prefix sums and their applications", 1990) gives every
+block's start weights from log2(K) levels of batched products, so no
+Python loop runs over the steps or the blocks of a chunk.  The scan
+groups the products differently from the step-by-step recursion, so its
+results match that recursion to rounding, not bit for bit.
 
 Each piece of work is done once.  The decay matrices of the power
 estimate, whose entries depend only on a lag, are built once for a full
@@ -20,7 +25,7 @@ excitation of a run (tap-delay windows and desired signal) is kept for the
 next call with the same plant, signal, noise level, length and seed, so
 plain, DCT and learned filters compared on one plant build it once.  Both
 are the same IEEE operations on the same operands as building them per
-chunk and per call, so every trace is bitwise what it was.
+chunk and per call, so a warm call's trace is bitwise a cold call's.
 """
 
 from __future__ import annotations
@@ -43,9 +48,12 @@ from .matgen import SignalSpec
 from .spectral import _check_orthonormal
 
 # steps per block system, and steps per chunk, which bounds the transient
-# arrays; 16-step blocks ran as fast as 32 and faster than 8
+# arrays; 16-step blocks ran as fast as 32 and faster than 8.  The scan costs
+# per chunk, not per block: over 30 runs of 20 000 steps at 16 taps (one BLAS
+# thread, 2 shared vCPUs), 64-block chunks ran as fast as 48 and faster than
+# 32, 96 and 128, and 128 took 2 MB more peak memory
 _BLOCK = 16
-_CHUNK = 32 * _BLOCK
+_CHUNK = 64 * _BLOCK
 # transform-domain power estimate: exponential window and floor
 _GAMMA = 0.99
 _DELTA = 1e-6
@@ -165,14 +173,38 @@ def _gain_blocks(
     return cfg.step * V / (P + _DELTA), P[-1, -1]
 
 
+def _scan(F: np.ndarray, c: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start weights (K, n) of K blocks whose maps are w -> F[b] w + c[b], and the final weights.
+
+    A parallel prefix over affine maps (Blelloch 1990): compose each pair of
+    adjacent maps in one batched product, F' = F[2m+1] F[2m] and
+    c' = F[2m+1] c[2m] + c[2m+1], recurse on the pairs for the even blocks'
+    starts, fill in the odd blocks' with one batched application of the
+    even maps, and carry an odd last block directly.  log2(K) levels of a
+    few numpy calls; one block is the sequential step itself.
+    """
+    K = len(F)
+    if K == 1:
+        return w[None], F[0] @ w + c[0]
+    Fe, Fo, ce, co = F[0:K - 1:2], F[1::2], c[0:K - 1:2], c[1::2]
+    W_even, w_end = _scan(Fo @ Fe, (Fo @ ce[..., None])[..., 0] + co, w)
+    W0 = np.empty((K, len(w)))
+    W0[0:K - 1:2] = W_even
+    W0[1::2] = (Fe @ W_even[..., None])[..., 0] + ce
+    if K % 2:
+        W0[-1] = w_end
+        w_end = F[-1] @ w_end + c[-1]
+    return W0, w_end
+
+
 def _block_lms(V: np.ndarray, d: np.ndarray, Z: np.ndarray, w: np.ndarray):
     """Run e_k = d_k - w.v_k, w += e_k z_k over (K, B) blocks without a per-step loop.
 
     Inside a block that starts at w0 the a-priori errors solve the unit
     lower-triangular system (I + tril(V Z^T, -1)) e = d - V w0.  One forward
     substitution for the right-hand sides [d | V], batched over the blocks,
-    gives e = a - M w0, and the block ends at (I - Z^T M) w0 + Z^T a.  Only
-    that n x n affine map is applied block after block.  Returns the errors
+    gives e = a - M w0, and the block ends at (I - Z^T M) w0 + Z^T a.  _scan
+    chains those n x n affine maps into every block's w0.  Returns the errors
     (K, B), the weights after every step (K, B, n) and the final weights.
     """
     B, n = V.shape[1:]
@@ -183,11 +215,7 @@ def _block_lms(V: np.ndarray, d: np.ndarray, Z: np.ndarray, w: np.ndarray):
     a, M = sol[..., 0], sol[..., 1:]
     F = np.eye(n) - Z.transpose(0, 2, 1) @ M
     c = (a[:, None, :] @ Z)[:, 0]
-    W0 = []
-    for Fb, cb in zip(F, c):
-        W0.append(w)
-        w = Fb @ w + cb
-    W0 = np.array(W0)
+    W0, w = _scan(F, c, w)
     e = a - (M @ W0[..., None])[..., 0]
     W = W0[:, None, :] + (_TRI * e[:, None, :]) @ Z
     return e, W, w
@@ -256,10 +284,12 @@ def system_id_experiment(
     arrays the first call built, so its trace is bitwise a cold call's.
 
     The filter is the recursion of lms_step / tdlms_step in its exact block
-    form (_gain_blocks, _block_lms), run chunk by chunk with the weights and
-    the power estimate carried across.  Results match the per-step
+    form (_gain_blocks, _block_lms, _scan), run chunk by chunk with the
+    weights and the power estimate carried across.  Results match the per-step
     recursion to rounding, not bit for bit.
     """
+    if not isinstance(input_spec, SignalSpec):
+        raise InvalidInputError(f"input_spec must be a SignalSpec, not {type(input_spec).__name__}")
     plant = _real_array("plant", plant)
     if plant.shape != (cfg.taps,):
         raise InvalidDimensionError(f"plant length {plant.shape} does not match taps={cfg.taps}")

@@ -58,12 +58,48 @@ def sysid_loop(plant, input_spec, noise_db, cfg, run_len, seed):
     return MseTrace(e2=e2, misalignment=mis)
 
 
+def scan_loop(F, c, w):
+    """Reference: every block's start weights by applying w -> F[b] w + c[b] block after block."""
+    W0 = []
+    for Fb, cb in zip(F, c):
+        W0.append(w)
+        w = Fb @ w + cb
+    return np.array(W0), w
+
+
+def scan_reference(F, c, w):
+    """Reference: the prefix scan of the block maps, written out level by level.
+
+    Each level composes adjacent pairs of maps; walking back down, the even
+    blocks take the pairs' start weights and the odd blocks apply the even
+    maps to them, and an odd last block is carried directly.
+    """
+    levels = []
+    while len(F) > 1:
+        K = len(F)
+        Fe, Fo, ce, co = F[0:K - 1:2], F[1::2], c[0:K - 1:2], c[1::2]
+        levels.append((F, c))
+        F, c = Fo @ Fe, (Fo @ ce[..., None])[..., 0] + co
+    W0, w = w[None], F[0] @ w + c[0]
+    for F, c in reversed(levels):
+        K = len(F)
+        starts = np.empty((K, len(w)))
+        starts[0:K - 1:2] = W0
+        starts[1::2] = (F[0:K - 1:2] @ W0[..., None])[..., 0] + c[0:K - 1:2]
+        if K % 2:
+            starts[-1] = w
+            w = F[-1] @ w + c[-1]
+        W0 = starts
+    return W0, w
+
+
 def system_id_reference(plant, input_spec, noise_db, cfg, run_len, seed):
     """Reference: the block form with no memo and every constant built where it is used.
 
     The excitation is built per call; the decay matrices, I and the lower
-    triangle are built per chunk, and every chunk is padded to whole blocks.
-    system_id_experiment must match it bit for bit.
+    triangle are built per chunk, every chunk is padded to whole blocks, and
+    the block maps are chained by scan_reference.  system_id_experiment must
+    match it bit for bit.
     """
     n, B, gamma = cfg.taps, tdlms._BLOCK, tdlms._GAMMA
     windows, d = excitation(plant, input_spec, noise_db, run_len, seed)
@@ -98,11 +134,7 @@ def system_id_reference(plant, input_spec, noise_db, cfg, run_len, seed):
         a, M = sol[..., 0], sol[..., 1:]
         F = np.eye(n) - Z.transpose(0, 2, 1) @ M
         c = (a[:, None, :] @ Z)[:, 0]
-        W0 = []
-        for Fb, cb in zip(F, c):
-            W0.append(w)
-            w = Fb @ w + cb
-        W0 = np.array(W0)
+        W0, w = scan_reference(F, c, w)
         ec = a - (M @ W0[..., None])[..., 0]
         W = (W0[:, None, :] + (np.tri(B) * ec[:, None, :]) @ Z).reshape(-1, n)[:m]
         diff = (W if U is None else W @ U.T) - plant
@@ -417,7 +449,8 @@ def learned_transform():
     }
 
 
-RUN_LENS = [1, tdlms._BLOCK - 1, tdlms._BLOCK + 1, tdlms._CHUNK + 1, 2000]
+# half a chunk plus a step is an odd block count, which the scan carries past its pairs
+RUN_LENS = [1, tdlms._BLOCK - 1, tdlms._BLOCK + 1, tdlms._CHUNK // 2 + 1, tdlms._CHUNK + 1, 2000]
 FILTERS = [
     (transform, taps)
     for transform in ("plain", "dct", "precog")
@@ -534,4 +567,24 @@ def test_input_checks_run_before_the_memo():
         with pytest.raises((InvalidDimensionError, InvalidInputError)):
             system_id_experiment(args[0], SignalSpec("white"), 30.0, plain_cfg(taps=4),
                                  args[1], args[2])
+    # a string reached the memo's generate call, a dict its hash
+    for spec in ("ar1", {"kind": "ar1", "rho": 0.9}):
+        with pytest.raises(InvalidInputError, match="input_spec must be a SignalSpec"):
+            system_id_experiment(plant, spec, 30.0, plain_cfg(taps=4), 100, 0)
     assert tdlms._excitation.cache_info() == before
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 7, 63, 64, 65])
+def test_scan_matches_the_block_loop(K):
+    rng = np.random.default_rng(K)
+    n = 6
+    F = np.eye(n) + 0.05 * rng.standard_normal((K, n, n))
+    c = rng.standard_normal((K, n))
+    w = rng.standard_normal(n)
+    W0, w_end = tdlms._scan(F, c, w)
+    want_W0, want_end = scan_loop(F, c, w)
+    assert W0.shape == (K, n)
+    np.testing.assert_allclose(W0, want_W0, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(w_end, want_end, rtol=1e-12, atol=0)
+    if K == 1:  # one block is the sequential step itself
+        assert W0.tobytes() == want_W0.tobytes() and w_end.tobytes() == want_end.tobytes()
