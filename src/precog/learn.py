@@ -22,6 +22,16 @@ read only the cost and the gradient; split_cond feeds only the history and
 the best U, the unitarity error only max_unitarity_error.  So optimize
 scores a window of iterates at once, and its docstring shows why every
 output stays bitwise unchanged.
+
+optimize also descends on the column signs eigh returns, and makes the
+canonical sign only on the U it returns.  Let U' = U Sigma, Sigma diagonal
++-1.  Then G' = Sigma G Sigma, D' = D, F' = Sigma F Sigma,
+R U' F' = (R U F) Sigma and W' = Sigma W Sigma, so the band cost, S and with
+it the edge gradient, and ||U'^T U' - I|| keep their bits: each entry of each
+product is its old value times one sign that all of its terms share, and
+IEEE rounding is odd-symmetric.  The score scales G' to unit diagonal,
+which is Sigma times G's scaled matrix times Sigma, and eigvalsh gives that
+the same bits; tests/test_spectral.py and tests/test_learn.py pin each step.
 """
 
 from __future__ import annotations
@@ -49,6 +59,7 @@ from .spectral import (
     _spd_spectrum,
     _split_conds,
     _square_pair,
+    canonical_sign,
     sym_eig,
 )
 
@@ -109,7 +120,8 @@ class PrecogResult:
     """Outcome of one optimization run.
 
     U is the iterate with the best recorded split-preconditioned condition
-    number (the loop is nonconvex and can wander after a good basin).
+    number (the loop is nonconvex and can wander after a good basin), under
+    the canonical sign of precog.spectral.
     """
 
     U: np.ndarray
@@ -286,6 +298,12 @@ def optimize(R: np.ndarray, t: Topology, hp: HyperParams) -> PrecogResult:
     public-function loop in tests/test_learn.py.  Before an error leaves,
     the held iterates are scored, so the earliest failure raises.
 
+    The loop runs on _eig's pair, with eigh's own column signs, and the
+    window holds those U's: no record, stop or update reads a column's sign
+    (module docstring).  Only the returned U gets canonical_sign, once per
+    call, so result.U is bitwise what the public-function loop, which fixes
+    every iterate's signs, returns.
+
     L is exactly symmetric by construction, and w @ w (which the cost needs
     anyway) is finite only when w and L's diagonal are, so the diagonal is
     checked only when it is not.  The degeneracy test runs once per
@@ -349,5 +367,5 @@ def optimize(R: np.ndarray, t: Topology, hp: HyperParams) -> PrecogResult:
 
     if scores.best_U is None:
         raise DegenerateSpectrumError("no non-degenerate iterate was reached")
-    return PrecogResult(U=scores.best_U, history=scores.history, reason=reason,
+    return PrecogResult(U=canonical_sign(scores.best_U), history=scores.history, reason=reason,
                         max_unitarity_error=scores.max_unitarity)

@@ -1,10 +1,13 @@
 """Deterministic symmetric eigendecomposition and condition-number tools.
 
-The eigenvector convention is fixed project-wide: eigenvalues ascending,
-and in each column the entry of largest absolute value is made positive
-(first such index on exact magnitude ties).  The convention makes repeated
+The eigenvector convention: eigenvalues ascending, and in each column the
+entry of largest absolute value is made positive (first such index on
+exact magnitude ties).  It holds for sym_eig, for canonical_sign and for
+every transform the project returns.  The convention makes repeated
 decompositions bit-identical and gives finite-difference oracles a locally
-continuous eigenvector selection away from degeneracies.
+continuous eigenvector selection away from degeneracies.  The private _eig
+keeps the column signs LAPACK's eigh returns: optimize descends on those,
+as nothing it computes reads a column's sign (see precog.learn).
 
 Matrix arguments are checked by _check_square; every split score ends in _split_cond.
 """
@@ -88,13 +91,15 @@ def _column_signs(U: np.ndarray) -> np.ndarray:
 
 def sym_eig(M: np.ndarray) -> SpectralPair:
     """Eigendecomposition of a symmetric matrix under the canonical convention."""
-    return _eig(_check_symmetric(M))
+    sp = _eig(_check_symmetric(M))
+    U = sp.U
+    U *= _column_signs(U)  # in place: x * -1.0 is bitwise -x
+    return sp
 
 
 def _eig(M: np.ndarray) -> SpectralPair:
-    # sym_eig without the input check, for matrices symmetric by construction
+    # eigh's pair with LAPACK's own column signs, for matrices symmetric by construction
     gamma, U = np.linalg.eigh(M)
-    U *= _column_signs(U)  # in place: x * -1.0 is bitwise -x
     return SpectralPair(U=U, gamma=gamma)
 
 

@@ -290,6 +290,8 @@ def system_id_experiment(
     """
     if not isinstance(input_spec, SignalSpec):
         raise InvalidInputError(f"input_spec must be a SignalSpec, not {type(input_spec).__name__}")
+    if not isinstance(cfg, FilterConfig):
+        raise InvalidInputError(f"cfg must be a FilterConfig, not {type(cfg).__name__}")
     plant = _real_array("plant", plant)
     if plant.shape != (cfg.taps,):
         raise InvalidDimensionError(f"plant length {plant.shape} does not match taps={cfg.taps}")

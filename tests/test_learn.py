@@ -40,6 +40,8 @@ from precog.learn import (
 )
 from precog.matgen import ar1_autocorr, hilbert, random_pd
 from precog.spectral import (
+    SpectralPair,
+    canonical_sign,
     cond_spd,
     orthonormality_error,
     power_normalize,
@@ -585,7 +587,7 @@ def test_optimize_bitwise_equals_public_function_loop(R, make, hp, reason):
     want = optimize_reference(R, t, hp)
     assert got.reason == want.reason == reason
     assert got.history == want.history
-    assert got.U.tobytes() == want.U.tobytes()
+    assert got.U.tobytes() == want.U.tobytes() == canonical_sign(got.U).tobytes()
     assert got.max_unitarity_error == want.max_unitarity_error
 
 
@@ -599,6 +601,28 @@ def test_first_record_equals_the_public_functions(R, make, hp, reason):
     assert first.cost == cost_EN(g, R, hp)
     assert first.split_cond == split_preconditioned_cond(R, sym_eig(laplacian(g)).U)
     assert first.grad_norm == np.linalg.norm(grad_EN_wrt_w(g, R, hp))
+
+
+@pytest.mark.parametrize("n", [6, 12, 33])
+@pytest.mark.parametrize("make", [banded2, full_topology], ids=["banded2", "full"])
+def test_band_and_edge_trace_do_not_see_column_signs(rng, n, make):
+    """U and U Sigma (Sigma diagonal +-1) give _band and _edge_trace the same bits.
+
+    G and F come back as Sigma G Sigma and Sigma F Sigma, so neither the
+    cost nor the edge gradient depends on the column signs eigh returns.
+    """
+    t, R = make(n), rand_spd(n, rng)
+    raw = learn._eig(laplacian(WeightedGraph(t, nondegenerate_weights(t, rng))))
+    s = rng.choice([-1.0, 1.0], size=n)
+    out = []
+    for sp in (raw, SpectralPair(U=raw.U * s, gamma=raw.gamma)):
+        G, cost, F = learn._band(R, sp.U, np.zeros((n, n)), 0.1, 0.2)
+        out.append((G, cost, F, _edge_trace(t, sp, R @ sp.U @ F)))
+    (G, cost, F, grad), (G2, cost2, F2, grad2) = out
+    assert G2.tobytes() == (G * np.outer(s, s)).tobytes()
+    assert F2.tobytes() == (F * np.outer(s, s)).tobytes()
+    assert cost2 == cost
+    assert grad2.tobytes() == grad.tobytes()
 
 
 def assert_bitwise_equal(got, want):
@@ -710,11 +734,20 @@ def test_divergence_after_a_partly_filled_window(monkeypatch, k):
     assert [str(e) for e in errors] == ["non-finite cost or gradient at iteration 47"] * 2
 
 
+def sign_free_bytes(S: np.ndarray) -> bytes:
+    """Bytes of |S|: the same for S and for every Sigma S Sigma, Sigma diagonal +-1.
+
+    optimize scores the eigenvectors eigh returns and the reference loop their
+    canonical signs, so the two hand eigvalsh such a pair of matrices.
+    """
+    return np.abs(S).tobytes()
+
+
 def normalized_matrix_at(iteration, monkeypatch, run, *args) -> bytes:
-    """Bytes of the matrix the score passes to eigvalsh at a (non-jitter) iteration."""
+    """sign_free_bytes of the matrix the score passes to eigvalsh at a (non-jitter) iteration."""
     seen, real = [], np.linalg.eigvalsh
     with monkeypatch.context() as m:
-        m.setattr(np.linalg, "eigvalsh", lambda a: seen.append(a.tobytes()) or real(a))
+        m.setattr(np.linalg, "eigvalsh", lambda a: seen.append(sign_free_bytes(a)) or real(a))
         try:
             run(*args)
         except DivergenceError:
@@ -738,7 +771,7 @@ def test_score_failure_outranks_a_later_error(monkeypatch, k, fail_at, later):
     real = np.linalg.eigvalsh
 
     def failing_eigvalsh(a):
-        if any(m.tobytes() == poison for m in a.reshape(-1, *a.shape[-2:])):
+        if any(sign_free_bytes(m) == poison for m in a.reshape(-1, *a.shape[-2:])):
             raise np.linalg.LinAlgError(f"injected at iteration {fail_at}")
         return real(a)
 

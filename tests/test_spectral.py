@@ -19,6 +19,7 @@ from precog.matgen import ar1_autocorr
 from precog.spectral import (
     SYMMETRY_TOL,
     _column_signs,
+    _eig,
     _orthonormality_errors,
     _split_cond,
     _split_conds,
@@ -369,3 +370,40 @@ def test_stacked_orthonormality_errors_are_the_frobenius_norms(rng, n):
     want = [float(np.linalg.norm(U.T @ U - np.eye(n))) for U in Us]
     assert _orthonormality_errors(np.stack(Us)).tolist() == want
     assert [_orthonormality_errors(U[None]).item() for U in Us] == want
+
+
+class TestColumnSignInvariance:
+    """Bits a column-sign flip U -> U Sigma (Sigma diagonal +-1) leaves unchanged.
+
+    optimize descends and scores on the column signs eigh returns and makes
+    the canonical sign only on the U it returns; these bits are why that
+    changes no output.
+    """
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 33, 64, 128])
+    def test_split_cond_of_the_flipped_congruence(self, rng, n):
+        R, U = rand_spd(n, rng), rand_orthonormal(n, rng)
+        s = rng.choice([-1.0, 1.0], size=n)
+        G = U.T @ R @ U
+        flipped = (U * s).T @ R @ (U * s)
+        assert flipped.tobytes() == (G * np.outer(s, s)).tobytes()  # Sigma G Sigma
+        assert _split_cond(flipped) == _split_cond(G)
+        want = float(_split_cond(G))
+        assert _split_conds([flipped, G]) == _split_conds([G, flipped]) == [want, want]
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 33, 64, 128])
+    def test_orthonormality_error_of_the_flipped_u(self, rng, n):
+        U = rand_orthonormal(n, rng) + 1e-9 * rng.standard_normal((n, n))
+        flipped = U * rng.choice([-1.0, 1.0], size=n)
+        assert _orthonormality_errors(np.stack([U, flipped])).tolist() == [
+            orthonormality_error(U)] * 2
+
+    @pytest.mark.parametrize("n", [2, 10, 33])
+    def test_sym_eig_is_canonical_and_eig_is_lapacks(self, rng, n):
+        M = rand_spd(n, rng)
+        raw = _eig(M)
+        gamma, U = np.linalg.eigh(M)
+        assert raw.U.tobytes() == U.tobytes() and raw.gamma.tobytes() == gamma.tobytes()
+        sp = sym_eig(M)
+        assert sp.U.tobytes() == canonical_sign(sp.U).tobytes() == canonical_sign(U).tobytes()
+        assert sp.gamma.tobytes() == gamma.tobytes()

@@ -571,6 +571,10 @@ def test_input_checks_run_before_the_memo():
     for spec in ("ar1", {"kind": "ar1", "rho": 0.9}):
         with pytest.raises(InvalidInputError, match="input_spec must be a SignalSpec"):
             system_id_experiment(plant, spec, 30.0, plain_cfg(taps=4), 100, 0)
+    # checked before cfg.taps is read
+    for cfg, name in ((None, "NoneType"), ({"taps": 4, "step": 0.1}, "dict")):
+        with pytest.raises(InvalidInputError, match=f"cfg must be a FilterConfig, not {name}"):
+            system_id_experiment(plant, SignalSpec("white"), 30.0, cfg, 100, 0)
     assert tdlms._excitation.cache_info() == before
 
 
