@@ -12,10 +12,10 @@ theory needs a simple spectrum; is_degenerate is the one test for that.
 cost_E deliberately accepts any square U, orthonormal or not: the ambient
 gradient is certified by finite differences over raw matrix entries, which
 steps off the orthonormal manifold.  The score, cost_E and dE/dU all read
-G = U^T R U, and _band is the one place that forms it: it writes G's
-diagonal part D into a buffer of the caller's and returns G, the band cost
-and the F of dE/dU = R U F, F = 8G - 4(2 - eps1^2 - eps2^2) D.  optimize
-calls it once per iteration and hands its G to the score.
+G = U^T R U, and _band(R, U, eps1, eps2) is the one place that forms it:
+it returns G, the band cost and the F of dE/dU = R U F,
+F = 8G - 4(2 - eps1^2 - eps2^2) D, D G's diagonal part.  optimize calls it
+once per iteration and hands its G to the score.
 
 optimize scores off the descent path.  The weight update and the stops
 read only the cost and the gradient; split_cond feeds only the history and
@@ -81,9 +81,9 @@ class HyperParams:
 
     mu is the gradient step (must sit in (0, 1)); beta both regularizes
     w^T w and enters the update as the (1 - 2 beta) shrink factor; eps1 and
-    eps2 set the eigenvalue band [1 - eps2, 1 + eps1], so eps2 < 1 keeps
-    the lower edge positive.  gradient_mode names the one gradient route
-    and is reported in bench output.
+    eps2 weight the diagonal term of the band cost and act only through
+    eps1^2 + eps2^2 (see cost_E), with eps2 checked below 1.  gradient_mode
+    names the one gradient route and is reported in bench output.
     """
 
     mu: float = 0.05
@@ -135,27 +135,32 @@ class PrecogResult:
 
 
 def cost_E(R: np.ndarray, U: np.ndarray, eps1: float, eps2: float) -> float:
-    """Two-sided band cost ||G - s+ D||_F^2 + ||G - s- D||_F^2.
+    """Band cost ||G - (1 + eps1) D||_F^2 + ||G - (1 - eps2) D||_F^2.
 
-    G = U^T R U, D its diagonal part, s+ = 1 + eps1, s- = 1 - eps2.
+    G = U^T R U, D its diagonal part.  That is 2 ||G - D||_F^2 + (eps1^2 +
+    eps2^2) ||D||_F^2: eps1 and eps2 set no eigenvalue band, and swapping them
+    keeps every bit.
     """
     R, U = _square_pair(R, U)
-    return _band(R, U, np.zeros_like(R), eps1, eps2)[1]
+    return _band(R, U, eps1, eps2)[1]
 
 
-def _band(R, U, D: np.ndarray, eps1: float, eps2: float) -> tuple[np.ndarray, float, np.ndarray]:
-    # G = U^T R U, with G's diagonal written into D, a caller's buffer that is zero off the
-    # diagonal; cost_E at G; and F = 8G - 4(2 - eps1^2 - eps2^2) D of dE/dU = R U F, which is
-    # 4 R U (2G - (2 - eps1^2 - eps2^2) D) bit for bit, as scaling by 4 is exact.  d stays G's
-    # strided diagonal view: a contiguous copy takes another BLAS dot path and rounds differently
+def _band(R, U, eps1: float, eps2: float) -> tuple[np.ndarray, float, np.ndarray]:
+    # G = U^T R U; cost_E at G; and F = 8G - 4(2 - eps1^2 - eps2^2) D of dE/dU = R U F, which
+    # is 4 R U (2G - (2 - eps1^2 - eps2^2) D) bit for bit, as scaling by 4 is exact.  d stays
+    # G's strided diagonal view: a contiguous copy takes another BLAS dot path and rounds
+    # differently.  .flat reaches the diagonal in any memory order
     G = U.T @ R @ U
+    n = G.shape[0]
     d = G.diagonal()
-    D.flat[:: d.shape[0] + 1] = d  # .flat reaches the diagonal in any memory order
-    off = G - D
+    off = G.copy()
+    off.flat[:: n + 1] = 0.0
     off2 = float((off * off).sum())
     d2 = float(d @ d)
     cost = (off2 + eps1 * eps1 * d2) + (off2 + eps2 * eps2 * d2)
-    return G, cost, 8.0 * G - 4.0 * (2.0 - eps1 * eps1 - eps2 * eps2) * D
+    F = 8.0 * G
+    F.flat[:: n + 1] -= 4.0 * (2.0 - eps1 * eps1 - eps2 * eps2) * d
+    return G, cost, F
 
 
 def cost_EN(g: WeightedGraph, R: np.ndarray, hp: HyperParams) -> float:
@@ -173,14 +178,14 @@ def grad_E_wrt_U(
 ) -> np.ndarray:
     """Gradient of cost_E with respect to U: R U F, F = 8G - 4(2 - eps1^2 - eps2^2) D.
 
-    G = U^T R U and D its diagonal part, both formed by _band, which returns
-    F; certified against central finite differences of cost_E.  formula
-    accepts only "canonical".
+    G = U^T R U and D its diagonal part; _band forms G and returns F.
+    Certified against central finite differences of cost_E; formula accepts
+    only "canonical".
     """
     R, U = _square_pair(R, U)
     if formula != "canonical":
         raise InvalidInputError(f"unknown formula {formula!r}")
-    return R @ U @ _band(R, U, np.zeros_like(R), eps1, eps2)[2]
+    return R @ U @ _band(R, U, eps1, eps2)[2]
 
 
 def dL_du(sp: SpectralPair, k: int, l: int) -> np.ndarray:
@@ -202,13 +207,10 @@ def dL_du(sp: SpectralPair, k: int, l: int) -> np.ndarray:
 
 def _inverse_gaps(gamma: np.ndarray) -> np.ndarray:
     # entry (b, a) = 1 / (gamma_a - gamma_b), zero on the diagonal, divided in place
-    # .ravel()[::step] is np.fill_diagonal without its argument checks
+    # .ravel()[::step] is np.fill_diagonal without its argument checks; 1 / inf is +0.0
     inv = gamma - gamma[:, None]
-    diagonal = inv.ravel()[:: gamma.shape[0] + 1]
-    diagonal[...] = 1.0  # keeps 1 / 0 off the diagonal
-    np.divide(1.0, inv, out=inv)
-    diagonal[...] = 0.0
-    return inv
+    inv.ravel()[:: gamma.shape[0] + 1] = np.inf
+    return np.divide(1.0, inv, out=inv)
 
 
 def _edge_trace(t: Topology, sp: SpectralPair, GE: np.ndarray) -> np.ndarray:
@@ -317,9 +319,7 @@ def optimize(R: np.ndarray, t: Topology, hp: HyperParams) -> PrecogResult:
     w = rng.standard_normal(t.n_edges)
     shrink = 1.0 - 2.0 * hp.beta
     scores = _ScoreWindow(max(1, SCORE_WINDOW_BYTES // (16 * t.n * t.n)))
-    # G's diagonal part, rewritten by _band; a D built per call cost restarts-full 4.2% of iters/s
-    D = np.zeros((t.n, t.n))
-    prev_cost: float | None = None
+    prev_cost = math.inf
     consecutive_jitters = 0
     reason = "max_iter"
 
@@ -343,7 +343,7 @@ def optimize(R: np.ndarray, t: Topology, hp: HyperParams) -> PrecogResult:
                 continue
             consecutive_jitters = 0
 
-            G, cost, F = _band(R, sp.U, D, hp.eps1, hp.eps2)  # G is shared with the score
+            G, cost, F = _band(R, sp.U, hp.eps1, hp.eps2)  # G is shared with the score
             cost += hp.beta * (ww - 1.0)
             grad_core = _edge_trace(t, sp, R @ sp.U @ F)
             grad_full = grad_core + 2.0 * hp.beta * w
@@ -356,7 +356,7 @@ def optimize(R: np.ndarray, t: Topology, hp: HyperParams) -> PrecogResult:
             ):
                 raise DivergenceError(f"non-finite cost or gradient at iteration {it}")
 
-            if prev_cost is not None and abs(cost - prev_cost) < hp.tol:
+            if abs(cost - prev_cost) < hp.tol:  # never true at prev_cost = inf
                 reason = "tol"
                 break
             prev_cost = cost

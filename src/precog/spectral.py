@@ -142,19 +142,19 @@ def _unit_diagonal(M: np.ndarray, delta: np.ndarray) -> np.ndarray:
     if (delta <= 0.0).any():
         i = np.argmin(delta)  # flat: a stack that fails is rescored one matrix at a time
         raise NormalizationDomainError(f"diagonal entry {i} is {delta.flat[i]:g}, must be positive")
-    inv_sqrt = 1.0 / np.sqrt(delta)
-    # the outer product by hand, because np.outer does not take stacks
-    return M * (inv_sqrt[..., :, None] * inv_sqrt[..., None, :])
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports an overflow
+        inv_sqrt = 1.0 / np.sqrt(delta)
+        # the outer product by hand, because np.outer does not take stacks
+        S = M * (inv_sqrt[..., :, None] * inv_sqrt[..., None, :])
+    if not np.isfinite(S).all():
+        raise InvalidInputError("matrix has non-finite entries")
+    return S
 
 
 def _split_cond(G: np.ndarray) -> np.float64 | np.ndarray:
     # the one score: lambda_max / lambda_min of a checked G (or each G of a stack), real or the
-    # DFT's Hermitian F^H R F, at unit diagonal; S is not rechecked, as it amplifies G's rounding
-    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports an overflow
-        S = _unit_diagonal(G, np.real(G.diagonal(axis1=-2, axis2=-1)))
-    if not np.isfinite(S).all():
-        raise InvalidInputError("matrix has non-finite entries")
-    ev = _spd_spectrum(S)
+    # DFT's Hermitian F^H R F, at unit diagonal, not rechecked: the scaling amplifies G's rounding
+    ev = _spd_spectrum(_unit_diagonal(G, np.real(G.diagonal(axis1=-2, axis2=-1))))
     return ev[..., -1] / ev[..., 0]
 
 

@@ -220,6 +220,16 @@ class TestCostE:
         with pytest.raises(InvalidDimensionError):
             cost_E(np.eye(3), np.eye(4), 0.1, 0.1)
 
+    @pytest.mark.parametrize("a, b", [(0.1, 0.3), (0.0, 0.7), (1.2, 0.9)])
+    def test_eps1_and_eps2_act_only_through_their_squares_sum(self, rng, a, b):
+        # the cost is 2 ||G - D||^2 + (eps1^2 + eps2^2) ||D||^2, so swapping eps1 and eps2
+        # keeps its bits; F's 2 - eps1^2 - eps2^2 rounds in the other order, so dE/dU is close
+        for U in (rand_orthonormal(7, rng), rng.standard_normal((7, 7))):
+            R = rand_spd(7, rng)
+            assert cost_E(R, U, a, b) == cost_E(R, U, b, a)
+            np.testing.assert_allclose(grad_E_wrt_U(R, U, b, a), grad_E_wrt_U(R, U, a, b),
+                                       rtol=1e-14, atol=0.0)
+
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=30)
     def test_invariant_under_signed_permutations(self, seed):
@@ -295,7 +305,7 @@ class TestGradU:
     @pytest.mark.parametrize("eps1, eps2", [(0.1, 0.1), (1.2, 0.9)])
     def test_keeps_the_bits_of_the_written_out_formulas(self, R, eps1, eps2):
         # _band's F = 8G - 4 coef D carries dE/dU's factor 4, and scaling by 4 is exact;
-        # _band writes G's diagonal into a D laid out like R, which may be column-major
+        # R may be column-major, and .flat reaches G's diagonal in any memory order
         U = rand_orthonormal(8, np.random.default_rng(3))
         for R in (R, np.asfortranarray(R)):
             G = U.T @ R @ U
@@ -616,13 +626,70 @@ def test_band_and_edge_trace_do_not_see_column_signs(rng, n, make):
     s = rng.choice([-1.0, 1.0], size=n)
     out = []
     for sp in (raw, SpectralPair(U=raw.U * s, gamma=raw.gamma)):
-        G, cost, F = learn._band(R, sp.U, np.zeros((n, n)), 0.1, 0.2)
+        G, cost, F = learn._band(R, sp.U, 0.1, 0.2)
         out.append((G, cost, F, _edge_trace(t, sp, R @ sp.U @ F)))
     (G, cost, F, grad), (G2, cost2, F2, grad2) = out
     assert G2.tobytes() == (G * np.outer(s, s)).tobytes()
     assert F2.tobytes() == (F * np.outer(s, s)).tobytes()
     assert cost2 == cost
     assert grad2.tobytes() == grad.tobytes()
+
+
+def band_oracle(R, U, eps1, eps2):
+    """_band written out with D = diag(d): the cost from G - D, and F = 8G - kD."""
+    G = U.T @ R @ U
+    d = G.diagonal()
+    D = np.diag(d)
+    off = G - D
+    off2 = float((off * off).sum())
+    d2 = float(d @ d)
+    cost = (off2 + eps1 * eps1 * d2) + (off2 + eps2 * eps2 * d2)
+    return G, cost, 8.0 * G - 4.0 * (2.0 - eps1 * eps1 - eps2 * eps2) * D
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 64, 128])
+@pytest.mark.parametrize("kind", ["orthonormal", "raw"])
+@pytest.mark.parametrize("eps1, eps2", [(0.1, 0.1), (0.1, 0.2), (0.0, 0.0), (1.0, 0.99)])
+def test_band_keeps_the_bits_of_the_diagonal_matrix_expressions(n, kind, eps1, eps2):
+    # k = 4 (2 - eps1^2 - eps2^2) >= 0: every entry of G, the cost and F is bitwise the
+    # oracle's, in C and in Fortran order of R
+    rng = np.random.default_rng(n)
+    U = rand_orthonormal(n, rng) if kind == "orthonormal" else rng.standard_normal((n, n))
+    R = rand_spd(n, rng)
+    for R in (R, np.asfortranarray(R)):
+        G, cost, F = learn._band(R, U, eps1, eps2)
+        G0, cost0, F0 = band_oracle(R, U, eps1, eps2)
+        assert G.tobytes() == G0.tobytes()
+        assert cost == cost0
+        assert F.tobytes() == F0.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 64, 128])
+@pytest.mark.parametrize("kind", ["orthonormal", "raw"])
+def test_band_with_a_negative_diagonal_coefficient(n, kind):
+    # k < 0: 8G - k * 0 turns an off-diagonal -0.0 of 8G into +0.0, which _band leaves as it
+    # is, so F is equal, not bitwise; the cost and dE/dU = R U F keep their bits
+    rng = np.random.default_rng(n)
+    U = rand_orthonormal(n, rng) if kind == "orthonormal" else rng.standard_normal((n, n))
+    R = rand_spd(n, rng)
+    (_, cost, F), (_, cost0, F0) = learn._band(R, U, 1.2, 0.9), band_oracle(R, U, 1.2, 0.9)
+    assert cost == cost0
+    assert np.array_equal(F, F0)
+    assert (R @ U @ F).tobytes() == (R @ U @ F0).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 64, 128])
+def test_inverse_gaps_keep_the_bits_of_the_fill_diagonal_route(rng, n):
+    def oracle(gamma):
+        inv = gamma - gamma[:, None]
+        np.fill_diagonal(inv, 1.0)
+        inv = 1.0 / inv
+        np.fill_diagonal(inv, 0.0)
+        return inv
+
+    # a Laplacian's spectrum starts at 0, as the second does
+    for gamma in (np.sort(rng.standard_normal(n)), np.linspace(0.0, 4.0, n) ** 3):
+        assert learn._inverse_gaps(gamma).tobytes() == oracle(gamma).tobytes()
 
 
 def assert_bitwise_equal(got, want):

@@ -224,6 +224,17 @@ class TestPowerNormalize:
         with pytest.raises(NormalizationDomainError):
             power_normalize(np.diag([1.0, -2.0]))
 
+    @pytest.mark.filterwarnings("error")  # an overflow is an error, not a warning and inf
+    def test_overflowing_scaling_raises(self):
+        with pytest.raises(InvalidInputError, match="^matrix has non-finite entries$"):
+            power_normalize([[2e-310, 1e-310], [1e-310, 2e-310]])
+
+    @pytest.mark.filterwarnings("error")
+    def test_largest_finite_scale_is_scaled(self):
+        S = power_normalize([[1.7e308, 1e308], [1e308, 1.7e308]]).S
+        assert np.isfinite(S).all()
+        assert np.allclose(S, [[1.0, 1.0 / 1.7], [1.0 / 1.7, 1.0]], rtol=1e-15, atol=0.0)
+
     # the stack tests below score stacks of power-normalized congruences, which only
     # _split_cond and _split_conds take; power_normalize takes one matrix
 
