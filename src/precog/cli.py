@@ -150,8 +150,10 @@ def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
     hp = HyperParams()
     p.add_argument("--mu", type=float, default=hp.mu, help="gradient step size")
     p.add_argument("--beta", type=float, default=hp.beta, help="weight-norm regularizer")
-    p.add_argument("--eps1", type=float, default=hp.eps1, help="upper band half-width")
-    p.add_argument("--eps2", type=float, default=hp.eps2, help="lower band half-width")
+    p.add_argument("--eps1", type=float, default=hp.eps1,
+                   help="diagonal-term weight; acts only through eps1^2 + eps2^2")
+    p.add_argument("--eps2", type=float, default=hp.eps2,
+                   help="diagonal-term weight, below 1; acts only through eps1^2 + eps2^2")
     p.add_argument("--max-iter", type=int, default=hp.max_iter, help="iteration budget")
     p.add_argument("--tol", type=float, default=hp.tol, help="cost-change stop threshold")
     _add_topology_flags(p, "full")

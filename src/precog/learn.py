@@ -15,7 +15,8 @@ steps off the orthonormal manifold.  The score, cost_E and dE/dU all read
 G = U^T R U, and _band(R, U, eps1, eps2) is the one place that forms it:
 it returns G, the band cost and the F of dE/dU = R U F,
 F = 8G - 4(2 - eps1^2 - eps2^2) D, D G's diagonal part.  optimize calls it
-once per iteration and hands its G to the score.
+once per iteration and hands its G to the score.  The public cost and
+gradient functions return an overflow as inf or nan, with no numpy warning.
 
 optimize scores off the descent path.  The weight update and the stops
 read only the cost and the gradient; split_cond feeds only the history and
@@ -23,9 +24,9 @@ the best U, the unitarity error only max_unitarity_error.  So optimize
 scores a window of iterates at once, and its docstring shows why every
 output stays bitwise unchanged.
 
-optimize also descends on the column signs eigh returns, and makes the
-canonical sign only on the U it returns.  Let U' = U Sigma, Sigma diagonal
-+-1.  Then G' = Sigma G Sigma, D' = D, F' = Sigma F Sigma,
+optimize, cost_EN and grad_EN_wrt_w work on the column signs eigh returns;
+only the U optimize returns gets the canonical sign.  Let U' = U Sigma,
+Sigma diagonal +-1.  Then G' = Sigma G Sigma, D' = D, F' = Sigma F Sigma,
 R U' F' = (R U F) Sigma and W' = Sigma W Sigma, so the band cost, S and with
 it the edge gradient, and ||U'^T U' - I|| keep their bits: each entry of each
 product is its old value times one sign that all of its terms share, and
@@ -46,6 +47,7 @@ from .errors import (
     DivergenceError,
     InvalidDimensionError,
     InvalidInputError,
+    PrecogError,
     _check_count,
     _check_real,
     _check_seed,
@@ -54,13 +56,13 @@ from .graph import Topology, WeightedGraph, _laplacian, laplacian
 from .spectral import (
     SpectralPair,
     _eig,
+    _check_square,
     _check_symmetric,
     _orthonormality_errors,
     _spd_spectrum,
-    _split_conds,
+    _split_cond,
     _square_pair,
     canonical_sign,
-    sym_eig,
 )
 
 MAX_CONSECUTIVE_JITTERS = 5
@@ -134,6 +136,7 @@ class PrecogResult:
         return min(rec.split_cond for rec in self.history)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def cost_E(R: np.ndarray, U: np.ndarray, eps1: float, eps2: float) -> float:
     """Band cost ||G - (1 + eps1) D||_F^2 + ||G - (1 - eps2) D||_F^2.
 
@@ -163,12 +166,14 @@ def _band(R, U, eps1: float, eps2: float) -> tuple[np.ndarray, float, np.ndarray
     return G, cost, F
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def cost_EN(g: WeightedGraph, R: np.ndarray, hp: HyperParams) -> float:
     """cost_E at the Laplacian eigenbasis of g, plus beta (w^T w - 1)."""
-    sp = sym_eig(laplacian(g))
+    sp = _eig(_check_square(laplacian(g)))
     return cost_E(R, sp.U, hp.eps1, hp.eps2) + hp.beta * (float(g.w @ g.w) - 1.0)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def grad_E_wrt_U(
     R: np.ndarray,
     U: np.ndarray,
@@ -226,9 +231,10 @@ def _edge_trace(t: Topology, sp: SpectralPair, GE: np.ndarray) -> np.ndarray:
     return S[0] + S[1] - S[2] - S[3]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def grad_EN_wrt_w(g: WeightedGraph, R: np.ndarray, hp: HyperParams) -> np.ndarray:
     """Gradient of cost_EN over the edge weights: trace term plus 2 beta w."""
-    sp = sym_eig(laplacian(g))
+    sp = _eig(_check_square(laplacian(g)))
     if is_degenerate(sp.gamma):
         raise DegenerateSpectrumError(f"minimum eigen-gap below {DEGENERACY_GAP:g}")
     GE = grad_E_wrt_U(R, sp.U, hp.eps1, hp.eps2)
@@ -267,7 +273,11 @@ class _ScoreWindow:
         self.max_unitarity = max(
             self.max_unitarity, *_orthonormality_errors(np.stack([p[2] for p in pending])).tolist()
         )
-        conds = _split_conds([p[1] for p in pending])
+        Gs = [p[1] for p in pending]
+        try:  # one stacked call, bitwise the per-G ones
+            conds = _split_cond(_check_symmetric(np.stack(Gs), stack=True)).tolist()
+        except (PrecogError, np.linalg.LinAlgError):  # one by one: the earliest failing G raises
+            conds = [float(_split_cond(_check_symmetric(G))) for G in Gs]
         for (it, _, U, cost, grad_norm), split_cond in zip(pending, conds):
             self.history.append(
                 IterationRecord(t=it, cost=cost, split_cond=split_cond, grad_norm=grad_norm)

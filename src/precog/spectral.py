@@ -2,12 +2,12 @@
 
 The eigenvector convention: eigenvalues ascending, and in each column the
 entry of largest absolute value is made positive (first such index on
-exact magnitude ties).  It holds for sym_eig, for canonical_sign and for
-every transform the project returns.  The convention makes repeated
-decompositions bit-identical and gives finite-difference oracles a locally
-continuous eigenvector selection away from degeneracies.  The private _eig
-keeps the column signs LAPACK's eigh returns: optimize descends on those,
-as nothing it computes reads a column's sign (see precog.learn).
+exact magnitude ties).  canonical_sign alone makes it; it holds for
+sym_eig and for every transform the project returns.  The convention makes
+repeated decompositions bit-identical and gives finite-difference oracles a
+locally continuous eigenvector selection away from degeneracies.  The
+private _eig keeps the column signs LAPACK's eigh returns: precog.learn
+works on those, as nothing it computes reads a column's sign.
 
 Matrix arguments are checked by _check_square; every split score ends in _split_cond.
 """
@@ -24,7 +24,6 @@ from .errors import (
     NormalizationDomainError,
     NotPositiveDefiniteError,
     NumericallySingularError,
-    PrecogError,
     SymmetryError,
     _real_array,
 )
@@ -80,21 +79,15 @@ def _check_symmetric(M: np.ndarray, what: str = "matrix", stack: bool = False) -
 
 def canonical_sign(U: np.ndarray) -> np.ndarray:
     """Flip column signs so each column's largest-magnitude entry is positive."""
-    return U * _column_signs(U)
-
-
-def _column_signs(U: np.ndarray) -> np.ndarray:
     # U.take(k)[j, j] is U[k[j], j] in two calls where U[k, np.arange(n)] takes three
     top = U.take(np.abs(U).argmax(axis=0), axis=0).diagonal()  # first index on ties
-    return np.where(top < 0, -1.0, 1.0)  # -0.0 and nan give 1.0
+    return U * np.where(top < 0, -1.0, 1.0)  # -0.0 and nan give 1.0
 
 
 def sym_eig(M: np.ndarray) -> SpectralPair:
     """Eigendecomposition of a symmetric matrix under the canonical convention."""
     sp = _eig(_check_symmetric(M))
-    U = sp.U
-    U *= _column_signs(U)  # in place: x * -1.0 is bitwise -x
-    return sp
+    return SpectralPair(canonical_sign(sp.U), sp.gamma)
 
 
 def _eig(M: np.ndarray) -> SpectralPair:
@@ -158,6 +151,7 @@ def _split_cond(G: np.ndarray) -> np.float64 | np.ndarray:
     return ev[..., -1] / ev[..., 0]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow shows as an inf or nan error
 def orthonormality_error(U: np.ndarray) -> float:
     """Frobenius norm of U^T U - I for a finite square U."""
     return float(_orthonormality_errors(_check_square(U, "U")[None])[0])
@@ -171,6 +165,7 @@ def _orthonormality_errors(Us: np.ndarray) -> np.ndarray:
     return np.sqrt((E[:, None, :] @ E[:, :, None]).ravel())
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow gives an inf error, which fails
 def _check_orthonormal(U: np.ndarray, what: str = "U") -> np.ndarray:
     U = _check_square(U, what)
     if _orthonormality_errors(U[None])[0] > ORTHONORMALITY_TOL:
@@ -190,14 +185,3 @@ def split_preconditioned_cond(R: np.ndarray, U: np.ndarray) -> float:
         G = U.T @ R @ U
     return float(_split_cond(_check_symmetric(G)))
 
-
-def _split_conds(Gs: list[np.ndarray]) -> list[float]:
-    """_split_cond of each congruence G = U^T R U: the split cond of its U.
-
-    One stacked call, bitwise the per-matrix ones; when it fails, the G's
-    are scored one by one, so the earliest failing G raises its own error.
-    """
-    try:
-        return _split_cond(_check_symmetric(np.stack(Gs), stack=True)).tolist()
-    except (PrecogError, np.linalg.LinAlgError):
-        return [float(_split_cond(_check_symmetric(G))) for G in Gs]

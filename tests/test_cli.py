@@ -1048,6 +1048,15 @@ def test_help_and_version_exit_0(capsys, flag):
     assert out and not err
 
 
+@pytest.mark.parametrize("command", ["bench", "precondition", "lms"])
+def test_eps_flags_help_names_no_band(capsys, command):
+    # eps1 and eps2 weight the cost's diagonal term and set no band
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0
+    assert "--eps1" in out and "eps1^2 + eps2^2" in " ".join(out.split())
+    assert "half-width" not in out
+
+
 def test_write_csv_cells(tmp_path, capsys):
     # repr(np.float64(0.1)) is "np.float64(0.1)" under numpy 2 and "0.1" under numpy 1
     out = tmp_path / "t.csv"

@@ -48,6 +48,7 @@ from precog.spectral import (
     split_preconditioned_cond,
     sym_eig,
 )
+from precog.tdlms import FilterConfig
 
 FD_STEP = 1e-6
 
@@ -635,6 +636,21 @@ def test_band_and_edge_trace_do_not_see_column_signs(rng, n, make):
     assert grad2.tobytes() == grad.tobytes()
 
 
+@pytest.mark.parametrize("n", [2, 10, 33])
+@pytest.mark.parametrize("make", [banded2, full_topology], ids=["banded2", "full"])
+def test_en_cost_and_gradient_are_those_of_the_canonical_pair(rng, n, make):
+    # cost_EN and grad_EN_wrt_w decompose L(w) with eigh's own column signs; they keep the
+    # bits of the same expressions on sym_eig's canonical pair
+    t, R = make(n), rand_spd(n, rng)
+    g = WeightedGraph(t, nondegenerate_weights(t, rng))
+    hp = HyperParams(beta=0.01, eps1=0.3, eps2=0.2)
+    sp = sym_eig(laplacian(g))
+    cost = cost_E(R, sp.U, hp.eps1, hp.eps2) + hp.beta * (float(g.w @ g.w) - 1.0)
+    grad = _edge_trace(t, sp, grad_E_wrt_U(R, sp.U, hp.eps1, hp.eps2)) + 2.0 * hp.beta * g.w
+    assert cost_EN(g, R, hp) == cost
+    assert grad_EN_wrt_w(g, R, hp).tobytes() == grad.tobytes()
+
+
 def band_oracle(R, U, eps1, eps2):
     """_band written out with D = diag(d): the cost from G - D, and F = 8G - kD."""
     G = U.T @ R @ U
@@ -890,3 +906,37 @@ class TestJitter:
         with pytest.raises(DegenerateSpectrumError,
                            match="no non-degenerate iterate was reached"):
             optimize(np.eye(4), self.TOPOLOGY, HyperParams(max_iter=3))
+
+
+HUGE_R = 1e200 * np.eye(2) + 1e199
+HUGE_U = 1e200 * np.eye(2)
+ONE_EDGE = banded_topology(2, 1)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call, want", [
+    (lambda: cost_E(HUGE_R, np.eye(2), 0.1, 0.1), np.inf),
+    (lambda: grad_E_wrt_U(HUGE_R, np.eye(2), 0.1, 0.1), np.full((2, 2), np.inf)),
+    (lambda: cost_EN(WeightedGraph(ONE_EDGE, [1.0]), HUGE_R, HyperParams()), np.inf),
+    (lambda: grad_EN_wrt_w(WeightedGraph(ONE_EDGE, [1.0]), HUGE_R, HyperParams()), [np.nan]),
+    (lambda: cost_EN(WeightedGraph(ONE_EDGE, [1e200]), np.eye(2), HyperParams()), np.inf),
+    (lambda: orthonormality_error(HUGE_U), np.inf),
+    (lambda: split_preconditioned_cond(np.eye(2), HUGE_U), "U is not orthonormal to 1e-8"),
+    (lambda: FilterConfig(2, 0.1, HUGE_U), "transform is not orthonormal to 1e-8"),
+], ids=["cost_E", "grad_E_wrt_U", "cost_EN", "grad_EN_wrt_w", "cost_EN-huge-w",
+        "orthonormality_error", "split_preconditioned_cond", "FilterConfig"])
+def test_public_overflow_is_a_value_or_an_error_without_a_warning(call, want):
+    # the overflow comes back as inf or nan, or as the one-line error, never as a warning
+    if isinstance(want, str):
+        with pytest.raises(InvalidInputError, match=want):
+            call()
+    else:
+        np.testing.assert_array_equal(call(), want)
+
+
+@pytest.mark.parametrize("fn", [cost_EN, grad_EN_wrt_w])
+def test_en_functions_reject_an_overflowing_degree(fn):
+    # finite weights whose sum at vertex 1 overflows: L(w) is checked before eigh sees it
+    g = WeightedGraph(banded_topology(3, 1), [1e308, 1e308])
+    with pytest.raises(InvalidInputError, match="matrix has non-finite entries"):
+        fn(g, np.eye(3), HyperParams())

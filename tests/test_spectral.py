@@ -14,15 +14,13 @@ from precog.errors import (
 )
 from precog.baselines import dct_matrix, none_cond
 from precog.graph import banded_topology
-from precog.learn import HyperParams, is_degenerate, optimize
+from precog.learn import HyperParams, _ScoreWindow, is_degenerate, optimize
 from precog.matgen import ar1_autocorr
 from precog.spectral import (
     SYMMETRY_TOL,
-    _column_signs,
     _eig,
     _orthonormality_errors,
     _split_cond,
-    _split_conds,
     canonical_sign,
     cond_general,
     cond_spd,
@@ -31,6 +29,15 @@ from precog.spectral import (
     split_preconditioned_cond,
     sym_eig,
 )
+
+
+def window_conds(Gs):
+    """The split conds optimize's score window records for congruences Gs, flushed at once."""
+    scores = _ScoreWindow(len(Gs) + 1)
+    for it, G in enumerate(Gs):
+        scores.add(it, G, np.eye(len(G)), 0.0, 0.0)
+    scores.flush()
+    return [rec.split_cond for rec in scores.history]
 
 
 def charpoly_roots(M):
@@ -88,7 +95,7 @@ class TestCanonicalSign:
         top = U[np.abs(U).argmax(axis=0), np.arange(5)]
         assert np.signbit(top[1]) and top[1] == 0.0 and np.isnan(top[2])
         want = np.where(top < 0, -1.0, 1.0)
-        assert _column_signs(U).tobytes() == want.tobytes()
+        assert canonical_sign(U).tobytes() == (U * want).tobytes()
         assert list(want[1:]) == [1.0, 1.0, 1.0, -1.0]
 
 
@@ -236,7 +243,7 @@ class TestPowerNormalize:
         assert np.allclose(S, [[1.0, 1.0 / 1.7], [1.0 / 1.7, 1.0]], rtol=1e-15, atol=0.0)
 
     # the stack tests below score stacks of power-normalized congruences, which only
-    # _split_cond and _split_conds take; power_normalize takes one matrix
+    # _split_cond and optimize's score window take; power_normalize takes one matrix
 
     @pytest.mark.parametrize("n", [2, 3, 10, 33, 64, 128])
     def test_stack_is_bitwise_the_per_matrix_calls(self, n):
@@ -247,18 +254,18 @@ class TestPowerNormalize:
         stacked = _split_cond(Gs)
         for i, G in enumerate(Gs):
             assert stacked[i].tobytes() == _split_cond(G).tobytes()
-        assert _split_conds(list(Gs)) == stacked.tolist()
+        assert window_conds(list(Gs)) == stacked.tolist()
 
     def test_stack_checks_each_matrix_against_its_own_scale(self):
         big = 1e6 * np.eye(3)
         big[0, 1] += 1e-6  # 1e-12 relative: passes on its own
         small = np.eye(3)
         small[0, 1] += 1e-9  # fails on its own, and must not pass under big's scale
-        _split_conds([big])
+        window_conds([big])
         with pytest.raises(SymmetryError):
-            _split_conds([small])
+            window_conds([small])
         with pytest.raises(SymmetryError):
-            _split_conds([big, small])
+            window_conds([big, small])
 
     @pytest.mark.parametrize("scale", [0.5, 1e6], ids=["absolute", "relative"])
     def test_asymmetry_at_the_bound_passes_and_the_next_float_raises(self, scale):
@@ -272,16 +279,16 @@ class TestPowerNormalize:
 
         over = np.nextafter(bound, np.inf)
         sym_eig(skewed(bound))
-        _split_conds([np.eye(2), skewed(bound)])
+        window_conds([np.eye(2), skewed(bound)])
         with pytest.raises(SymmetryError):
             sym_eig(skewed(over))
         with pytest.raises(SymmetryError):
-            _split_conds([np.eye(2), skewed(over)])
+            window_conds([np.eye(2), skewed(over)])
 
     def test_stack_reports_the_failing_entry(self):
         # the failing stack is rescored one matrix at a time, so its G names its own entry
         with pytest.raises(NormalizationDomainError, match=r"entry 1 is -1"):
-            _split_conds([np.eye(2), np.diag([1.0, -1.0])])
+            window_conds([np.eye(2), np.diag([1.0, -1.0])])
 
     def test_public_functions_take_one_matrix(self):
         stack = np.stack([np.eye(3), 2.0 * np.eye(3)])
@@ -304,10 +311,12 @@ class TestPowerNormalize:
 
 
 class TestSplitConds:
+    """Congruences scored by optimize's score window: one stacked call, and its failure order."""
+
     def test_equals_split_preconditioned_cond(self, rng):
         R = rand_spd(6, rng)
         Us = [rand_orthonormal(6, rng) for _ in range(3)]
-        conds = _split_conds([U.T @ R @ U for U in Us])
+        conds = window_conds([U.T @ R @ U for U in Us])
         assert conds == [split_preconditioned_cond(R, U) for U in Us]
         assert all(type(c) is float for c in conds)
 
@@ -315,7 +324,7 @@ class TestSplitConds:
         # G's asymmetry is 1e-11 of max|G|, but 1e-5 in S, whose scale is 1: only G is
         # checked, and S's lower triangle [[1, .], [0.50001, 1]] is scored
         G = np.array([[1e6, 0.5], [0.50001, 1e-6]])
-        conds = _split_conds([np.eye(2), G])
+        conds = window_conds([np.eye(2), G])
         assert conds == [float(_split_cond(np.eye(2))), float(_split_cond(G))]
         assert np.isclose(conds[1], 1.50001 / 0.49999, rtol=1e-10)
 
@@ -323,9 +332,9 @@ class TestSplitConds:
         asym = np.array([[1.0, 0.5], [0.4, 1.0]])
         indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(NotPositiveDefiniteError, match="smallest eigenvalue is -1"):
-            _split_conds([np.eye(2), indefinite, asym])
+            window_conds([np.eye(2), indefinite, asym])
         with pytest.raises(SymmetryError):
-            _split_conds([np.eye(2), asym, indefinite])
+            window_conds([np.eye(2), asym, indefinite])
 
 
 class TestSplitPreconditionedCond:
@@ -400,7 +409,7 @@ class TestColumnSignInvariance:
         assert flipped.tobytes() == (G * np.outer(s, s)).tobytes()  # Sigma G Sigma
         assert _split_cond(flipped) == _split_cond(G)
         want = float(_split_cond(G))
-        assert _split_conds([flipped, G]) == _split_conds([G, flipped]) == [want, want]
+        assert window_conds([flipped, G]) == window_conds([G, flipped]) == [want, want]
 
     @pytest.mark.parametrize("n", [2, 3, 10, 33, 64, 128])
     def test_orthonormality_error_of_the_flipped_u(self, rng, n):
