@@ -195,35 +195,37 @@ def _one_matrix_spec(args: argparse.Namespace, seed: int) -> MatrixSpec:
     return specs[0][0]
 
 
-def _from_flags(make, *a, **kw):
-    """make(*a, **kw), with an out-of-range flag value reported as a usage error."""
+def _from_flags(make, *a, from_file: bool = False, **kw):
+    """make(*a, **kw); a PrecogError it raises is a usage error unless a file set the value."""
     try:
         return make(*a, **kw)
     except PrecogError as exc:
+        if from_file:  # exit 1, or a bench status row
+            raise
         raise UsageError(str(exc)) from None
 
 
 def _build_matrix(spec: MatrixSpec) -> np.ndarray:
-    """The spec's matrix; an out-of-range family flag is a usage error, a bad file is not."""
-    if spec.family == "file":
-        return spec.build()
-    return _from_flags(spec.build)
+    return _from_flags(spec.build, from_file=spec.family == "file")
 
 
 def _hyperparams_from_args(args: argparse.Namespace, seed: int) -> HyperParams:
-    """HyperParams from the learning flags, each named after the field it sets."""
+    """HyperParams from the learning flags, each named after the field it sets; checks --band."""
+    if args.topology == "banded":  # before any topology is built: a flag error wins over a file's
+        _from_flags(_check_count, "band", args.band)
     flags = {f.name: getattr(args, f.name) for f in fields(HyperParams) if f.name in args}
     return _from_flags(HyperParams, **flags | {"seed": seed})
 
 
-def _topology_from_args(args: argparse.Namespace, n: int, from_file: bool = False):
+def _topology(args: argparse.Namespace, n: int, from_file: bool = False):
     if args.topology == "banded":
-        _from_flags(_check_count, "band", args.band)  # before a file's n: a flag error wins
-    if from_file:  # a file too small for a topology is not a usage error
-        _check_count("n", n, 2)
-    if args.topology == "banded":
-        return _from_flags(banded_topology, n, args.band)
-    return _from_flags(full_topology, n)
+        return _from_flags(banded_topology, n, args.band, from_file=from_file)
+    return _from_flags(full_topology, n, from_file=from_file)
+
+
+def _learn(args: argparse.Namespace, R: np.ndarray, hp: HyperParams, from_file: bool = False):
+    """optimize on the --topology graph over R's n; a file too small for it is the file's fault."""
+    return optimize(R, _topology(args, R.shape[0], from_file), hp)
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -254,14 +256,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
     # every matrix is built before any work, so a bad flag or file fails fast
     matrices = sorted([(matrix_id, spec, seed, _build_matrix(spec))
                        for matrix_id, (spec, seed) in zip(ids, specs)], key=lambda m: m[0])
+    hps = {seed: _hyperparams_from_args(args, seed) for seed in args.seed}
 
     rows = []
     n_failed = 0
     for matrix_id, spec, seed, R in matrices:
-        n = R.shape[0]
         params_str = ";".join(f"{k}={_param_text(v)}" for k, v in sorted(spec.params.items()))
-        hp = _hyperparams_from_args(args, seed)
-        topo, topo_status = _attempt(_topology_from_args, args, n, spec.family == "file")
 
         # a matrix that fails (e.g. not SPD) gives every one of its rows the status; a file
         # too small for a topology, only its precog row
@@ -269,8 +269,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         result = precog_cond = precog_iters = None
         t0 = time.perf_counter()
         if cond_raw is not None:
-            result, precog_status = (_attempt(optimize, R, topo, hp) if topo is not None
-                                     else (None, topo_status))
+            result, precog_status = _attempt(_learn, args, R, hps[seed], spec.family == "file")
         precog_ms = 1000.0 * (time.perf_counter() - t0)
         if result is not None:
             precog_cond, precog_iters = result.best_cond, len(result.history)
@@ -288,8 +287,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 ratio = condition_ratio(cond_method, precog_cond)
                 log_ratio = np.log10(ratio)
             rows.append([
-                matrix_id, n, spec.family, params_str, method, cond_raw, cond_method, ratio,
-                log_ratio, iters, wall_ms if args.timing else None, seed, hp.gradient_mode,
+                matrix_id, len(R), spec.family, params_str, method, cond_raw, cond_method, ratio,
+                log_ratio, iters, wall_ms if args.timing else None, seed, hps[seed].gradient_mode,
                 status, __version__,
             ])
 
@@ -312,7 +311,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     n = args.n
     rng = np.random.default_rng(seed)
     R = random_pd(n, seed, 0.1)
-    topo = _topology_from_args(args, n)
+    topo = _topology(args, n)
     hp = HyperParams(seed=seed)  # the seed was range-checked before dispatch
     # a degenerate draw (probability about 0) raises DegenerateSpectrumError in grad_EN_wrt_w
     w = rng.standard_normal(topo.n_edges)
@@ -343,9 +342,7 @@ def cmd_precondition(args: argparse.Namespace) -> int:
     seed = args.seed[0]
     spec = _one_matrix_spec(args, seed)
     R = _build_matrix(spec)
-    hp = _hyperparams_from_args(args, seed)
-    topo = _topology_from_args(args, R.shape[0], spec.family == "file")
-    result = optimize(R, topo, hp)
+    result = _learn(args, R, _hyperparams_from_args(args, seed), spec.family == "file")
     baseline = none_cond(R)
     save_matrix(result.U, args.out_u)
     if args.history:
@@ -370,13 +367,12 @@ def cmd_lms(args: argparse.Namespace) -> int:
     cfg = _from_flags(FilterConfig, taps=args.taps, step=args.step)
     R = _from_flags(spec.autocorr, args.taps)
     _from_flags(check_run, args.run_len, args.noise_db)
+    hp = _hyperparams_from_args(args, args.seed[0])  # whatever the transform
 
     if args.transform == "dct":
         cfg = replace(cfg, transform=dct_matrix(args.taps).T)
     elif args.transform == "precog":  # learned once, from the first seed's start
-        hp = _hyperparams_from_args(args, args.seed[0])
-        topo = _topology_from_args(args, args.taps)
-        cfg = replace(cfg, transform=optimize(R, topo, hp).U)
+        cfg = replace(cfg, transform=_learn(args, R, hp).U)
 
     first, hits = None, []
     for seed in args.seed:  # each seed draws its own plant and excitation

@@ -45,8 +45,16 @@ class Topology:
     @cached_property
     def endpoints(self) -> np.ndarray:
         """Read-only (n_edges, 2) index array; ``P, Q = t.endpoints.T``."""
-        ends = np.array(self.edges).reshape(len(self.edges), 2)
-        if ends.size and ends.dtype.kind not in "iu":  # no edges gives a float64 array
+        try:
+            ends = np.array(self.edges)
+        except ValueError:  # edges of unequal lengths; numpy >= 1.24 refuses a ragged array
+            raise InvalidInputError("each edge must be a pair of vertices, got edges of "
+                                    "unequal lengths") from None
+        if self.n_edges and ends.shape != (self.n_edges, 2):
+            raise InvalidInputError(f"each edge must be a pair of vertices, got an edge array "
+                                    f"of shape {ends.shape}")
+        ends = ends.reshape(self.n_edges, 2)  # no edges: a float64 array of shape (0,)
+        if ends.size and ends.dtype.kind not in "iu":
             raise InvalidInputError(f"edge endpoints must be integers, got {ends.dtype}")
         ends = ends.astype(np.intp)
         ends.flags.writeable = False
@@ -77,7 +85,7 @@ class WeightedGraph:
         self.w = np.atleast_1d(_real_array("edge weights", self.w))
         if self.w.shape != (self.topology.n_edges,):
             raise InvalidDimensionError(
-                f"weight vector has length {self.w.shape[0]}, "
+                f"weight vector has shape {self.w.shape}, "
                 f"topology has {self.topology.n_edges} edges"
             )
         if not np.all(np.isfinite(self.w)):

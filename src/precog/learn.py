@@ -193,6 +193,7 @@ def grad_E_wrt_U(
     return R @ U @ _band(R, U, eps1, eps2)[2]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def dL_du(sp: SpectralPair, k: int, l: int) -> np.ndarray:
     """Derivative of U Gamma U^T with respect to the (k, l) entry of U.
 

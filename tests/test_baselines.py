@@ -29,8 +29,9 @@ from precog.errors import (
     PrecogError,
     SymmetryError,
 )
+from precog.graph import WeightedGraph, banded_topology, laplacian
 from precog.matgen import ar1_autocorr, ar2_autocorr, hilbert, random_sparse_pd
-from precog.spectral import cond_spd, orthonormality_error, split_preconditioned_cond
+from precog.spectral import cond_spd, orthonormality_error, split_preconditioned_cond, sym_eig
 
 LEFT_FACTORIES = [
     jacobi_precond,
@@ -74,6 +75,18 @@ class TestDct:
         assert np.isclose(
             baseline_cond("dct", R), split_preconditioned_cond(R, dct_matrix(8).T)
         )
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 32, 64, 128])
+    def test_is_the_unit_weight_path_laplacian_eigenbasis(self, n):
+        # the path graph's Laplacian has the DCT-II as its eigenbasis (Strang, SIAM Review
+        # 1999), so a learned transform on a banded topology can start at the DCT
+        U = sym_eig(laplacian(WeightedGraph(banded_topology(n, 1), np.ones(n - 1)))).U
+        D = dct_matrix(n).T
+        np.testing.assert_allclose(np.abs(U.T @ D), np.eye(n), rtol=0, atol=1e-12)
+        for rho in (0.5, 0.9, 0.95):
+            R = ar1_autocorr(n, rho)
+            assert split_preconditioned_cond(R, U) == pytest.approx(
+                split_preconditioned_cond(R, D), rel=1e-13, abs=0)
 
     def test_close_poles_match_an_extended_precision_congruence(self):
         # G = U^T R U is symmetric to 1e-13, but min diag(G) is 7.5e-13, so S's rounding

@@ -997,6 +997,30 @@ class TestLms:
         assert_usage_error(code, err, needle)
         assert not out.exists()
 
+    @pytest.mark.parametrize("transform", ["none", "dct"])
+    @pytest.mark.parametrize("flags, needle", [
+        pytest.param(["--mu", "2"], "mu", id="mu"),
+        pytest.param(["--max-iter", "0"], "max_iter", id="max-iter"),
+        pytest.param(["--topology", "banded", "--band", "0"], "band", id="band"),
+    ])
+    def test_learning_flags_are_checked_whatever_the_transform(self, tmp_path, capsys,
+                                                               transform, flags, needle):
+        out = tmp_path / "trace.csv"
+        code, _, err = run(capsys, "lms", "--transform", transform, "--run-len", "400",
+                           *flags, "--out", str(out))
+        assert_usage_error(code, err, needle)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("transform, code", [("none", 0), ("dct", 0), ("precog", 2)])
+    def test_one_tap_needs_a_graph_only_to_learn(self, tmp_path, capsys, transform, code):
+        # plain LMS and the DCT need no topology; a learned transform needs n >= 2
+        out = tmp_path / "trace.csv"
+        got, _, err = run(capsys, "lms", "--taps", "1", "--transform", transform,
+                          "--run-len", "400", "--out", str(out))
+        assert got == code and out.exists() == (code == 0)
+        if code:
+            assert_usage_error(got, err, "n must be at least 2, got 1")
+
     def test_trace_csv_bytes(self, tmp_path, capsys, monkeypatch):
         # header, then k and repr(float) cells; zero misalignment is -inf dB
         trace = MseTrace(e2=np.array([1.0, 0.25, 1e-300]),

@@ -94,6 +94,14 @@ MALFORMED = {
     "dL_du-float-index": (dL_du, (PAIR, 1.5, 0), InvalidInputError, "k must be an integer"),
     "topology-float-endpoint": (Topology, (3, ((0, 1.5),)), InvalidInputError,
                                 "edge endpoints must be integers"),
+    "topology-triple-edge": (Topology, (3, ((0, 1, 2),)), InvalidInputError,
+                             "each edge must be a pair of vertices, got an edge array of shape "
+                             "(1, 3)"),
+    "topology-ragged-edges": (Topology, (3, ((0, 1), (1,))), InvalidInputError,
+                              "each edge must be a pair of vertices, got edges of unequal lengths"),
+    "weighted_graph-column-w": (WeightedGraph, (GRAPH.topology, np.ones((2, 1))),
+                                InvalidDimensionError,
+                                "weight vector has shape (2, 1), topology has 2 edges"),
     # bounded reals
     "random_sparse_pd-bool-density": (random_sparse_pd, (4, True, 0), InvalidInputError,
                                       "density must be a real number"),

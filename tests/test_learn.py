@@ -923,8 +923,10 @@ ONE_EDGE = banded_topology(2, 1)
     (lambda: orthonormality_error(HUGE_U), np.inf),
     (lambda: split_preconditioned_cond(np.eye(2), HUGE_U), "U is not orthonormal to 1e-8"),
     (lambda: FilterConfig(2, 0.1, HUGE_U), "transform is not orthonormal to 1e-8"),
+    (lambda: dL_du(SpectralPair(np.diag([2.0, 1.0]), np.array([1e308, 1.5e308])), 0, 0),
+     [[np.inf, 0.0], [0.0, 0.0]]),
 ], ids=["cost_E", "grad_E_wrt_U", "cost_EN", "grad_EN_wrt_w", "cost_EN-huge-w",
-        "orthonormality_error", "split_preconditioned_cond", "FilterConfig"])
+        "orthonormality_error", "split_preconditioned_cond", "FilterConfig", "dL_du"])
 def test_public_overflow_is_a_value_or_an_error_without_a_warning(call, want):
     # the overflow comes back as inf or nan, or as the one-line error, never as a warning
     if isinstance(want, str):
