@@ -35,7 +35,7 @@ from .baselines import (
     none_cond,
 )
 from .errors import PrecogError, _check_count, _check_seed
-from .graph import WeightedGraph, banded_topology, full_topology
+from .graph import WeightedGraph, banded_topology
 from .learn import HyperParams, cost_E, cost_EN, grad_E_wrt_U, grad_EN_wrt_w, optimize
 from .matgen import (
     DEFAULT_SHIFT_MARGIN,
@@ -218,9 +218,8 @@ def _hyperparams_from_args(args: argparse.Namespace, seed: int) -> HyperParams:
 
 
 def _topology(args: argparse.Namespace, n: int, from_file: bool = False):
-    if args.topology == "banded":
-        return _from_flags(banded_topology, n, args.band, from_file=from_file)
-    return _from_flags(full_topology, n, from_file=from_file)
+    band = args.band if args.topology == "banded" else n - 1  # full is banded at n - 1
+    return _from_flags(banded_topology, n, band, from_file=from_file)
 
 
 def _learn(args: argparse.Namespace, R: np.ndarray, hp: HyperParams, from_file: bool = False):

@@ -127,11 +127,12 @@ def cond_general(M: np.ndarray) -> float:
 def power_normalize(R: np.ndarray) -> NormalizedAutocorr:
     """Symmetric diagonal scaling to unit diagonal: delta^{-1/2} R delta^{-1/2}."""
     R = _check_symmetric(R)
-    return NormalizedAutocorr(S=_unit_diagonal(R, R.diagonal()))
+    return NormalizedAutocorr(S=_unit_diagonal(R))
 
 
-def _unit_diagonal(M: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    # M (or a stack) times delta^{-1/2} on both sides; delta is M's real diagonal
+def _unit_diagonal(M: np.ndarray) -> np.ndarray:
+    # M (or a stack) times delta^{-1/2} on both sides, delta M's real diagonal
+    delta = np.real(M.diagonal(axis1=-2, axis2=-1))
     if (delta <= 0.0).any():
         i = np.argmin(delta)  # flat: a stack that fails is rescored one matrix at a time
         raise NormalizationDomainError(f"diagonal entry {i} is {delta.flat[i]:g}, must be positive")
@@ -147,7 +148,7 @@ def _unit_diagonal(M: np.ndarray, delta: np.ndarray) -> np.ndarray:
 def _split_cond(G: np.ndarray) -> np.float64 | np.ndarray:
     # the one score: lambda_max / lambda_min of a checked G (or each G of a stack), real or the
     # DFT's Hermitian F^H R F, at unit diagonal, not rechecked: the scaling amplifies G's rounding
-    ev = _spd_spectrum(_unit_diagonal(G, np.real(G.diagonal(axis1=-2, axis2=-1))))
+    ev = _spd_spectrum(_unit_diagonal(G))
     return ev[..., -1] / ev[..., 0]
 
 
@@ -165,10 +166,9 @@ def _orthonormality_errors(Us: np.ndarray) -> np.ndarray:
     return np.sqrt((E[:, None, :] @ E[:, :, None]).ravel())
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflow gives an inf error, which fails
 def _check_orthonormal(U: np.ndarray, what: str = "U") -> np.ndarray:
     U = _check_square(U, what)
-    if _orthonormality_errors(U[None])[0] > ORTHONORMALITY_TOL:
+    if orthonormality_error(U) > ORTHONORMALITY_TOL:  # an overflow gives an inf error
         raise InvalidInputError(f"{what} is not orthonormal to 1e-8")
     return U
 

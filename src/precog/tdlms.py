@@ -116,6 +116,8 @@ class FilterState:
 
 def lms_step(state: FilterState, x_vec: np.ndarray, d: float) -> tuple[FilterState, float]:
     """One plain LMS update: e = d - w.x, then w += step e x."""
+    if state.cfg.transform is not None:
+        raise InvalidInputError("lms_step needs a state without a transform; use tdlms_step")
     e = float(d - state.weights @ x_vec)
     state.weights = state.weights + state.cfg.step * e * x_vec
     return state, e
@@ -124,7 +126,9 @@ def lms_step(state: FilterState, x_vec: np.ndarray, d: float) -> tuple[FilterSta
 def tdlms_step(
     state: FilterState, x_vec: np.ndarray, d: float, cfg: FilterConfig
 ) -> tuple[FilterState, float]:
-    """One transform-domain update with per-bin power normalization."""
+    """One transform-domain update with per-bin power normalization; cfg must be state.cfg."""
+    if cfg is not state.cfg:
+        raise InvalidInputError("tdlms_step needs the state's own config as cfg")
     if cfg.transform is None:
         raise InvalidInputError("tdlms_step needs a transform in the config")
     v = cfg.transform.T @ x_vec

@@ -92,6 +92,8 @@ class TestTopologies:
     def test_banded_saturates_to_full(self):
         assert banded_topology(5, 4).edges == full_topology(5).edges
         assert banded_topology(5, 4).n_edges == 10
+        for n in (2, 3, 10, 12, 128):  # the CLI builds --topology full this way
+            assert banded_topology(n, n - 1) == full_topology(n)
 
     @given(st.integers(min_value=3, max_value=40))
     def test_band2_edge_count(self, n):

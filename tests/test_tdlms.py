@@ -226,6 +226,13 @@ class TestLmsStep:
         assert e == 1.0
         assert np.array_equal(state.weights, [0.5, 0.0, 0.0, 0.0])
 
+    def test_rejects_a_transform_domain_state(self):
+        # a plain update on transform-domain weights, which time_domain_weights maps through U
+        state = FilterState(FilterConfig(4, 0.1, dct_matrix(4).T))
+        with pytest.raises(InvalidInputError, match="without a transform"):
+            lms_step(state, np.ones(4), 1.0)
+        assert np.array_equal(state.weights, np.zeros(4))
+
 
 class TestTdlmsStep:
     def test_zero_transformed_input(self):
@@ -260,6 +267,18 @@ class TestTdlmsStep:
         cfg = plain_cfg()
         with pytest.raises(InvalidInputError):
             tdlms_step(FilterState(cfg), np.zeros(4), 0.0, cfg)
+
+    @pytest.mark.parametrize("other", [
+        lambda: FilterConfig(taps=4, step=0.5, transform=np.eye(4)),
+        lambda: dct_cfg(),  # equal to the state's config, but another object
+    ], ids=["identity", "equal-copy"])
+    def test_rejects_a_config_that_is_not_the_states(self, other):
+        # transform and step from cfg with power and weights from the state mix two filters
+        state = FilterState(dct_cfg())
+        with pytest.raises(InvalidInputError, match="state's own config"):
+            tdlms_step(state, np.ones(4), 1.0, other())
+        assert np.array_equal(state.weights, np.zeros(4))
+        assert np.array_equal(state.power, np.ones(4))
 
     def test_step_scaling_keeps_update_direction(self, rng):
         # sign pattern of the first update is step-independent
