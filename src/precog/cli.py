@@ -107,6 +107,14 @@ def _list_of(kind):
     return parse
 
 
+def _switch(text: str) -> bool:
+    """Argument type: on (1, true, yes, on) or off (0, false, no, off), in any case."""
+    if (word := text.lower()) in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        return word in ("1", "true", "yes", "on")
+    raise argparse.ArgumentTypeError(f"expected on/off (1/true/yes/on or 0/false/no/off), "
+                                     f"got {text!r}")
+
+
 def _seeds(args: argparse.Namespace) -> list[int]:
     """--seed, else PRECOG_SEED, else 0; each in [0, 2**64), and only bench and lms take a list."""
     source = "--seed" if args.seed is not None else "PRECOG_SEED"
@@ -140,10 +148,6 @@ def _add_matrix_flags(p: argparse.ArgumentParser, with_files: bool = False) -> N
     p.add_argument("--rho", type=_list_of(float), default=[0.9], help="ar1 correlation factor")
     p.add_argument("--rho1", type=_list_of(float), default=[0.9], help="ar2 first pole")
     p.add_argument("--rho2", type=_list_of(float), default=[0.5], help="ar2 second pole")
-
-
-# the value-less flags; a config line sets one with 1/true/yes/on, else leaves it unset
-SWITCHES = ("timing",)
 
 
 def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
@@ -361,7 +365,7 @@ def cmd_precondition(args: argparse.Namespace) -> int:
 def cmd_lms(args: argparse.Namespace) -> int:
     if repeated := [seed for seed, count in Counter(args.seed).items() if count > 1]:
         raise UsageError(f"lms seed {repeated[0]} is listed more than once")
-    spec = SignalSpec(family=args.signal, rho=args.rho, rho1=args.rho1, rho2=args.rho2)
+    spec = _from_flags(SignalSpec, args.signal, rho=args.rho, rho1=args.rho1, rho2=args.rho2)
     # every flag is checked before a transform is learned or the filter runs
     cfg = _from_flags(FilterConfig, taps=args.taps, step=args.step)
     R = _from_flags(spec.autocorr, args.taps)
@@ -419,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated method list")
     p_bench.add_argument("--omega", type=float, default=DEFAULT_OMEGA,
                          help="relaxation factor for sor/ssor")
-    p_bench.add_argument("--timing", action="store_true",
+    p_bench.add_argument("--timing", nargs="?", const=True, default=False, type=_switch,
                          help="record wall-clock times (breaks byte determinism)")
     p_bench.add_argument("--out", default=None, help="output CSV (default stdout)")
     p_bench.set_defaults(func=cmd_bench)
@@ -458,12 +462,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(path: str) -> dict[str, str]:
+def _config_flags(path: str) -> list[str]:
+    """Each `key = value` line of a config file as the flag --key=value, in file order."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise UsageError(f"config file {path} is not UTF-8 text: {exc}") from None
-    pairs: dict[str, str] = {}
+    flags = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -471,22 +476,16 @@ def _load_config(path: str) -> dict[str, str]:
         if "=" not in line:
             raise UsageError(f"config line without '=' in {path}: {raw!r}")
         key, value = line.split("=", 1)
-        pairs[key.strip().replace("_", "-")] = value.strip()
-    return pairs
+        flags.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+    return flags
 
 
 def _expand_config(argv: list[str]) -> list[str]:
-    """Splice every --config file in after the command as --key=value flags (flags win)."""
+    """Splice every --config file's flags in after the command, before the explicit ones."""
     pre = _Parser(add_help=False)
     pre.add_argument("--config", action="append", default=[])
     known, rest = pre.parse_known_args(argv)
-    pairs: dict[str, str] = {}
-    for path in known.config:  # later files win
-        pairs.update(_load_config(path))
-    flags = [f"--{key}" if key in SWITCHES else f"--{key}={value}"
-             for key, value in pairs.items()
-             if key not in SWITCHES or value.lower() in ("1", "true", "yes", "on")]
-    return rest[:1] + flags + rest[1:]
+    return rest[:1] + [flag for path in known.config for flag in _config_flags(path)] + rest[1:]
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -181,6 +181,8 @@ class SignalSpec:
     def __post_init__(self) -> None:
         if self.family not in ("white", "ar1", "ar2"):
             raise InvalidInputError(f"unknown signal family {self.family!r}")
+        for name in ("rho", "rho1", "rho2"):  # finite reals, hashable; generators check ranges
+            _check_real(name, getattr(self, name))
 
     def generate(self, length: int, seed: int) -> np.ndarray:
         if self.family == "ar2":

@@ -441,6 +441,11 @@ CONFIG_CASES = {
                         "unrecognized arguments: --band-exit"),
     "timing-yes": ("bench", ["timing = yes"], ["--config", "{0}"], {"timing": True}),
     "timing-false": ("bench", ["timing = false"], ["--config", "{0}"], {"timing": False}),
+    "timing-off-any-case": ("bench", ["timing = OFF"], ["--config", "{0}"], {"timing": False}),
+    "timing-typo": ("bench", ["timing = ture"], ["--config", "{0}"], "on/off"),
+    "timing-flag-no": ("bench", [], ["--timing=no"], {"timing": False}),
+    "matrix-twice": ("bench", ["matrix = a.txt\nmatrix = b.txt"], ["--config", "{0}"],
+                     {"matrix": ["a.txt", "b.txt"]}),
     "no-equals": ("bench", ["rho 0.5"], ["--config", "{0}"], "config line without '='"),
     "not-utf8": ("bench", [NOT_UTF8], ["--config", "{0}"], "is not UTF-8 text"),
     "unknown-key": ("bench", ["colour = blue"], ["--config", "{0}"],
@@ -984,6 +989,9 @@ class TestLms:
         pytest.param(["--noise-db=-4000"], "noise_db", id="noise-db-scale-overflow"),
         # a repeated seed was run and counted twice in the median
         pytest.param(["--seed", "0,3,0"], "seed 0", id="repeated-seed"),
+        # white never reads --rho, which still must be a finite real
+        pytest.param(["--signal", "white", "--rho", "nan"], "rho must be finite",
+                     id="white-rho-nan"),
     ])
     def test_bad_flag_is_usage_error_before_learning(self, tmp_path, capsys, monkeypatch,
                                                      flags, needle):

@@ -331,6 +331,11 @@ class TestSignals:
         assert np.allclose(SignalSpec("ar1", rho=0.5).autocorr(3), ar1_autocorr(3, 0.5))
         with pytest.raises(InvalidInputError):
             SignalSpec("pink")
+        # each parameter is a finite real, so the spec hashes as the excitation memo's key
+        with pytest.raises(InvalidInputError, match="rho must be a real number"):
+            SignalSpec("ar1", rho=[0.5])
+        with pytest.raises(InvalidInputError, match="rho1 must be a real number"):
+            SignalSpec("ar2", rho1=np.array(0.5))
 
     def test_white_is_ar1_at_rho_zero(self):
         white, ar1 = SignalSpec("white", rho=0.7), SignalSpec("ar1", rho=0.0)
