@@ -476,6 +476,8 @@ def _config_flags(path: str) -> list[str]:
         if "=" not in line:
             raise UsageError(f"config line without '=' in {path}: {raw!r}")
         key, value = line.split("=", 1)
+        if not key.strip():
+            raise UsageError(f"config line without a key in {path}: {raw!r}")
         flags.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
     return flags
 

@@ -79,8 +79,7 @@ def _check_symmetric(M: np.ndarray, what: str = "matrix", stack: bool = False) -
 
 def canonical_sign(U: np.ndarray) -> np.ndarray:
     """Flip column signs so each column's largest-magnitude entry is positive."""
-    # U.take(k)[j, j] is U[k[j], j] in two calls where U[k, np.arange(n)] takes three
-    top = U.take(np.abs(U).argmax(axis=0), axis=0).diagonal()  # first index on ties
+    top = U[np.abs(U).argmax(axis=0), np.arange(U.shape[1])]  # first index on ties
     return U * np.where(top < 0, -1.0, 1.0)  # -0.0 and nan give 1.0
 
 
@@ -166,9 +165,10 @@ def _orthonormality_errors(Us: np.ndarray) -> np.ndarray:
     return np.sqrt((E[:, None, :] @ E[:, :, None]).ravel())
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow gives an inf error, which fails
 def _check_orthonormal(U: np.ndarray, what: str = "U") -> np.ndarray:
-    U = _check_square(U, what)
-    if orthonormality_error(U) > ORTHONORMALITY_TOL:  # an overflow gives an inf error
+    # U must already have passed _check_square, under the same label
+    if _orthonormality_errors(U[None])[0] > ORTHONORMALITY_TOL:
         raise InvalidInputError(f"{what} is not orthonormal to 1e-8")
     return U
 

@@ -45,7 +45,7 @@ from .errors import (
     _real_array,
 )
 from .matgen import SignalSpec
-from .spectral import _check_orthonormal
+from .spectral import _check_orthonormal, _check_square
 
 # steps per block system, and steps per chunk, which bounds the transient
 # arrays; 16-step blocks ran as fast as 32 and faster than 8.  The scan costs
@@ -92,7 +92,8 @@ class FilterConfig:
                     f"transform shape {shape} does not match taps={self.taps}"
                 )
             # kept as the checked float array, so no reader converts it again
-            object.__setattr__(self, "transform", _check_orthonormal(self.transform, "transform"))
+            U = _check_orthonormal(_check_square(self.transform, "transform"), "transform")
+            object.__setattr__(self, "transform", U)
 
 
 @dataclass

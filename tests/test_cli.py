@@ -447,6 +447,7 @@ CONFIG_CASES = {
     "matrix-twice": ("bench", ["matrix = a.txt\nmatrix = b.txt"], ["--config", "{0}"],
                      {"matrix": ["a.txt", "b.txt"]}),
     "no-equals": ("bench", ["rho 0.5"], ["--config", "{0}"], "config line without '='"),
+    "empty-key": ("bench", ["= 3"], ["--config", "{0}"], "config line without a key"),
     "not-utf8": ("bench", [NOT_UTF8], ["--config", "{0}"], "is not UTF-8 text"),
     "unknown-key": ("bench", ["colour = blue"], ["--config", "{0}"],
                     "unrecognized arguments: --colour=blue"),

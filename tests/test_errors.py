@@ -2,10 +2,12 @@
 
 import os
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from precog import baselines, spectral
 from precog.baselines import (
     baseline_cond,
     condition_ratio,
@@ -23,6 +25,7 @@ from precog.errors import (
     InvalidDimensionError,
     InvalidInputError,
     NormalizationDomainError,
+    _real_array,
 )
 from precog.graph import Topology, WeightedGraph, banded_topology, full_topology, theta
 from precog.learn import HyperParams, cost_E, dL_du, optimize
@@ -56,6 +59,7 @@ EMPTY = np.zeros((0, 0))
 HERMITIAN = np.array([[2.0, 1.0 + 3.0j], [1.0 - 3.0j, 2.0]])
 GRAPH = WeightedGraph(banded_topology(3, 1), np.ones(2))
 PAIR = sym_eig(np.diag([1.0, 2.0, 3.0]))
+JACOBI = jacobi_precond(np.diag([2.0, 4.0]))
 
 # (callable, arguments, expected class, message needle)
 MALFORMED = {
@@ -160,6 +164,18 @@ MALFORMED = {
                                         InvalidInputError, "U has non-finite entries"),
     "save_matrix-non-finite": (save_matrix, (np.full((2, 2), np.inf), os.devnull),
                                InvalidInputError, "matrix has non-finite entries"),
+    # left-preconditioner operands: apply_inverse checks A before the solve
+    **{f"{fn.__name__}-{name}": (fn, (A,), error, needle)
+       for fn in (JACOBI.apply_inverse, JACOBI.preconditioned_cond)
+       for name, A, error, needle in [
+           ("size-mismatch", np.eye(3), InvalidDimensionError,
+            "A shape (3, 3) does not match M (2, 2)"),
+           ("none", None, InvalidInputError, "A must be real, got object"),
+           ("strings", np.array(["a", "b"]), InvalidInputError, "A must be real, got <U1"),
+           ("scalar", 3.0, InvalidDimensionError, "A shape () does not match M (2, 2)"),
+           ("non-finite", np.full((2, 2), np.nan), InvalidInputError,
+            "A has non-finite entries"),
+       ]},
     # real matrices: numpy's float cast would keep the real part and warn
     "cond_spd-complex": (cond_spd, (HERMITIAN,), InvalidInputError,
                          "matrix must be real, got complex128"),
@@ -207,6 +223,33 @@ MALFORMED = {
 def test_malformed_input_raises_its_precog_error(fn, args, error, needle):
     with pytest.raises(error, match=re.escape(needle)):
         fn(*args)
+
+
+def test_apply_inverse_solves_a_vector():
+    np.testing.assert_array_equal(JACOBI.apply_inverse([2.0, 4.0]), [1.0, 1.0])
+
+
+R4, U4 = ar1_autocorr(4, 0.5), dct_matrix(4).T
+
+
+@pytest.mark.parametrize("call, want", [
+    (lambda: split_preconditioned_cond(R4, U4), {"R": 1, "U": 1}),
+    (lambda: FilterConfig(4, 0.1, U4), {"transform": 1, "U": 0}),
+    (lambda: orthonormality_error(U4), {"U": 1}),
+    (lambda: JACOBI.apply_inverse(R4[:2, :2]), {"A": 1}),
+], ids=["split_preconditioned_cond", "FilterConfig", "orthonormality_error", "apply_inverse"])
+def test_each_array_is_checked_once(monkeypatch, call, want):
+    # every array check starts with _real_array: count its calls per label
+    seen = Counter()
+
+    def counted(what, value):
+        seen[what] += 1
+        return _real_array(what, value)
+
+    monkeypatch.setattr(spectral, "_real_array", counted)
+    monkeypatch.setattr(baselines, "_real_array", counted)
+    call()
+    assert {what: seen[what] for what in want} == want
 
 
 def test_a_bad_size_is_malformed_input():
