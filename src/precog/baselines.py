@@ -1,9 +1,9 @@
 """Classical preconditioners, the baseline registry and the condition-ratio metric.
 
-Unitary split transforms (DCT, DFT) are scored by the condition number of
-the power-normalized congruence U^T A U, left preconditioners by the
-general condition number of M^{-1} A.  baseline_cond is the one dispatch
-from a method name to its score.
+The fixed unitary transforms (DCT, DFT) share one route, which checks A
+and scores the power-normalized congruence U^H A U; left preconditioners are
+scored by the general condition number of M^{-1} A.  baseline_cond is the
+one dispatch from a method name to its score.
 
 Gauss-Seidel is SOR at omega = 1, and SSOR is built on SOR's splitting
 D/omega + L (Saad, Iterative Methods for Sparse Linear Systems, 2003, 4.1).
@@ -26,9 +26,7 @@ from .errors import (
     _check_real,
     _real_array,
 )
-from .spectral import (
-    _check_square, _check_symmetric, _split_cond, cond_general, split_preconditioned_cond,
-)
+from .spectral import _check_square, _check_symmetric, _split_cond, cond_general
 
 DEFAULT_OMEGA = 1.5
 
@@ -88,16 +86,22 @@ def dft_split_cond(R: np.ndarray) -> float:
     """Split-preconditioned condition number under the unitary DFT.
 
     Complex arithmetic stays internal: the Hermitian congruence F^H R F is
-    scored by the one split score.  As in split_preconditioned_cond, R must be
-    square, finite and symmetric; an overflowing congruence raises
-    InvalidInputError, a diagonal that is not positive NormalizationDomainError
-    and a spectrum that is not positive NotPositiveDefiniteError.
+    scored by the one split score.  R must be square, finite and symmetric;
+    an overflowing congruence raises InvalidInputError, a diagonal that is not
+    positive NormalizationDomainError and a spectrum that is not positive
+    NotPositiveDefiniteError.
     """
+    return _fixed_split_cond(R, dft_matrix)
+
+
+def _fixed_split_cond(R: np.ndarray, basis) -> float:
+    # the score of a fixed unitary basis(n), basis vectors as columns: R is checked once,
+    # at R's scale, and the basis, built here for R's n, is not checked as input
     R = _check_symmetric(R, "R")
-    F = dft_matrix(R.shape[0])
+    F = basis(R.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):  # _split_cond reports an overflow
-        Rt = F.conj().T @ R @ F
-    return float(_split_cond(Rt))
+        G = F.conj().T @ R @ F
+    return float(_split_cond(G))
 
 
 def _sor_splitting(A: np.ndarray, label: str, omega: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
@@ -184,7 +188,7 @@ def none_cond(R: np.ndarray) -> float:
 
 # method name -> cond of R under that baseline; omega is read by sor and ssor only
 BASELINES = {
-    "dct": lambda R, omega: split_preconditioned_cond(R, dct_matrix(R.shape[0]).T),
+    "dct": lambda R, omega: _fixed_split_cond(R, lambda n: dct_matrix(n).T),
     "dft": lambda R, omega: dft_split_cond(R),
     "jacobi": lambda R, omega: jacobi_precond(R).preconditioned_cond(R),
     "gauss-seidel": lambda R, omega: gauss_seidel_precond(R).preconditioned_cond(R),

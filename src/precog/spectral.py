@@ -79,6 +79,9 @@ def _check_symmetric(M: np.ndarray, what: str = "matrix", stack: bool = False) -
 
 def canonical_sign(U: np.ndarray) -> np.ndarray:
     """Flip column signs so each column's largest-magnitude entry is positive."""
+    U = _real_array("U", U)  # neither square nor finite: a nan column keeps its sign
+    if U.ndim != 2 or U.size == 0:
+        raise InvalidDimensionError(f"U must be a nonempty matrix, got shape {U.shape}")
     top = U[np.abs(U).argmax(axis=0), np.arange(U.shape[1])]  # first index on ties
     return U * np.where(top < 0, -1.0, 1.0)  # -0.0 and nan give 1.0
 

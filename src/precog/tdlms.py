@@ -115,10 +115,19 @@ class FilterState:
         return self.cfg.transform @ self.weights
 
 
+def _check_x_vec(state: FilterState, x_vec) -> np.ndarray:
+    # a single step's regressor as a real float vector of the state's tap count
+    x = _real_array("x_vec", x_vec)
+    if x.shape != state.weights.shape:
+        raise InvalidDimensionError(f"x_vec shape {x.shape} does not match taps={state.cfg.taps}")
+    return x
+
+
 def lms_step(state: FilterState, x_vec: np.ndarray, d: float) -> tuple[FilterState, float]:
     """One plain LMS update: e = d - w.x, then w += step e x."""
     if state.cfg.transform is not None:
         raise InvalidInputError("lms_step needs a state without a transform; use tdlms_step")
+    x_vec = _check_x_vec(state, x_vec)
     e = float(d - state.weights @ x_vec)
     state.weights = state.weights + state.cfg.step * e * x_vec
     return state, e
@@ -132,6 +141,7 @@ def tdlms_step(
         raise InvalidInputError("tdlms_step needs the state's own config as cfg")
     if cfg.transform is None:
         raise InvalidInputError("tdlms_step needs a transform in the config")
+    x_vec = _check_x_vec(state, x_vec)
     v = cfg.transform.T @ x_vec
     state.power = _GAMMA * state.power + (1.0 - _GAMMA) * v * v
     e = float(d - state.weights @ v)

@@ -443,9 +443,13 @@ DIRECT_CALLS = {
 
 
 class TestBaselineRegistry:
+    # markov-banded's six bench inputs ride along, so the DCT row's route is checked
+    # against split_preconditioned_cond at the benchmark's sizes
     @pytest.mark.parametrize("R", [
         ar1_autocorr(16, 0.9), hilbert(10, 1e-4), random_sparse_pd(12, 0.5, 0),
-    ], ids=["ar1", "hilbert", "sparse-pd"])
+        *(ar1_autocorr(n, rho) for n in (64, 128) for rho in (0.5, 0.9, 0.95)),
+    ], ids=["ar1", "hilbert", "sparse-pd",
+            *(f"ar1-n{n}-rho{rho:g}" for n in (64, 128) for rho in (0.5, 0.9, 0.95))])
     def test_matches_direct_calls_bitwise(self, R):
         assert set(BASELINES) == set(DIRECT_CALLS)
         for method, direct in DIRECT_CALLS.items():

@@ -44,13 +44,21 @@ from precog.matgen import (
     save_matrix,
 )
 from precog.spectral import (
+    canonical_sign,
     cond_general,
     cond_spd,
     orthonormality_error,
     split_preconditioned_cond,
     sym_eig,
 )
-from precog.tdlms import FilterConfig, check_run, system_id_experiment
+from precog.tdlms import (
+    FilterConfig,
+    FilterState,
+    check_run,
+    lms_step,
+    system_id_experiment,
+    tdlms_step,
+)
 
 NON_SQUARE = np.ones((2, 3))
 EMPTY = np.zeros((0, 0))
@@ -60,6 +68,8 @@ HERMITIAN = np.array([[2.0, 1.0 + 3.0j], [1.0 - 3.0j, 2.0]])
 GRAPH = WeightedGraph(banded_topology(3, 1), np.ones(2))
 PAIR = sym_eig(np.diag([1.0, 2.0, 3.0]))
 JACOBI = jacobi_precond(np.diag([2.0, 4.0]))
+LMS3 = FilterState(FilterConfig(3, 0.1))
+DCT3 = FilterConfig(3, 0.1, dct_matrix(3).T)
 
 # (callable, arguments, expected class, message needle)
 MALFORMED = {
@@ -176,6 +186,33 @@ MALFORMED = {
            ("non-finite", np.full((2, 2), np.nan), InvalidInputError,
             "A has non-finite entries"),
        ]},
+    # fixed-transform baselines: the DCT row checks R as the DFT row does
+    **{f"baseline_cond-{method}-{name}": (baseline_cond, (method, R), error, needle)
+       for method in ("dct", "dft")
+       for name, R, error, needle in [
+           ("none", None, InvalidInputError, "R must be real, got object"),
+           ("scalar", 3.0, InvalidDimensionError, "R must be square, got shape ()"),
+           ("strings", np.array(["a", "b"]), InvalidInputError, "R must be real, got <U1"),
+           ("empty", EMPTY, InvalidDimensionError, "R must not be empty"),
+       ]},
+    # canonical_sign: a real nonempty matrix, square or not
+    **{f"canonical_sign-{name}": (canonical_sign, (U,), error, needle)
+       for name, U, error, needle in [
+           ("1-d", np.ones(3), InvalidDimensionError,
+            "U must be a nonempty matrix, got shape (3,)"),
+           ("empty", EMPTY, InvalidDimensionError, "U must be a nonempty matrix, got shape (0, 0)"),
+           ("none", None, InvalidInputError, "U must be real, got object"),
+           ("strings", np.array([["a", "b"]]), InvalidInputError, "U must be real, got <U1"),
+           ("scalar", 3.0, InvalidDimensionError, "U must be a nonempty matrix, got shape ()"),
+       ]},
+    # single-step regressors: a real vector of the tap count
+    **{f"{name}-{case}": (step, (x,), error, needle)
+       for name, step in [("lms_step", lambda x: lms_step(LMS3, x, 0.0)),
+                          ("tdlms_step", lambda x: tdlms_step(FilterState(DCT3), x, 0.0, DCT3))]
+       for case, x, error, needle in [
+           ("short-x", np.ones(2), InvalidDimensionError, "x_vec shape (2,) does not match taps=3"),
+           ("none-x", None, InvalidInputError, "x_vec must be real, got object"),
+       ]},
     # real matrices: numpy's float cast would keep the real part and warn
     "cond_spd-complex": (cond_spd, (HERMITIAN,), InvalidInputError,
                          "matrix must be real, got complex128"),
@@ -229,6 +266,14 @@ def test_apply_inverse_solves_a_vector():
     np.testing.assert_array_equal(JACOBI.apply_inverse([2.0, 4.0]), [1.0, 1.0])
 
 
+@pytest.mark.parametrize("fn, M", [
+    (lambda R: baseline_cond("dct", R), [[2.0, 1.0], [1.0, 2.0]]),
+    (canonical_sign, [[-3.0, 1.0, 0.5], [1.0, -2.0, 0.0]]),
+], ids=["baseline_cond-dct", "canonical_sign"])
+def test_a_nested_list_gives_its_arrays_bits(fn, M):
+    assert np.asarray(fn(M)).tobytes() == np.asarray(fn(np.array(M))).tobytes()
+
+
 R4, U4 = ar1_autocorr(4, 0.5), dct_matrix(4).T
 
 
@@ -237,7 +282,10 @@ R4, U4 = ar1_autocorr(4, 0.5), dct_matrix(4).T
     (lambda: FilterConfig(4, 0.1, U4), {"transform": 1, "U": 0}),
     (lambda: orthonormality_error(U4), {"U": 1}),
     (lambda: JACOBI.apply_inverse(R4[:2, :2]), {"A": 1}),
-], ids=["split_preconditioned_cond", "FilterConfig", "orthonormality_error", "apply_inverse"])
+    (lambda: baseline_cond("dct", R4), {"R": 1, "U": 0}),
+    (lambda: baseline_cond("dft", R4), {"R": 1}),
+], ids=["split_preconditioned_cond", "FilterConfig", "orthonormality_error", "apply_inverse",
+        "baseline_cond-dct", "baseline_cond-dft"])
 def test_each_array_is_checked_once(monkeypatch, call, want):
     # every array check starts with _real_array: count its calls per label
     seen = Counter()
