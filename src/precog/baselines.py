@@ -183,7 +183,7 @@ def ilu0_precond(A: np.ndarray) -> Preconditioner:
 
 def none_cond(R: np.ndarray) -> float:
     """Condition number of the power-normalized matrix itself (no transform)."""
-    return float(_split_cond(_check_symmetric(R)))
+    return float(_split_cond(_check_symmetric(R, "R")))
 
 
 # method name -> cond of R under that baseline; omega is read by sor and ssor only

@@ -6,17 +6,18 @@ normalizes the update per bin.  Misalignment against the true plant is the
 headline metric since it is independent of the noise floor; the squared
 error is recorded alongside.
 
-lms_step and tdlms_step are the single-step API.  system_id_experiment
-runs the same recursion in its exact block form (Benesty and Duhamel, "A
-fast exact least mean square adaptive algorithm", IEEE TSP 1992): within a
-block of B steps the a-priori errors solve one unit lower-triangular
-system, and each block maps the weights it starts from to the weights it
-ends at by one n x n affine map.  A parallel prefix scan over those maps
-(Blelloch, "Prefix sums and their applications", 1990) gives every
-block's start weights from log2(K) levels of batched products, so no
-Python loop runs over the steps or the blocks of a chunk.  The scan
-groups the products differently from the step-by-step recursion, so its
-results match that recursion to rounding, not bit for bit.
+lms_step and tdlms_step are the single-step API; each checks d, a finite
+real, and x_vec by _tap_array, like the transform and the plant.
+system_id_experiment runs the same recursion in its exact block form
+(Benesty and Duhamel, "A fast exact least mean square adaptive algorithm",
+IEEE TSP 1992): within a block of B steps the a-priori errors solve one
+unit lower-triangular system, and each block maps the weights it starts
+from to the weights it ends at by one n x n affine map.  A parallel prefix
+scan over those maps (Blelloch, "Prefix sums and their applications",
+1990) gives every block's start weights from log2(K) levels of batched
+products, so no Python loop runs over the steps or the blocks of a chunk.
+The scan groups the products differently from the step-by-step recursion,
+so its results match that recursion to rounding, not bit for bit.
 
 Each piece of work is done once.  The decay matrices of the power
 estimate, whose entries depend only on a lag, are built once for a full
@@ -45,7 +46,7 @@ from .errors import (
     _real_array,
 )
 from .matgen import SignalSpec
-from .spectral import _check_orthonormal, _check_square
+from .spectral import _check_orthonormal
 
 # steps per block system, and steps per chunk, which bounds the transient
 # arrays; 16-step blocks ran as fast as 32 and faster than 8.  The scan costs
@@ -86,14 +87,19 @@ class FilterConfig:
         _check_count("taps", self.taps)
         _check_real("step", self.step, gt=0)
         if self.transform is not None:
-            shape = np.shape(self.transform)
-            if shape != (self.taps, self.taps):
-                raise InvalidDimensionError(
-                    f"transform shape {shape} does not match taps={self.taps}"
-                )
             # kept as the checked float array, so no reader converts it again
-            U = _check_orthonormal(_check_square(self.transform, "transform"), "transform")
+            U = _check_orthonormal(_tap_array(self, "transform", self.transform, 2), "transform")
             object.__setattr__(self, "transform", U)
+
+
+def _tap_array(cfg: FilterConfig, what: str, value, ndim: int = 1) -> np.ndarray:
+    # the one check of a tap-length operand: a real, finite float array of shape (taps,) * ndim
+    x = _real_array(what, value)
+    if x.shape != (cfg.taps,) * ndim:
+        raise InvalidDimensionError(f"{what} shape {x.shape} does not match taps={cfg.taps}")
+    if not np.isfinite(x).all():
+        raise InvalidInputError(f"{what} has non-finite entries")
+    return x
 
 
 @dataclass
@@ -115,19 +121,16 @@ class FilterState:
         return self.cfg.transform @ self.weights
 
 
-def _check_x_vec(state: FilterState, x_vec) -> np.ndarray:
-    # a single step's regressor as a real float vector of the state's tap count
-    x = _real_array("x_vec", x_vec)
-    if x.shape != state.weights.shape:
-        raise InvalidDimensionError(f"x_vec shape {x.shape} does not match taps={state.cfg.taps}")
-    return x
+def _check_sample(state: FilterState, x_vec, d) -> np.ndarray:
+    _check_real("d", d)
+    return _tap_array(state.cfg, "x_vec", x_vec)
 
 
 def lms_step(state: FilterState, x_vec: np.ndarray, d: float) -> tuple[FilterState, float]:
     """One plain LMS update: e = d - w.x, then w += step e x."""
     if state.cfg.transform is not None:
         raise InvalidInputError("lms_step needs a state without a transform; use tdlms_step")
-    x_vec = _check_x_vec(state, x_vec)
+    x_vec = _check_sample(state, x_vec, d)
     e = float(d - state.weights @ x_vec)
     state.weights = state.weights + state.cfg.step * e * x_vec
     return state, e
@@ -141,7 +144,7 @@ def tdlms_step(
         raise InvalidInputError("tdlms_step needs the state's own config as cfg")
     if cfg.transform is None:
         raise InvalidInputError("tdlms_step needs a transform in the config")
-    x_vec = _check_x_vec(state, x_vec)
+    x_vec = _check_sample(state, x_vec, d)
     v = cfg.transform.T @ x_vec
     state.power = _GAMMA * state.power + (1.0 - _GAMMA) * v * v
     e = float(d - state.weights @ v)
@@ -307,13 +310,9 @@ def system_id_experiment(
         raise InvalidInputError(f"input_spec must be a SignalSpec, not {type(input_spec).__name__}")
     if not isinstance(cfg, FilterConfig):
         raise InvalidInputError(f"cfg must be a FilterConfig, not {type(cfg).__name__}")
-    plant = _real_array("plant", plant)
-    if plant.shape != (cfg.taps,):
-        raise InvalidDimensionError(f"plant length {plant.shape} does not match taps={cfg.taps}")
+    plant = _tap_array(cfg, "plant", plant)
     check_run(run_len, noise_db)
     _check_seed(seed)
-    if not np.isfinite(plant).all():
-        raise InvalidInputError("plant has non-finite entries")
     with np.errstate(over="ignore"):
         plant_energy = float(plant @ plant)
     if not plant_energy > 0.0:

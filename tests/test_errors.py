@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from precog import baselines, spectral
+from precog import baselines, spectral, tdlms
 from precog.baselines import (
     baseline_cond,
     condition_ratio,
@@ -213,6 +213,17 @@ MALFORMED = {
            ("short-x", np.ones(2), InvalidDimensionError, "x_vec shape (2,) does not match taps=3"),
            ("none-x", None, InvalidInputError, "x_vec must be real, got object"),
        ]},
+    # single-step samples: d is a finite real, and x_vec is finite too
+    **{f"{name}-{case}": (step, (x, d), InvalidInputError, needle)
+       for name, step in [("lms_step", lambda x, d: lms_step(LMS3, x, d)),
+                          ("tdlms_step", lambda x, d: tdlms_step(FilterState(DCT3), x, d, DCT3))]
+       for case, x, d, needle in [
+           ("array-d", np.ones(3), np.ones(3), "d must be a real number, got array("),
+           ("none-d", np.ones(3), None, "d must be a real number, got None"),
+           ("str-d", np.ones(3), "a", "d must be a real number, got 'a'"),
+           ("nan-d", np.ones(3), np.nan, "d must be finite, got nan"),
+           ("nan-x", np.array([1.0, np.nan, 1.0]), 0.0, "x_vec has non-finite entries"),
+       ]},
     # real matrices: numpy's float cast would keep the real part and warn
     "cond_spd-complex": (cond_spd, (HERMITIAN,), InvalidInputError,
                          "matrix must be real, got complex128"),
@@ -236,7 +247,7 @@ MALFORMED = {
     "cond_spd-empty": (cond_spd, (EMPTY,), InvalidDimensionError, "matrix must not be empty"),
     "split_cond-empty": (split_preconditioned_cond, (EMPTY, EMPTY), InvalidDimensionError,
                          "R must not be empty"),
-    "none_cond-empty": (none_cond, (EMPTY,), InvalidDimensionError, "matrix must not be empty"),
+    "none_cond-empty": (none_cond, (EMPTY,), InvalidDimensionError, "R must not be empty"),
     "cond_general-empty": (cond_general, (EMPTY,), InvalidDimensionError,
                            "matrix must not be empty"),
     "ilu0-empty": (baseline_cond, ("ilu0", EMPTY), InvalidDimensionError, "A must not be empty"),
@@ -266,15 +277,23 @@ def test_apply_inverse_solves_a_vector():
     np.testing.assert_array_equal(JACOBI.apply_inverse([2.0, 4.0]), [1.0, 1.0])
 
 
+def _sysid_trace(plant):
+    trace = system_id_experiment(plant, SignalSpec("ar1", rho=0.9), 30.0,
+                                 FilterConfig(4, 0.05, dct_matrix(4).T), 300, 0)
+    return np.concatenate([trace.e2, trace.misalignment])
+
+
 @pytest.mark.parametrize("fn, M", [
     (lambda R: baseline_cond("dct", R), [[2.0, 1.0], [1.0, 2.0]]),
     (canonical_sign, [[-3.0, 1.0, 0.5], [1.0, -2.0, 0.0]]),
-], ids=["baseline_cond-dct", "canonical_sign"])
+    (_sysid_trace, [0.5, -0.25, 0.125, 1.0]),
+], ids=["baseline_cond-dct", "canonical_sign", "system_id_experiment"])
 def test_a_nested_list_gives_its_arrays_bits(fn, M):
     assert np.asarray(fn(M)).tobytes() == np.asarray(fn(np.array(M))).tobytes()
 
 
 R4, U4 = ar1_autocorr(4, 0.5), dct_matrix(4).T
+DCT4 = FilterConfig(4, 0.1, U4)
 
 
 @pytest.mark.parametrize("call, want", [
@@ -284,8 +303,14 @@ R4, U4 = ar1_autocorr(4, 0.5), dct_matrix(4).T
     (lambda: JACOBI.apply_inverse(R4[:2, :2]), {"A": 1}),
     (lambda: baseline_cond("dct", R4), {"R": 1, "U": 0}),
     (lambda: baseline_cond("dft", R4), {"R": 1}),
+    (lambda: baseline_cond("none", R4), {"R": 1}),
+    (lambda: system_id_experiment(np.ones(4), SignalSpec("white"), 30.0, FilterConfig(4, 0.1),
+                                  50, 0), {"plant": 1}),
+    (lambda: lms_step(FilterState(FilterConfig(4, 0.1)), np.ones(4), 0.5), {"x_vec": 1}),
+    (lambda: tdlms_step(FilterState(DCT4), np.ones(4), 0.5, DCT4), {"x_vec": 1}),
 ], ids=["split_preconditioned_cond", "FilterConfig", "orthonormality_error", "apply_inverse",
-        "baseline_cond-dct", "baseline_cond-dft"])
+        "baseline_cond-dct", "baseline_cond-dft", "baseline_cond-none", "system_id_experiment",
+        "lms_step", "tdlms_step"])
 def test_each_array_is_checked_once(monkeypatch, call, want):
     # every array check starts with _real_array: count its calls per label
     seen = Counter()
@@ -296,6 +321,7 @@ def test_each_array_is_checked_once(monkeypatch, call, want):
 
     monkeypatch.setattr(spectral, "_real_array", counted)
     monkeypatch.setattr(baselines, "_real_array", counted)
+    monkeypatch.setattr(tdlms, "_real_array", counted)
     call()
     assert {what: seen[what] for what in want} == want
 
