@@ -19,12 +19,11 @@ import numpy as np
 
 from .errors import (
     IluBreakdownError,
-    InvalidDimensionError,
     InvalidInputError,
     NumericallySingularError,
     _check_count,
     _check_real,
-    _real_array,
+    _operand,
 )
 from .spectral import _check_square, _check_symmetric, _split_cond, cond_general
 
@@ -47,11 +46,9 @@ class Preconditioner:
 
     def apply_inverse(self, A: np.ndarray) -> np.ndarray:
         """M^{-1} A for a finite real vector or matrix A with M's row count."""
-        A = _real_array("A", A)
-        if A.ndim not in (1, 2) or len(A) != len(self.payload):
-            raise InvalidDimensionError(f"A shape {A.shape} does not match M {self.payload.shape}")
-        if not np.isfinite(A).all():
-            raise InvalidInputError("A has non-finite entries")
+        n = len(self.payload)
+        A = _operand("A", A, lambda s: len(s) in (1, 2) and s[0] == n,
+                     f"be a vector or matrix with {n} rows")
         return np.linalg.solve(self.payload, A)
 
     def preconditioned_cond(self, A: np.ndarray) -> float:

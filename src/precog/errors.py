@@ -2,10 +2,12 @@
 
 Every numerical failure raises a distinct class so callers (and the CLI,
 which maps them to exit code 1) can tell input mistakes apart from genuine
-breakdowns inside an algorithm.  The scalar checks live here too:
+breakdowns inside an algorithm.  The argument checks live here too:
 _check_count (an integer count, size or index in [minimum, below)), _check_seed
-(an integer in [0, 2**64)) and _check_real (a finite real, bounded by gt/ge/lt/le),
-and _real_array, which turns real array input into floats and refuses the rest.
+(an integer in [0, 2**64)) and _check_real (a finite real, bounded by gt/ge/lt/le);
+_real_array, which turns real array input into floats and refuses the rest;
+_operand, the one check of an array argument (real, then shape, then finite); and
+_instance, the one check of a structured argument's type.
 """
 
 import math
@@ -102,3 +104,18 @@ def _real_array(what: str, value) -> np.ndarray:
     if value.dtype.kind not in "biuf":
         raise InvalidInputError(f"{what} must be real, got {value.dtype}")
     return np.asarray(value, dtype=float)
+
+
+def _operand(what: str, value, fits, want: str) -> np.ndarray:
+    # value as a float array: real, with fits(shape) true ("<what> must <want>"), and finite
+    value = _real_array(what, value)
+    if not fits(value.shape):
+        raise InvalidDimensionError(f"{what} must {want}, got shape {value.shape}")
+    if not np.isfinite(value).all():
+        raise InvalidInputError(f"{what} has non-finite entries")
+    return value
+
+
+def _instance(what: str, value, cls: type) -> None:
+    if not isinstance(value, cls):
+        raise InvalidInputError(f"{what} must be a {cls.__name__}, not {type(value).__name__}")

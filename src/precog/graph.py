@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidDimensionError, InvalidInputError, _check_count, _real_array
+from .errors import InvalidDimensionError, InvalidInputError, _check_count, _instance, _operand
 
 
 @dataclass(frozen=True)
@@ -82,14 +82,9 @@ class WeightedGraph:
     w: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        self.w = np.atleast_1d(_real_array("edge weights", self.w))
-        if self.w.shape != (self.topology.n_edges,):
-            raise InvalidDimensionError(
-                f"weight vector has shape {self.w.shape}, "
-                f"topology has {self.topology.n_edges} edges"
-            )
-        if not np.all(np.isfinite(self.w)):
-            raise InvalidInputError("edge weights must be finite")
+        _instance("topology", self.topology, Topology)
+        shape = (self.topology.n_edges,)
+        self.w = _operand("w", np.atleast_1d(self.w), shape.__eq__, f"have shape {shape}")
 
 
 def banded_topology(n: int, band: int) -> Topology:

@@ -322,7 +322,7 @@ def optimize(R: np.ndarray, t: Topology, hp: HyperParams) -> PrecogResult:
     checked only when it is not.  The degeneracy test runs once per
     iteration.
     """
-    R = _check_symmetric(R)
+    R = _check_symmetric(R, "R")
     _spd_spectrum(R)  # as cond_spd(R): rejects a non-positive-definite R
     if R.shape[0] != t.n:
         raise InvalidDimensionError(f"R is {R.shape[0]} x {R.shape[0]}, topology has n={t.n}")

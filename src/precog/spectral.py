@@ -25,6 +25,7 @@ from .errors import (
     NotPositiveDefiniteError,
     NumericallySingularError,
     SymmetryError,
+    _operand,
     _real_array,
 )
 
@@ -49,13 +50,10 @@ class NormalizedAutocorr:
 
 def _check_square(M, what: str = "matrix", stack: bool = False) -> np.ndarray:
     # M as a real, finite, nonempty, square float array; with stack, a (..., n, n) stack of them
-    M = _real_array(what, M)
-    if (M.ndim < 2 if stack else M.ndim != 2) or M.shape[-1] != M.shape[-2]:
-        raise InvalidDimensionError(f"{what} must be square, got shape {M.shape}")
-    if M.size == 0:
+    M = _operand(what, M, lambda s: (len(s) >= 2 if stack else len(s) == 2) and s[-1] == s[-2],
+                 "be square")
+    if M.size == 0:  # after the finite test, which an empty M passes
         raise InvalidDimensionError(f"{what} must not be empty, got shape {M.shape}")
-    if not np.isfinite(M).all():
-        raise InvalidInputError(f"{what} has non-finite entries")
     return M
 
 
@@ -128,7 +126,7 @@ def cond_general(M: np.ndarray) -> float:
 
 def power_normalize(R: np.ndarray) -> NormalizedAutocorr:
     """Symmetric diagonal scaling to unit diagonal: delta^{-1/2} R delta^{-1/2}."""
-    R = _check_symmetric(R)
+    R = _check_symmetric(R, "R")
     return NormalizedAutocorr(S=_unit_diagonal(R))
 
 

@@ -6,8 +6,8 @@ normalizes the update per bin.  Misalignment against the true plant is the
 headline metric since it is independent of the noise floor; the squared
 error is recorded alongside.
 
-lms_step and tdlms_step are the single-step API; each checks d, a finite
-real, and x_vec by _tap_array, like the transform and the plant.
+lms_step and tdlms_step are the single-step API; each checks its state, then
+d, a finite real, and x_vec by _tap_array, like the transform and the plant.
 system_id_experiment runs the same recursion in its exact block form
 (Benesty and Duhamel, "A fast exact least mean square adaptive algorithm",
 IEEE TSP 1992): within a block of B steps the a-priori errors solve one
@@ -38,12 +38,12 @@ import numpy as np
 
 from .errors import (
     DivergenceError,
-    InvalidDimensionError,
     InvalidInputError,
     _check_count,
     _check_real,
     _check_seed,
-    _real_array,
+    _instance,
+    _operand,
 )
 from .matgen import SignalSpec
 from .spectral import _check_orthonormal
@@ -94,12 +94,7 @@ class FilterConfig:
 
 def _tap_array(cfg: FilterConfig, what: str, value, ndim: int = 1) -> np.ndarray:
     # the one check of a tap-length operand: a real, finite float array of shape (taps,) * ndim
-    x = _real_array(what, value)
-    if x.shape != (cfg.taps,) * ndim:
-        raise InvalidDimensionError(f"{what} shape {x.shape} does not match taps={cfg.taps}")
-    if not np.isfinite(x).all():
-        raise InvalidInputError(f"{what} has non-finite entries")
-    return x
+    return _operand(what, value, ((cfg.taps,) * ndim).__eq__, f"have shape {(cfg.taps,) * ndim}")
 
 
 @dataclass
@@ -111,6 +106,7 @@ class FilterState:
     power: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
+        _instance("cfg", self.cfg, FilterConfig)
         self.weights = np.zeros(self.cfg.taps)
         self.power = np.ones(self.cfg.taps)
 
@@ -122,15 +118,16 @@ class FilterState:
 
 
 def _check_sample(state: FilterState, x_vec, d) -> np.ndarray:
+    _instance("state", state, FilterState)
     _check_real("d", d)
     return _tap_array(state.cfg, "x_vec", x_vec)
 
 
 def lms_step(state: FilterState, x_vec: np.ndarray, d: float) -> tuple[FilterState, float]:
     """One plain LMS update: e = d - w.x, then w += step e x."""
+    x_vec = _check_sample(state, x_vec, d)
     if state.cfg.transform is not None:
         raise InvalidInputError("lms_step needs a state without a transform; use tdlms_step")
-    x_vec = _check_sample(state, x_vec, d)
     e = float(d - state.weights @ x_vec)
     state.weights = state.weights + state.cfg.step * e * x_vec
     return state, e
@@ -140,11 +137,11 @@ def tdlms_step(
     state: FilterState, x_vec: np.ndarray, d: float, cfg: FilterConfig
 ) -> tuple[FilterState, float]:
     """One transform-domain update with per-bin power normalization; cfg must be state.cfg."""
+    x_vec = _check_sample(state, x_vec, d)
     if cfg is not state.cfg:
         raise InvalidInputError("tdlms_step needs the state's own config as cfg")
     if cfg.transform is None:
         raise InvalidInputError("tdlms_step needs a transform in the config")
-    x_vec = _check_sample(state, x_vec, d)
     v = cfg.transform.T @ x_vec
     state.power = _GAMMA * state.power + (1.0 - _GAMMA) * v * v
     e = float(d - state.weights @ v)
@@ -306,10 +303,8 @@ def system_id_experiment(
     weights and the power estimate carried across.  Results match the per-step
     recursion to rounding, not bit for bit.
     """
-    if not isinstance(input_spec, SignalSpec):
-        raise InvalidInputError(f"input_spec must be a SignalSpec, not {type(input_spec).__name__}")
-    if not isinstance(cfg, FilterConfig):
-        raise InvalidInputError(f"cfg must be a FilterConfig, not {type(cfg).__name__}")
+    _instance("input_spec", input_spec, SignalSpec)
+    _instance("cfg", cfg, FilterConfig)
     plant = _tap_array(cfg, "plant", plant)
     check_run(run_len, noise_db)
     _check_seed(seed)

@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from precog import baselines, spectral, tdlms
+from precog import errors, spectral
 from precog.baselines import (
     baseline_cond,
     condition_ratio,
@@ -115,7 +115,7 @@ MALFORMED = {
                               "each edge must be a pair of vertices, got edges of unequal lengths"),
     "weighted_graph-column-w": (WeightedGraph, (GRAPH.topology, np.ones((2, 1))),
                                 InvalidDimensionError,
-                                "weight vector has shape (2, 1), topology has 2 edges"),
+                                "w must have shape (2,), got shape (2, 1)"),
     # bounded reals
     "random_sparse_pd-bool-density": (random_sparse_pd, (4, True, 0), InvalidInputError,
                                       "density must be a real number"),
@@ -179,10 +179,11 @@ MALFORMED = {
        for fn in (JACOBI.apply_inverse, JACOBI.preconditioned_cond)
        for name, A, error, needle in [
            ("size-mismatch", np.eye(3), InvalidDimensionError,
-            "A shape (3, 3) does not match M (2, 2)"),
+            "A must be a vector or matrix with 2 rows, got shape (3, 3)"),
            ("none", None, InvalidInputError, "A must be real, got object"),
            ("strings", np.array(["a", "b"]), InvalidInputError, "A must be real, got <U1"),
-           ("scalar", 3.0, InvalidDimensionError, "A shape () does not match M (2, 2)"),
+           ("scalar", 3.0, InvalidDimensionError,
+            "A must be a vector or matrix with 2 rows, got shape ()"),
            ("non-finite", np.full((2, 2), np.nan), InvalidInputError,
             "A has non-finite entries"),
        ]},
@@ -210,7 +211,8 @@ MALFORMED = {
        for name, step in [("lms_step", lambda x: lms_step(LMS3, x, 0.0)),
                           ("tdlms_step", lambda x: tdlms_step(FilterState(DCT3), x, 0.0, DCT3))]
        for case, x, error, needle in [
-           ("short-x", np.ones(2), InvalidDimensionError, "x_vec shape (2,) does not match taps=3"),
+           ("short-x", np.ones(2), InvalidDimensionError,
+            "x_vec must have shape (3,), got shape (2,)"),
            ("none-x", None, InvalidInputError, "x_vec must be real, got object"),
        ]},
     # single-step samples: d is a finite real, and x_vec is finite too
@@ -228,7 +230,7 @@ MALFORMED = {
     "cond_spd-complex": (cond_spd, (HERMITIAN,), InvalidInputError,
                          "matrix must be real, got complex128"),
     "optimize-complex-R": (optimize, (HERMITIAN, full_topology(2), HyperParams()),
-                           InvalidInputError, "matrix must be real, got complex128"),
+                           InvalidInputError, "R must be real, got complex128"),
     "split_cond-complex-U": (split_preconditioned_cond, (ar1_autocorr(6, 0.9), dft_matrix(6)),
                              InvalidInputError, "U must be real, got complex128"),
     "filter_config-complex-transform": (FilterConfig, (6, 0.1, dft_matrix(6)), InvalidInputError,
@@ -237,12 +239,12 @@ MALFORMED = {
                                                        FilterConfig(2, 0.01), 10, 0),
                                 InvalidInputError, "plant must be real, got complex128"),
     "weighted_graph-complex-w": (WeightedGraph, (GRAPH.topology, np.ones(2) + 0j),
-                                 InvalidInputError, "edge weights must be real, got complex128"),
+                                 InvalidInputError, "w must be real, got complex128"),
     "orthonormality_error-complex": (orthonormality_error, (dft_matrix(3),), InvalidInputError,
                                      "U must be real, got complex128"),
     "cond_spd-strings": (cond_spd, ([["a"]],), InvalidInputError, "matrix must be real, got <U1"),
     "weighted_graph-object-w": (WeightedGraph, (GRAPH.topology, np.array([1.0, 1j], object)),
-                                InvalidInputError, "edge weights must be real, got object"),
+                                InvalidInputError, "w must be real, got object"),
     # nonempty matrices
     "cond_spd-empty": (cond_spd, (EMPTY,), InvalidDimensionError, "matrix must not be empty"),
     "split_cond-empty": (split_preconditioned_cond, (EMPTY, EMPTY), InvalidDimensionError,
@@ -256,6 +258,15 @@ MALFORMED = {
     # diagonal scaling
     "dft-negative-diagonal": (dft_split_cond, (-np.eye(3),), NormalizationDomainError,
                               "diagonal entry 0 is -1, must be positive"),
+    # structured arguments: an instance of their class, else one message form
+    "filter_state-none-cfg": (FilterState, (None,), InvalidInputError,
+                              "cfg must be a FilterConfig, not NoneType"),
+    "lms_step-none-state": (lms_step, (None, np.ones(3), 0.0), InvalidInputError,
+                            "state must be a FilterState, not NoneType"),
+    "tdlms_step-none-state": (tdlms_step, (None, np.ones(3), 0.0, DCT3), InvalidInputError,
+                              "state must be a FilterState, not NoneType"),
+    "weighted_graph-none-topology": (WeightedGraph, (None, [1.0]), InvalidInputError,
+                                     "topology must be a Topology, not NoneType"),
     # family parameters
     "matrix_spec-unknown-parameter": (lambda: MatrixSpec("ar1", 4, {"bogus": 1}), (),
                                       InvalidInputError, "ar1 parameters are ('rho',)"),
@@ -319,11 +330,30 @@ def test_each_array_is_checked_once(monkeypatch, call, want):
         seen[what] += 1
         return _real_array(what, value)
 
+    monkeypatch.setattr(errors, "_real_array", counted)
     monkeypatch.setattr(spectral, "_real_array", counted)
-    monkeypatch.setattr(baselines, "_real_array", counted)
-    monkeypatch.setattr(tdlms, "_real_array", counted)
     call()
     assert {what: seen[what] for what in want} == want
+
+
+@pytest.mark.parametrize("name, call, good", [
+    ("matrix", cond_spd, np.eye(2)),
+    ("U", lambda U: split_preconditioned_cond(np.eye(3), U), np.eye(3)),
+    ("transform", lambda U: FilterConfig(3, 0.1, U), np.eye(3)),
+    ("x_vec", lambda x: lms_step(FilterState(FilterConfig(3, 0.1)), x, 0.0), np.ones(3)),
+    ("plant", lambda plant: system_id_experiment(plant, SignalSpec("white"), 30.0,
+                                                 FilterConfig(3, 0.1), 10, 0), np.ones(3)),
+    ("A", JACOBI.apply_inverse, np.ones(2)),
+    ("w", lambda w: WeightedGraph(GRAPH.topology, w), np.ones(2)),
+], ids=["cond_spd", "split_preconditioned_cond", "FilterConfig", "lms_step",
+        "system_id_experiment", "apply_inverse", "WeightedGraph"])
+def test_an_array_argument_fails_in_one_message_form(name, call, good):
+    with pytest.raises(InvalidDimensionError, match=rf"^{name} must .+, got shape \(.*\)$"):
+        call(np.concatenate([good, good[:1]]))  # one row too many
+    bad = good.copy()
+    bad.flat[-1] = np.nan
+    with pytest.raises(InvalidInputError, match=rf"^{name} has non-finite entries$"):
+        call(bad)
 
 
 def test_a_bad_size_is_malformed_input():
